@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+from simcol.certify import threshold_ratio
 from simcol.coupling import flip_exact_drift, sample_adjacent_pairs
 from simcol.dynamics import FlipParams
 from simcol.graphs import build_union_line_graph, random_graph_pair
@@ -38,7 +39,7 @@ def main():
     fp = FlipParams.default()
     seed, G = find_instance(args.delta, args.n, args.seed)
     kmin = 4 * G.delta - 2
-    kcert = math.ceil(float(Fraction(1933, 325)) * G.delta)
+    kcert = math.ceil(threshold_ratio(fp) * G.delta)
     print(f"instance seed {seed}: m={G.m} delta={G.delta} "
           f"(certified ratio crosses at k={kcert})")
     print(f"{'k':>4} {'k/delta':>8} {'worst drift':>14} {'mean drift':>14} "

@@ -10,6 +10,13 @@ expressions, and the two must agree.  Exhaustive enumeration of shapes
 then yields the per-branch maxima that assemble into the k/Delta
 threshold ratio certifying contraction.
 
+Both evaluations run in integer p-units: with D the lcm of the
+denominators of the flip schedule, every flip mass is the integer
+p_s * D, and every shape value is num / (color_weight * D) with an
+integer num.  The dual check compares two integers, shapes are ranked by
+cross-multiplication, and a Fraction is built only for what the report
+exposes (a branch maximum, a single color_rate value).
+
 Component sizes are capped at 8: under a 6-local chain any size past the
 locality carries zero flip mass, and sizes only enter the formulas
 through flip probabilities and through (size-1) factors multiplied by
@@ -19,10 +26,12 @@ equivalence-classed by the cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .dynamics import FlipParams
 from .matching import match_color_moves, pick_anchor
@@ -86,17 +95,39 @@ class ClusterConfig:
         }
 
 
-def _matcher_rate(cfg: ClusterConfig, fp: FlipParams):
-    """Evaluate the shape through the coupling's own mass matching."""
+class PUnits(NamedTuple):
+    """A schedule's flip masses as integers over one common denominator.
+
+    den is D, the lcm of the denominators of fp.probs; mass[s] = p_s * D
+    for every component size s from 0 up to the biggest one a
+    ClusterConfig admits (v* plus four branches at the cap), 0 at s = 0
+    and past the locality.  Every shape value is then num / (color_weight
+    * D) with an integer num.
+    """
+
+    den: int
+    mass: tuple[int, ...]
+
+
+def p_units(fp: FlipParams) -> PUnits:
+    den = math.lcm(*(p.denominator for p in fp.probs))
+    return PUnits(den, tuple(int(fp.p(s) * den) for s in range(2 + 4 * SIZE_CAP)))
+
+
+def _matcher_rate(cfg: ClusterConfig, units: PUnits) -> tuple[int, int]:
+    """Evaluate the shape through the coupling's own mass matching.
+
+    Returns (numerator over color_weight * D, clamp count).
+    """
     d = cfg.d
-    big_a = 1 + sum(cfg.x_branch_sizes)
-    big_b = 1 + sum(cfg.y_branch_sizes)
+    P = units.mass
     t_ids = [("t", i) for i in range(d)]
     u_ids = [("u", i) for i in range(d)]
-    mass = {_BIG_X: fp.p(big_a), _BIG_Y: fp.p(big_b)}
+    mass = {_BIG_X: P[1 + sum(cfg.x_branch_sizes)],
+            _BIG_Y: P[1 + sum(cfg.y_branch_sizes)]}
     for i in range(d):
-        mass[t_ids[i]] = fp.p(cfg.y_branch_sizes[i])
-        mass[u_ids[i]] = fp.p(cfg.x_branch_sizes[i])
+        mass[t_ids[i]] = P[cfg.y_branch_sizes[i]]
+        mass[u_ids[i]] = P[cfg.x_branch_sizes[i]]
     m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)
     m_b = pick_anchor(cfg.y_branch_sizes, cfg.neighbor_weights)
     pairs, clamped = match_color_moves(_BIG_X, _BIG_Y, t_ids, u_ids, mass, m_a, m_b)
@@ -119,52 +150,57 @@ def _matcher_rate(cfg: ClusterConfig, fp: FlipParams):
             return uw[i] + tw[i] - cfg.neighbor_weights[i]
         return tw[i] + uw[j]
 
-    raw = sum((p.mass * delta(p.x, p.y) for p in pairs), Fraction(0))
-    adjusted = raw - (d - 1) * cfg.vstar_weight
-    return adjusted / cfg.color_weight, clamped
+    raw = sum(p.mass * delta(p.x, p.y) for p in pairs)
+    return raw - (d - 1) * cfg.vstar_weight * units.den, clamped
 
 
-def _closed_form_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
-    """The same value from the per-neighbor leftover expressions."""
+def _closed_form_rate(cfg: ClusterConfig, units: PUnits) -> int:
+    """The same numerator from the per-neighbor leftover expressions."""
     d = cfg.d
-    big_a = 1 + sum(cfg.x_branch_sizes)
-    big_b = 1 + sum(cfg.y_branch_sizes)
+    P = units.mass
+    big_a = P[1 + sum(cfg.x_branch_sizes)]
+    big_b = P[1 + sum(cfg.y_branch_sizes)]
     if d == 1:
         a, b = cfg.x_branch_sizes[0], cfg.y_branch_sizes[0]
-        w1 = cfg.neighbor_weights[0]
-        q = fp.p(a) - fp.p(big_a)
-        qp = fp.p(b) - fp.p(big_b)
-        f = max(q, qp) * w1 + 2 * q * (a - 1) + 2 * qp * (b - 1)
-        return f / w1
+        q = P[a] - big_a
+        qp = P[b] - big_b
+        return max(q, qp) * cfg.neighbor_weights[0] + 2 * q * (a - 1) + 2 * qp * (b - 1)
     uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
     tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
     m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)
     m_b = pick_anchor(cfg.y_branch_sizes, cfg.neighbor_weights)
-    total = fp.p(big_a) * (sum(uw) - uw[m_a]) + fp.p(big_b) * (sum(tw) - tw[m_b])
+    total = big_a * (sum(uw) - uw[m_a]) + big_b * (sum(tw) - tw[m_b])
     for i in range(d):
-        q = fp.p(cfg.x_branch_sizes[i]) - (fp.p(big_a) if i == m_a else 0)
-        qp = fp.p(cfg.y_branch_sizes[i]) - (fp.p(big_b) if i == m_b else 0)
+        q = P[cfg.x_branch_sizes[i]] - (big_a if i == m_a else 0)
+        qp = P[cfg.y_branch_sizes[i]] - (big_b if i == m_b else 0)
         total += (max(q, qp) * cfg.neighbor_weights[i]
                   + 2 * q * (cfg.x_branch_sizes[i] - 1)
                   + 2 * qp * (cfg.y_branch_sizes[i] - 1))
-    total -= (d - 1) * cfg.vstar_weight
-    return total / cfg.color_weight
+    return total - (d - 1) * cfg.vstar_weight * units.den
 
 
-def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
+def color_rate(cfg: ClusterConfig, fp: FlipParams,
+               units: PUnits | None = None) -> Fraction | int:
     """Normalized expected metric change charged to one color, times m*k.
 
     Computed through the mass matching; cross-checked against the closed
     form whenever no clamping occurred (with clamping the closed form's
     leftover expressions go negative and only the matching is meaningful).
+    Returns the exact Fraction.  A caller pricing many shapes passes
+    units = p_units(fp) once and gets instead the integer numerator over
+    cfg.color_weight * units.den, so no Fraction is made per shape.
     """
-    value, clamped = _matcher_rate(cfg, fp)
+    scale = p_units(fp) if units is None else units
+    value, clamped = _matcher_rate(cfg, scale)
     if clamped == 0:
-        check = _closed_form_rate(cfg, fp)
+        check = _closed_form_rate(cfg, scale)
         if check != value:
             raise AssertionError(
-                f"evaluation mismatch on {cfg}: matching {value} vs closed form {check}")
-    return value
+                f"evaluation mismatch on {cfg}: matching {value} vs closed form "
+                f"{check}, over {cfg.color_weight * scale.den}")
+    if units is not None:
+        return value
+    return Fraction(value, cfg.color_weight * scale.den)
 
 
 @dataclass(frozen=True)
@@ -176,21 +212,28 @@ class BranchMaximum:
     attained: bool
 
 
-def _enumerate_branch(fp: FlipParams, wstar: int, d: int,
+def _enumerate_branch(fp: FlipParams, units: PUnits, wstar: int, d: int,
                       lemma_value: Fraction) -> BranchMaximum:
+    """Every shape of one branch, compared as integer numerators.
+
+    A shape's value is num / (color_weight * D) with D shared by all
+    shapes, so values compare by cross-multiplying num with color_weight.
+    """
     sizes = range(1, SIZE_CAP + 1)
-    best: Fraction | None = None
+    best_num, best_cw = None, 1
     argmax: list[ClusterConfig] = []
     for weights in product((1, 2), repeat=d):
+        cw = sum(weights)
         for xs in product(sizes, repeat=d):
             for ys in product(sizes, repeat=d):
                 cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
                                     x_branch_sizes=xs, y_branch_sizes=ys)
-                v = color_rate(cfg, fp)
-                if best is None or v > best:
-                    best, argmax = v, [cfg]
-                elif v == best:
+                num = color_rate(cfg, fp, units)
+                if best_num is None or num * best_cw > best_num * cw:
+                    best_num, best_cw, argmax = num, cw, [cfg]
+                elif num * best_cw == best_num * cw:
                     argmax.append(cfg)
+    best = Fraction(best_num, best_cw * units.den)
     return BranchMaximum(lemma_value=lemma_value, enumerated=best,
                          maximizers=tuple(argmax),
                          bound_holds=best <= lemma_value,
@@ -210,11 +253,13 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     if fp.locality > 6:
         raise ValueError(f"size cap {SIZE_CAP} is tuned to 6-local chains")
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
+    units = p_units(fp)
     return {
-        "dc1": _enumerate_branch(fp, wstar=1, d=1, lemma_value=p1 + p2 - 2 * p3),
-        "w1dc2": _enumerate_branch(fp, wstar=1, d=2,
+        "dc1": _enumerate_branch(fp, units, wstar=1, d=1,
+                                 lemma_value=p1 + p2 - 2 * p3),
+        "w1dc2": _enumerate_branch(fp, units, wstar=1, d=2,
                                    lemma_value=Fraction(3, 4) + 2 * p3),
-        "w2dc2": _enumerate_branch(fp, wstar=2, d=2, lemma_value=8 * p3),
+        "w2dc2": _enumerate_branch(fp, units, wstar=2, d=2, lemma_value=8 * p3),
     }
 
 

@@ -54,7 +54,7 @@ def _load_fp(path: str | None) -> FlipParams:
     try:
         return FlipParams.from_text(text)
     except ValueError as exc:
-        raise ParseError(0, f"{path}: {exc}") from exc
+        raise ParseError(None, f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,19 +83,33 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"{path}: {exc.msg}") from exc
-    assign = [0] * G.m
     try:
-        if int(data["k"]) != k:
-            raise ParseError(0, f"{path}: coloring has k={data['k']}, expected {k}")
-        for entry in data["colors"]:
+        file_k, entries = int(data["k"]), data["colors"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(None, f"{path}: malformed coloring file, needs "
+                               f"an integer 'k' and a 'colors' list") from exc
+    if file_k != k:
+        raise ParseError(None, f"{path}: coloring has k={file_k}, expected {k}")
+    if not isinstance(entries, list):
+        raise ParseError(None, f"{path}: 'colors' is not a list")
+    assign = [0] * G.m
+    for i, entry in enumerate(entries):
+        where = f"{path}: colors[{i}]"
+        try:
             e = canonical_edge(int(entry["u"]), int(entry["v"]))
-            if e not in G.index:
-                raise ParseError(0, f"{path}: edge {e} not in instance")
-            assign[G.index[e]] = int(entry["color"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(0, f"{path}: malformed coloring file") from exc
-    if any(c < 1 or c > k for c in assign):
-        raise ParseError(0, f"{path}: colors must cover every edge with 1..{k}")
+            color = int(entry["color"])
+        except KeyError as exc:
+            raise ParseError(None, f"{where}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(None, f"{where}: needs integer 'u', 'v' "
+                                   f"and 'color'") from exc
+        if e not in G.index:
+            raise ParseError(None, f"{where}: edge {e} not in instance")
+        if not 1 <= color <= k:
+            raise ParseError(None, f"{where}: color {color} outside 1..{k}")
+        assign[G.index[e]] = color
+    if 0 in assign:
+        raise ParseError(None, f"{path}: no color for edge {G.verts[assign.index(0)]}")
     return Coloring(assign=assign, k=k)
 
 

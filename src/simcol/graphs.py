@@ -35,10 +35,14 @@ G2 = 2
 
 
 class ParseError(ValueError):
-    """Instance file rejected; carries the 1-based offending line number."""
+    """Input file rejected; carries the 1-based offending line number.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    line is None for errors no line locates (a JSON schema error, a
+    schedule value); the message then names the offending item itself.
+    """
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
         self.message = message
 
@@ -191,7 +195,8 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
     for (u, v) in e2:
         deg2[u] = deg2.get(u, 0) + 1
         deg2[v] = deg2.get(v, 0) + 1
-    fresh = [e for e in candidates if e not in set(e1)]
+    in_e1 = set(e1)
+    fresh = [e for e in candidates if e not in in_e1]
     for (u, v) in fresh:
         if len(e2) >= len(e1):
             break

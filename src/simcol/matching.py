@@ -15,10 +15,12 @@ mass still unspent on both participants:
 4. leftover branch mass is cross-paired in increasing neighbor order,
 5. anything left moves alone.
 
-Masses are exact rationals in p-units (the per-component flip mass times
-m*k).  Branches of distinct neighbors may be one and the same component
-(the ids then repeat); the shared ledger makes the pairing well defined
-in that case too.  `clamped` counts big components whose designated
+Masses are exact numbers in p-units (the per-component flip mass times
+m*k): Fractions from the coupling, integers over a common denominator
+from the certifier; min and subtraction keep either type exact.
+Branches of distinct neighbors may be one and the same component (the
+ids then repeat); the shared ledger makes the pairing well defined in
+that case too.  `clamped` counts big components whose designated
 partner could not absorb them fully, which cannot happen when the flip
 probabilities are nonincreasing in the component size.
 """
@@ -35,7 +37,7 @@ class MatchedPair:
 
     x: object | None
     y: object | None
-    mass: Fraction
+    mass: Fraction | int
 
 
 def _ordered_distinct(ids) -> list:
@@ -67,10 +69,10 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, mass: dict, m_a: int, m_b: int
     """
     if len(x_ids) != len(y_ids) or not x_ids:
         raise ValueError("need one branch id per neighbor on both sides")
-    rem = {i: Fraction(mass[i]) for i in {big_x, big_y, *x_ids, *y_ids}}
+    rem = {i: mass[i] for i in {big_x, big_y, *x_ids, *y_ids}}
     pairs: list[MatchedPair] = []
 
-    def emit(x, y, amount: Fraction) -> None:
+    def emit(x, y, amount) -> None:
         if amount <= 0:
             return
         pairs.append(MatchedPair(x=x, y=y, mass=amount))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simcol import certify
 from simcol.certify import (ClusterConfig, TARGET_RATIO, branch_thresholds,
                             certify_report, color_rate, frac_str, rate_maxima,
                             threshold_identities, threshold_ratio,
@@ -14,6 +15,8 @@ from simcol.dynamics import FlipParams
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()
 VIOLATION = FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2)))
+# coprime denominators: the common p-unit denominator is their lcm, 231
+MIXED = FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
 
 
 class TestProperties:
@@ -76,6 +79,23 @@ class TestRateMaxima:
         assert res["dc1"].attained
         assert res["w1dc2"].enumerated == Fraction(3, 4)
         assert res["w2dc2"].enumerated == Fraction(1, 2)
+
+    def test_size_cap_does_not_move_the_maxima(self, monkeypatch):
+        # the module docstring's claim: sizes past the cap are
+        # equivalence-classed by it, so caps on either side of 8 find the
+        # same branch maxima and the same bound verdicts
+        at_cap = {name: (bm.enumerated, bm.bound_holds)
+                  for name, bm in rate_maxima(DEFAULT).items()}
+        try:
+            for cap in (7, 9):
+                monkeypatch.setattr(certify, "SIZE_CAP", cap)
+                rate_maxima.cache_clear()
+                got = {name: (bm.enumerated, bm.bound_holds)
+                       for name, bm in rate_maxima(DEFAULT).items()}
+                assert got == at_cap, cap
+        finally:
+            monkeypatch.undo()
+            rate_maxima.cache_clear()
 
     def test_locality_cap(self):
         fp = FlipParams(tuple([Fraction(1)] + [Fraction(1, 100)] * 6))
@@ -154,6 +174,16 @@ class TestReport:
         assert rep["maxima"]["w1dc2"]["argmax_count"] == 2
         assert rep["flip_params"] == ["1/1", "137/650", "77/650",
                                       "47/650", "27/650", "6/325"]
+
+    def test_mixed_denominator_report(self):
+        rep = certify_report(MIXED)
+        assert rep["threshold"] == "226/33"
+        assert rep["branch_thresholds"] == {"weight1": "226/33", "weight2": "212/33"}
+        got = {name: (b["enumerated_max"], b["bound_holds"], b["argmax_count"])
+               for name, b in rep["maxima"].items()}
+        assert got == {"dc1": ("40/33", False, 2),
+                       "w1dc2": ("7/6", False, 3),
+                       "w2dc2": ("5/6", True, 4)}
 
     def test_violation_report(self):
         rep = certify_report(VIOLATION)

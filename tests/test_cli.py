@@ -83,6 +83,25 @@ class TestSample:
         b = json.loads(second.read_text())["colors"]
         assert a == b
 
+    @pytest.mark.parametrize("bad_entry, reason", [
+        ({"u": 1, "v": 3, "color": 2}, "edge (1, 3) not in instance"),
+        ({"u": 2, "v": 3}, "missing key 'color'"),
+        ({"u": 2, "v": 3, "color": "red"}, "needs integer"),
+        ({"u": 2, "v": 3, "color": 7}, "color 7 outside 1..6"),
+    ])
+    def test_start_file_error_names_entry(self, instance, tmp_path, capsys,
+                                          bad_entry, reason):
+        g = instance("inst.txt", TWO_EDGES)
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(
+            {"k": 6, "colors": [{"u": 1, "v": 2, "color": 1}, bad_entry]}))
+        code = main(["sample", "--graph", g, "--k", "6", "--steps", "0",
+                     "--seed", "1", "--start", str(start)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "colors[1]" in err and reason in err
+        assert "line 0" not in err
+
     def test_low_k_warns_but_proceeds(self, instance, tmp_path, capsys):
         g = instance("inst.txt", TWO_EDGES)
         code = main(["sample", "--graph", g, "--k", "3", "--steps", "10",

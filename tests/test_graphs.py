@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +91,20 @@ class TestRandomGraphPair:
     def test_overlap_count_exact(self):
         gp = random_graph_pair(n=12, delta=3, overlap=0.5, seed=2)
         assert len(gp.shared_edges) == round(0.5 * len(gp.edges1))
+
+
+    def test_seeded_edges_pinned(self):
+        # sorted edge lists of one larger seeded pair, pinned by digest so
+        # that speed work on the generator cannot move seeded instances
+        gp = random_graph_pair(n=300, delta=4, overlap=0.5, seed=401)
+        e1, e2 = sorted(gp.edges1), sorted(gp.edges2)
+        assert (len(e1), len(e2), len(gp.shared_edges)) == (600, 599, 300)
+        assert e1[:3] == [(1, 105), (1, 183), (1, 254)]
+        assert e2[:3] == [(1, 5), (1, 228), (1, 254)]
+        assert hashlib.sha256(repr(e1).encode()).hexdigest() == (
+            "c04c08bdae87f361424cdd5743f7174eb60ad812e530ece560c8afd872d7baaa")
+        assert hashlib.sha256(repr(e2).encode()).hexdigest() == (
+            "12b28c02444a832e6abe5120684779ae57761393df801c4a0e233e97d959537f")
 
 
 class TestInstanceFormat:
