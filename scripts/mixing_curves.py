@@ -3,9 +3,11 @@
 Builds the full transition kernel for the single-site chain and the
 component-flip chain on one tiny instance and prints the distance to
 uniform after each sweep, starting from the all-ones state.  Rational
-mode keeps everything exact; float mode reaches ~10^4 states.
+mode keeps everything exact but finishes only for small k (20-30 s at
+k = 4, 256 states); float mode reaches ~10^4 states, so use it for
+larger k.
 
-Usage: python3 scripts/mixing_curves.py --k 6 --mode rational
+Usage: python3 scripts/mixing_curves.py --k 4 --mode rational
 """
 
 import argparse

@@ -14,8 +14,7 @@ from .coupling import (AdjacentPair, build_flip_coupling_table, coupled_flip_ste
                        coupled_glauber_step, estimate_contraction, flip_exact_drift,
                        glauber_exact_drift, sample_adjacent_pairs, weighted_hamming)
 from .dynamics import (Coloring, FlipParams, ListAssignment, flip_step,
-                       glauber_step, greedy_coloring, is_proper, list_flip_step,
-                       run_chain)
+                       glauber_step, greedy_coloring, is_proper, run_chain)
 from .graphs import (GraphPair, ParseError, UnionLineGraph,
                      build_union_line_graph, random_graph_pair, read_instance,
                      write_instance)
@@ -34,7 +33,7 @@ __all__ = [
     "coupled_flip_step", "coupled_glauber_step", "enumerate_proper",
     "estimate_contraction", "flip_exact_drift", "flip_step",
     "glauber_exact_drift", "glauber_step", "greedy_coloring", "is_proper",
-    "list_flip_step", "oracle_report", "random_graph_pair", "rate_maxima",
+    "oracle_report", "random_graph_pair", "rate_maxima",
     "read_instance", "run_chain", "sample_adjacent_pairs",
     "simultaneous_chromatic_index", "stationary_check", "threshold_ratio",
     "tv_mixing_time", "verify_flip_properties", "weighted_hamming",

@@ -18,8 +18,7 @@ import sys
 
 from .certify import certify_report
 from .coupling import estimate_contraction, records_to_csv
-from .dynamics import (Coloring, FlipParams, ListAssignment, greedy_coloring,
-                       is_proper, run_chain)
+from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chain
 from .graphs import (GraphPair, ParseError, build_union_line_graph,
                      canonical_edge, random_graph_pair, read_instance,
                      write_instance)
@@ -138,7 +137,7 @@ def cmd_sample(args) -> int:
     if k < 4 * G.delta - 2:
         sys.stderr.write(f"warning: k={k} is below 4*delta-2={4 * G.delta - 2}; "
                          "the sampled chain may not be rapidly mixing\n")
-    fp = _load_fp(args.fp) if args.chain in ("flip", "listflip") else None
+    fp = _load_fp(args.fp) if args.chain == "flip" else None
     if args.start is not None:
         sigma = _read_coloring(args.start, G, k)
     else:
@@ -148,8 +147,7 @@ def cmd_sample(args) -> int:
             sys.stderr.write(f"error: {exc}; a greedy start needs more colors\n")
             return EXIT_USAGE
     rng = random.Random(args.seed)
-    lists = ListAssignment.full(G.m, k) if args.chain == "listflip" else None
-    stats = run_chain(G, sigma, args.steps, rng, kind=args.chain, fp=fp, L=lists)
+    stats = run_chain(G, sigma, args.steps, rng, kind=args.chain, fp=fp)
     payload = _coloring_payload(gp, G, sigma, args.seed, args.steps)
     payload["proper"] = is_proper(G, sigma)
     payload["accepted"] = stats.accepted
@@ -211,7 +209,7 @@ def cmd_oracle(args) -> int:
         n = count_proper(G, args.k)
         _emit(str(n), args.out)
         return EXIT_OK
-    fp = _load_fp(args.fp) if args.chain in ("flip", "listflip") else None
+    fp = _load_fp(args.fp) if args.chain == "flip" else None
     report = oracle_report(G, args.k, kind=args.chain, fp=fp,
                            eps=args.eps, mode=args.mode)
     _emit(json.dumps(report, indent=2), args.out)
@@ -244,7 +242,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="run a chain and emit the final coloring")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chain", choices=("glauber", "flip", "listflip"),
+    p.add_argument("--chain", choices=("glauber", "flip"),
                    default="flip")
     p.add_argument("--fp", help="flip probabilities, one num/den per line")
     p.add_argument("--steps", type=int, default=0)
@@ -274,7 +272,7 @@ def build_parser() -> _Parser:
                                       "instance")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chain", choices=("glauber", "flip", "listflip"),
+    p.add_argument("--chain", choices=("glauber", "flip"),
                    default="glauber")
     p.add_argument("--fp")
     p.add_argument("--eps", type=float, default=0.25)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import threshold_ratio
-from .dynamics import (Coloring, FlipParams, _grow_cluster, compute_cluster,
-                       flip_step, greedy_coloring, is_proper)
+from .dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
+                       greedy_coloring, is_proper, propose_flip, swap_colors)
 from .graphs import UnionLineGraph
 from .matching import match_color_moves, pick_anchor
 
@@ -83,14 +83,8 @@ class Move:
         return current
 
     def apply(self, sigma: Coloring) -> None:
-        if len(self.colors) < 2:
-            return
-        a, b = self.colors
-        for v in self.members:
-            if sigma.assign[v] == a:
-                sigma.assign[v] = b
-            elif sigma.assign[v] == b:
-                sigma.assign[v] = a
+        if len(self.colors) == 2:
+            swap_colors(sigma.assign, self.members, *self.colors)
 
 
 @dataclass(frozen=True)
@@ -122,10 +116,6 @@ class ColorTerm:
     weight: int
     dc: int
 
-    @property
-    def gamma(self) -> Fraction | None:
-        return self.alpha / self.weight if self.weight else None
-
 
 @dataclass(frozen=True)
 class DriftReport:
@@ -146,19 +136,19 @@ def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
     are omitted.
     """
     k = sigma.k if k is None else k
-    mk = G.m * k
+    mass = [q / (G.m * k) for q in fp.accept]
     law: dict[Move, Fraction] = {}
     for v in range(G.m):
-        for c in range(1, k + 1):
-            members = _grow_cluster(sigma.assign, G.nbrs, v, c, fp.locality)
-            if members is None:
+        for i in range(k):
+            proposal = propose_flip(sigma.assign, G.nbrs, v, i, fp.locality)
+            if proposal is None:
                 continue
-            s = len(members)
-            q = fp.p(s)
+            c, members = proposal
+            q = mass[len(members)]
             if q == 0:
                 continue
             mv = Move(frozenset(members), frozenset((sigma.assign[v], c)))
-            law[mv] = law.get(mv, Fraction(0)) + Fraction(q, s * mk)
+            law[mv] = law.get(mv, Fraction(0)) + q
     return law
 
 
@@ -227,11 +217,11 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
             per_color[c] = ColorTerm(alpha=mass * delta, weight=0, dc=0)
             continue
 
-        big_x = Move(compute_cluster(G, x, vs, c).members, frozenset((xstar, c)))
-        big_y = Move(compute_cluster(G, y, vs, c).members, frozenset((ystar, c)))
-        u_moves = [Move(compute_cluster(G, y, w, xstar).members, frozenset((xstar, c)))
+        big_x = Move(compute_cluster(G, x, vs, c), frozenset((xstar, c)))
+        big_y = Move(compute_cluster(G, y, vs, c), frozenset((ystar, c)))
+        u_moves = [Move(compute_cluster(G, y, w, xstar), frozenset((xstar, c)))
                    for w in nbrs_c]
-        t_moves = [Move(compute_cluster(G, x, w, ystar).members, frozenset((ystar, c)))
+        t_moves = [Move(compute_cluster(G, x, w, ystar), frozenset((ystar, c)))
                    for w in nbrs_c]
         assert big_x.members == frozenset((vs,)).union(*(u.members for u in u_moves))
         assert big_y.members == frozenset((vs,)).union(*(t.members for t in t_moves))

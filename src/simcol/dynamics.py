@@ -1,14 +1,16 @@
 """Colorings of the union line graph and the chains that move them.
 
-Three chains, all driven by uniform proposals:
+Two chains, both driven by uniform proposals (vertex v, index i):
 
-* Glauber: propose (vertex, color), recolor iff no neighbor holds the color.
-* Flip: extend the proposal to the whole two-colored component through the
-  vertex and swap its two colors with probability p_s / s, where s is the
-  component size.  Components larger than the locality never move.
-* List flip: same, but the color is drawn by index from the vertex's own
-  list and the swap is allowed only when every component member has both
-  swap colors in its list.
+* Glauber: recolor v to color i + 1 iff no neighbor holds it.
+* Flip: swap v's color and c = i + 1 on the two-colored component through
+  v with probability p_s / s, s the component size; components larger
+  than the locality never move.  With `lists=`, c is entry i of v's list
+  (none past its end: a null move) and every member must list both colors.
+
+The flip rule is written once, as `propose_flip` plus the acceptance
+tables of `FlipParams`; the sampler, the coupling's move law and the
+exact kernel all use it.  The sampler compares u < p_s / s exactly.
 
 Colors are 1-based.  The RNG contract, which the trajectory-equivalence
 tests rely on, is exactly: one `randrange(m)` for the vertex, one
@@ -20,6 +22,8 @@ consumes the same draw sequence as Glauber and realizes the same walk.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +32,18 @@ from .graphs import UnionLineGraph
 
 DEFAULT_FLIP_NUMERATORS = (650, 137, 77, 47, 27, 12)
 FLIP_DENOMINATOR = 650
+
+
+def _float_cut(q: Fraction) -> float:
+    """Largest double below q; -1.0 for q = 0 and 1.0 for q = 1 (no draw)."""
+    if q == 0:
+        return -1.0
+    if q == 1:
+        return 1.0
+    t = float(q)
+    while t >= q:  # a float against a Fraction compares exactly
+        t = math.nextafter(t, 0.0)
+    return t
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,16 @@ class FlipParams:
     @property
     def locality(self) -> int:
         return len(self.probs)
+
+    @functools.cached_property
+    def accept(self) -> tuple[Fraction, ...]:
+        """accept[s] = p_s / s exactly, per component size s (entry 0 unused)."""
+        return (Fraction(0),) + tuple(p / s for s, p in enumerate(self.probs, start=1))
+
+    @functools.cached_property
+    def cut(self) -> tuple[float, ...]:
+        """cut[s]: a float u has u < p_s / s iff u <= cut[s]."""
+        return tuple(_float_cut(q) for q in self.accept)
 
     def p(self, size: int) -> Fraction:
         if 1 <= size <= len(self.probs):
@@ -101,20 +127,6 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """Two-colored component reachable from seed by strict alternation."""
-
-    seed: int
-    seed_color: int
-    other_color: int
-    members: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class ListAssignment:
     """Per-vertex allowed colors, each list sorted ascending."""
 
@@ -160,10 +172,32 @@ def _grow_cluster(assign, nbrs, seed: int, c: int, cap) -> list[int] | None:
     return members
 
 
-def compute_cluster(G: UnionLineGraph, sigma: Coloring, v: int, c: int) -> Cluster:
-    members = _grow_cluster(sigma.assign, G.nbrs, v, c, None)
-    return Cluster(seed=v, seed_color=sigma.assign[v], other_color=c,
-                   members=frozenset(members))
+def compute_cluster(G: UnionLineGraph, sigma: Coloring, v: int, c: int) -> frozenset[int]:
+    """The whole alternating component of v between its color and c."""
+    return frozenset(_grow_cluster(sigma.assign, G.nbrs, v, c, None))
+
+
+def propose_flip(assign, nbrs, v: int, i: int, locality: int,
+                 lists: ListAssignment | None = None):
+    """The flip rule's proposal (v, i): (c, members) to swap, None if null.
+
+    The caller accepts it with probability p_s / s, s = len(members).
+    """
+    if lists is None:
+        c = i + 1
+    else:
+        lst = lists.lists[v]
+        if i >= len(lst):
+            return None
+        c = lst[i]
+    members = _grow_cluster(assign, nbrs, v, c, locality)
+    if members is None:
+        return None
+    a = assign[v]
+    if lists is not None and any(a not in lists.lists[w] or c not in lists.lists[w]
+                                 for w in members):
+        return None
+    return c, members
 
 
 def swap_colors(assign: list[int], members, a: int, b: int) -> None:
@@ -174,63 +208,34 @@ def swap_colors(assign: list[int], members, a: int, b: int) -> None:
             assign[u] = a
 
 
-def glauber_step(G: UnionLineGraph, sigma: Coloring, rng: random.Random) -> bool:
-    """One proposal; returns whether the recoloring was applied."""
+def glauber_step(G: UnionLineGraph, sigma: Coloring, rng: random.Random) -> int:
+    """One proposal; returns 1 if the recoloring was applied, else 0."""
     v = rng.randrange(G.m)
     c = rng.randrange(sigma.k) + 1
     assign = sigma.assign
     for w in G.nbrs[v]:
         if assign[w] == c:
-            return False
+            return 0
     assign[v] = c
-    return True
-
-
-def _accept(rng: random.Random, p: Fraction) -> bool:
-    # acceptance uniform is drawn only for 0 < p < 1, per the RNG contract
-    if p <= 0:
-        return False
-    if p >= 1:
-        return True
-    return rng.random() < p
+    return 1
 
 
 def flip_step(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
-              rng: random.Random) -> int:
+              rng: random.Random, lists: ListAssignment | None = None) -> int:
     """One proposal; returns the flipped component size, 0 on a null move."""
+    if lists is not None and lists.k != sigma.k:
+        raise ValueError(f"lists are over k={lists.k}, the coloring over k={sigma.k}")
     v = rng.randrange(G.m)
-    c = rng.randrange(sigma.k) + 1
-    members = _grow_cluster(sigma.assign, G.nbrs, v, c, fp.locality)
-    if members is None:
+    i = rng.randrange(sigma.k)
+    proposal = propose_flip(sigma.assign, G.nbrs, v, i, fp.locality, lists)
+    if proposal is None:
         return 0
+    c, members = proposal
     s = len(members)
-    if not _accept(rng, fp.p(s) / s):
+    cut = fp.cut[s]
+    if cut < 0.0 or (cut < 1.0 and rng.random() > cut):
         return 0
     swap_colors(sigma.assign, members, sigma.assign[v], c)
-    return s
-
-
-def list_flip_step(G: UnionLineGraph, sigma: Coloring, L: ListAssignment,
-                   fp: FlipParams, rng: random.Random) -> int:
-    """One proposal; index draws beyond the list length are null moves."""
-    v = rng.randrange(G.m)
-    i = rng.randrange(L.k) + 1
-    lst = L.lists[v]
-    if i > len(lst):
-        return 0
-    c = lst[i - 1]
-    members = _grow_cluster(sigma.assign, G.nbrs, v, c, fp.locality)
-    if members is None:
-        return 0
-    a = sigma.assign[v]
-    for w in members:
-        wl = L.lists[w]
-        if a not in wl or c not in wl:
-            return 0
-    s = len(members)
-    if not _accept(rng, fp.p(s) / s):
-        return 0
-    swap_colors(sigma.assign, members, a, c)
     return s
 
 
@@ -242,19 +247,6 @@ def is_proper(G: UnionLineGraph, sigma: Coloring) -> bool:
             if w > v and assign[w] == cv:
                 return False
     return True
-
-
-def respects_lists(sigma: Coloring, L: ListAssignment) -> bool:
-    return all(sigma.assign[v] in L.lists[v] for v in range(len(sigma.assign)))
-
-
-def neighbor_color_counts(G: UnionLineGraph, sigma: Coloring, v: int) -> dict[int, int]:
-    """How many neighbors of v hold each color (support only)."""
-    counts: dict[int, int] = {}
-    for w in G.nbrs[v]:
-        c = sigma.assign[w]
-        counts[c] = counts.get(c, 0) + 1
-    return counts
 
 
 def greedy_coloring(G: UnionLineGraph, k: int) -> Coloring:
@@ -279,32 +271,19 @@ class ChainStats:
 
 
 def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random,
-              kind: str = "glauber", fp: FlipParams | None = None,
-              L: ListAssignment | None = None) -> ChainStats:
+              kind: str = "glauber", fp: FlipParams | None = None) -> ChainStats:
     """Advance sigma in place for `steps` proposals, tallying acceptances."""
-    by_size: dict[int, int] = {}
-    accepted = 0
     if kind == "glauber":
-        for _ in range(steps):
-            if glauber_step(G, sigma, rng):
-                accepted += 1
-                by_size[1] = by_size.get(1, 0) + 1
+        step = functools.partial(glauber_step, G, sigma, rng)
     elif kind == "flip":
         if fp is None:
             raise ValueError("flip chain needs flip parameters")
-        for _ in range(steps):
-            s = flip_step(G, sigma, fp, rng)
-            if s:
-                accepted += 1
-                by_size[s] = by_size.get(s, 0) + 1
-    elif kind == "listflip":
-        if fp is None or L is None:
-            raise ValueError("list flip chain needs flip parameters and lists")
-        for _ in range(steps):
-            s = list_flip_step(G, sigma, L, fp, rng)
-            if s:
-                accepted += 1
-                by_size[s] = by_size.get(s, 0) + 1
+        step = functools.partial(flip_step, G, sigma, fp, rng)
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
-    return ChainStats(steps=steps, accepted=accepted, flips_by_size=by_size)
+    by_size: dict[int, int] = {}
+    for _ in range(steps):
+        s = step()
+        if s:
+            by_size[s] = by_size.get(s, 0) + 1
+    return ChainStats(steps=steps, accepted=sum(by_size.values()), flips_by_size=by_size)

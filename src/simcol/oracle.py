@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import FlipParams, ListAssignment, _grow_cluster
+from .dynamics import FlipParams, ListAssignment, propose_flip
 from .graphs import GraphPair, UnionLineGraph, build_union_line_graph
 
 DEFAULT_COUNT_CAP = 10 ** 7
@@ -146,36 +146,23 @@ class TransitionMatrix:
 def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
                        powers, fp: FlipParams | None, lists):
     """Yield (target_state_delta, probability) per proposal; rest is lazy self-mass."""
-    mk = G.m * k
-    base = Fraction(1, mk)
+    base = Fraction(1, G.m * k)
     for v in range(G.m):
-        for i in range(1, k + 1):
+        for i in range(k):
             if kind == "glauber":
-                c = i
+                c = i + 1
                 if all(assign[w] != c for w in G.nbrs[v]):
                     yield (c - assign[v]) * powers[v], base
                 else:
                     yield 0, base
                 continue
-            if kind == "listflip":
-                lst = lists.lists[v]
-                if i > len(lst):
-                    yield 0, base
-                    continue
-                c = lst[i - 1]
-            else:
-                c = i
-            members = _grow_cluster(assign, G.nbrs, v, c, fp.locality)
-            if members is None:
+            proposal = propose_flip(assign, G.nbrs, v, i, fp.locality, lists)
+            if proposal is None:
                 yield 0, base
                 continue
+            c, members = proposal
             a = assign[v]
-            if kind == "listflip" and any(
-                    a not in lists.lists[w] or c not in lists.lists[w] for w in members):
-                yield 0, base
-                continue
-            s = len(members)
-            acc = fp.p(s) / s
+            acc = fp.accept[len(members)]
             if acc > 0:
                 delta = sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
                             for w in members)
@@ -190,18 +177,18 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
                             fp: FlipParams | None = None,
                             lists: ListAssignment | None = None,
                             mode: str = "float") -> TransitionMatrix:
-    if kind not in ("glauber", "flip", "listflip"):
+    if kind not in ("glauber", "flip"):
         raise ValueError(f"unknown chain kind {kind!r}")
+    if lists is not None and (kind != "flip" or lists.k != k):
+        raise ValueError(f"lists need the flip chain over k={k}")
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     idx = StateIndex(G.m, k)
     cap = RATIONAL_STATE_CAP if mode == "rational" else FLOAT_STATE_CAP
     if idx.size > cap:
         raise CapExceeded(f"{idx.size} states exceed the {mode} cap {cap}")
-    if kind in ("flip", "listflip") and fp is None:
+    if kind == "flip" and fp is None:
         fp = FlipParams.default()
-    if kind == "listflip" and lists is None:
-        lists = ListAssignment.full(G.m, k)
     powers = [k ** v for v in range(G.m)]
     proper = idx.proper_mask(G)
 
@@ -351,6 +338,10 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
     t = 0.  Exact in rational mode; distances are reported as floats
     either way.  The distance must be non-increasing in t, and the sweep
     asserts that as it goes.
+
+    The chain restricted to proper states must be irreducible (see
+    `stationary_check`): a reducible one never mixes, and the sweep then
+    runs all max_steps before it raises CapExceeded.
     """
     proper_states, Q = _restrict_to_proper(P)
     n = len(proper_states)
@@ -426,11 +417,14 @@ def absorption_curve(P: TransitionMatrix, steps: int = 50) -> list[float]:
 def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",
                   fp: FlipParams | None = None, eps: float = 0.25,
                   mode: str = "float") -> dict:
-    """The JSON-shaped summary: count, stationarity, mixing curve."""
+    """The JSON-shaped summary: count, stationarity, mixing curve.
+
+    A reducible chain has no mixing time: tmix is None, the curve empty.
+    """
     count = count_proper(G, k)
     P = build_transition_matrix(G, k, kind=kind, fp=fp, mode=mode)
     report = stationary_check(P)
-    tmix, curve = tv_mixing_time(P, eps=eps)
+    tmix, curve = tv_mixing_time(P, eps=eps) if report.irreducible else (None, [])
     return {
         "count": count,
         "uniform_ok": bool(report.uniform_ok and report.irreducible

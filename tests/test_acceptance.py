@@ -215,7 +215,7 @@ def test_criterion_07_uniform_stationarity_on_tiny_instances():
             build_transition_matrix(G, k, kind="glauber", mode="rational"),
             build_transition_matrix(G, k, kind="flip", fp=DEFAULT,
                                     mode="rational"),
-            build_transition_matrix(G, k, kind="listflip", fp=DEFAULT,
+            build_transition_matrix(G, k, kind="flip", fp=DEFAULT,
                                     lists=ListAssignment.full(G.m, k),
                                     mode="rational"),
         ]

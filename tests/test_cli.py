@@ -169,6 +169,18 @@ class TestOracleAndCount:
         assert set(rep) == {"count", "uniform_ok", "tv_curve", "tmix"}
         assert rep["count"] == 6 and rep["tmix"] == 6
 
+    def test_reducible_chain_exits_bound_without_mixing_sweep(self, tmp_path):
+        # the single-site chain is frozen on this instance's g1 triangle at
+        # k = 3, so it has no mixing time; the sweep would run 10^5 steps
+        tiny = str(tmp_path / "tiny.txt")
+        assert main(["gen", "--n", "4", "--delta", "2", "--overlap", "0.5",
+                     "--seed", "5", "--out", tiny]) == 0
+        out = tmp_path / "rep.json"
+        assert main(["oracle", "--graph", tiny, "--k", "3", "--mode", "rational",
+                     "--out", str(out)]) == 3
+        rep = json.loads(out.read_text())
+        assert rep == {"count": 12, "uniform_ok": False, "tv_curve": [], "tmix": None}
+
     def test_cap_exit_code(self, instance, tmp_path):
         code = main(["gen", "--n", "10", "--delta", "3", "--seed", "1",
                      "--out", str(tmp_path / "big.txt")])

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from simcol.dynamics import (Coloring, FlipParams, ListAssignment, compute_cluster,
                              flip_step, glauber_step, greedy_coloring, is_proper,
-                             list_flip_step, neighbor_color_counts, respects_lists,
                              run_chain, swap_colors)
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 
@@ -106,14 +107,14 @@ class TestClusters:
         v = data.draw(st.integers(0, G.m - 1))
         c = data.draw(st.integers(1, k))
         cl = compute_cluster(G, sigma, v, c)
-        assert cl.members == frozenset(self.brute_component(G, sigma.assign, v, c))
+        assert cl == frozenset(self.brute_component(G, sigma.assign, v, c))
 
     def test_improper_growth_alternates_strictly(self):
         # two adjacent vertices sharing a color: the closure steps only
         # into the opposite color, so the clashing neighbor stays out
         sigma = Coloring(assign=[1, 1, 2, 3], k=3)
         cl = compute_cluster(PATH4, sigma, 0, 2)
-        assert cl.members == frozenset({0})
+        assert cl == frozenset({0})
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.data())
@@ -126,18 +127,18 @@ class TestClusters:
         v = data.draw(st.integers(0, G.m - 1))
         c = data.draw(st.integers(1, k))
         cl = compute_cluster(G, sigma, v, c)
-        swap_colors(sigma.assign, cl.members, cl.seed_color, cl.other_color)
+        swap_colors(sigma.assign, cl, assign[v], c)
         if c != assign[v]:
             # the flipped cluster regrows identically and swaps back
             back = compute_cluster(G, sigma, v, assign[v])
-            assert back.members == cl.members
-            swap_colors(sigma.assign, back.members, back.seed_color, back.other_color)
+            assert back == cl
+            swap_colors(sigma.assign, back, c, assign[v])
         assert sigma.assign == assign
 
     def test_same_color_cluster_is_seed_only(self):
         sigma = Coloring(assign=[1, 2, 1, 2], k=3)
         cl = compute_cluster(PATH4, sigma, 1, 2)
-        assert cl.members == frozenset({1})
+        assert cl == frozenset({1})
 
 
 class TestSteps:
@@ -204,6 +205,51 @@ class TestSteps:
         assert flip_step(PATH4, sigma, fp, reject) == 0
         assert reject.uniforms == 1 and sigma.assign == [1, 2, 3, 1]
 
+    @pytest.mark.parametrize("probs", [
+        (1, Fraction(1, 2)),
+        (1, Fraction(1, 3)),
+        (1, 0, Fraction(1, 5)),
+        FlipParams.default().probs,
+    ], ids=["half", "third", "zero-p2", "default"])
+    def test_acceptance_exact_at_float_boundaries(self, probs):
+        # a 7-vertex path colored 1,2,1,2,... on its first s vertices and 3
+        # after: the proposal (0, color 2) grows a component of size s, and
+        # the drawn uniform sits on or next to the double nearest p_s / s
+        fp = FlipParams(probs)
+        path7 = line_graph(8, [(i, i + 1) for i in range(1, 8)])
+
+        class Counted:
+            def __init__(self, u):
+                self.u = u
+                self.uniforms = 0
+
+            def randrange(self, n):
+                return 0 if n == path7.m else 1
+
+            def random(self):
+                self.uniforms += 1
+                return self.u
+
+        for s in range(1, fp.locality + 1):
+            q = fp.p(s) / s
+            near = float(q)
+            for u in {0.0, near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)}:
+                if not 0.0 <= u < 1.0:
+                    continue
+                assign = [1 + j % 2 for j in range(s)] + [3] * (7 - s)
+                sigma = Coloring(assign=list(assign), k=3)
+                rng = Counted(u)
+                moved = flip_step(path7, sigma, fp, rng)
+                assert rng.uniforms == (1 if 0 < q < 1 else 0), (s, u)
+                accepted = q == 1 or (rng.uniforms == 1 and Fraction(u) < q)
+                assert moved == (s if accepted else 0), (s, u, q)
+                assert (sigma.assign != assign) == accepted, (s, u)
+        if fp.probs == (1, Fraction(1, 2)):
+            # p_2 / 2 = 1/4 is a double: u = 1/4 rejects, the one below accepts
+            for u, want in ((0.25, 0), (math.nextafter(0.25, 0.0), 2)):
+                sigma = Coloring(assign=[1, 2, 3, 3, 3, 3, 3], k=3)
+                assert flip_step(path7, sigma, fp, Counted(u)) == want
+
     def test_flip_size_zero_when_cluster_exceeds_locality(self):
         fp = FlipParams.glauber()  # locality 1
         sigma = Coloring(assign=[1, 2, 1, 2], k=3)
@@ -242,7 +288,7 @@ class TestSteps:
         ra, rb = random.Random(5), random.Random(5)
         for _ in range(400):
             flip_step(G, a, fp, ra)
-            list_flip_step(G, b, L, fp, rb)
+            flip_step(G, b, fp, rb, lists=L)
             assert a.assign == b.assign
 
     def test_list_flip_respects_lists(self):
@@ -254,8 +300,14 @@ class TestSteps:
         sigma = Coloring(assign=sigma.assign, k=k)
         rng = random.Random(1)
         for _ in range(300):
-            list_flip_step(G, sigma, lists, FlipParams.default(), rng)
-            assert respects_lists(sigma, lists)
+            flip_step(G, sigma, FlipParams.default(), rng, lists=lists)
+            assert all(sigma.assign[v] in lists.lists[v] for v in range(G.m))
+
+    def test_lists_over_another_k_rejected(self):
+        sigma = Coloring(assign=[1, 2, 1, 2], k=3)
+        with pytest.raises(ValueError):
+            flip_step(PATH4, sigma, FlipParams.default(), random.Random(0),
+                      lists=ListAssignment.full(PATH4.m, 4))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -281,13 +333,32 @@ class TestRunChain:
         assert stats.accepted == sum(stats.flips_by_size.values())
         assert all(1 <= s <= 6 for s in stats.flips_by_size)
 
+    @pytest.mark.parametrize("kind, probs, digest, accepted, by_size", [
+        ("flip", FlipParams.default().probs,
+         "544404bae5524e3e8d9d29309d4aa99a509593f40a9075cd15db6c95b43e437f",
+         39327, {1: 38273, 2: 957, 3: 91, 4: 6}),
+        ("flip", (1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)),
+         "bc33ae7ccc5a2281e24578494c2a86a92e8c360e81ec1a74dd6cefdd97497ee0",
+         39775, {1: 38127, 2: 1553, 3: 85, 4: 10}),
+        ("glauber", None,
+         "9640a5894adb3de473c0f56beb92d7298d141320e289e23ccd361a5bd8574807",
+         38197, {1: 38197}),
+    ], ids=["flip-default", "flip-nondyadic", "glauber"])
+    def test_seeded_trajectories_pinned(self, kind, probs, digest, accepted, by_size):
+        # the RNG contract end to end: these values were taken from the
+        # chains that accepted by comparing the uniform against the exact
+        # Fraction p_s / s, so any other acceptance decision, draw order or
+        # proposal rule moves the final coloring
+        G = build_union_line_graph(random_graph_pair(40, 3, .5, 7))
+        sigma = greedy_coloring(G, 18)
+        fp = FlipParams(probs) if probs is not None else None
+        stats = run_chain(G, sigma, 50_000, random.Random(2024), kind=kind, fp=fp)
+        assert hashlib.sha256(bytes(sigma.assign)).hexdigest() == digest
+        assert stats.accepted == accepted
+        assert stats.flips_by_size == by_size
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             run_chain(PATH4, greedy_coloring(PATH4, 3), 1, random.Random(0),
                       kind="metropolis")
 
-
-def test_neighbor_color_counts():
-    sigma = Coloring(assign=[1, 2, 1, 3], k=3)
-    assert neighbor_color_counts(PATH4, sigma, 1) == {1: 2}
-    assert neighbor_color_counts(PATH4, sigma, 2) == {2: 1, 3: 1}

@@ -147,7 +147,7 @@ class TestTransitionMatrix:
         gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
         G = build_union_line_graph(gp)
         Pd = build_transition_matrix(G, 4, kind="flip", mode="rational")
-        Pl = build_transition_matrix(G, 4, kind="listflip",
+        Pl = build_transition_matrix(G, 4, kind="flip",
                                      lists=ListAssignment.full(G.m, 4),
                                      mode="rational")
         assert Pd.rows == Pl.rows
