@@ -2,9 +2,13 @@
 
 Proper colorings are enumerated by backtracking; chains become explicit
 transition matrices over the full product state space (all assignments,
-proper or not), either double-precision sparse or exact rational.  On
-top of those: uniform-stationarity verification, reachability checks,
-exact worst-start total-variation mixing curves, and an absorption
+proper or not).  Each is built once as integers: an int64 sparse matrix
+of numerators over one row denominator.  It has two views, a
+double-precision sparse matrix (each entry correctly rounded) and exact
+rationals; the mode picks which one a caller reads.  On top of the
+integers: exact uniform-stationarity verification, reachability checks,
+worst-start total-variation mixing curves (exact in rational mode, by
+integer propagation over powers of the denominator), and an absorption
 diagnostic for improper starts.
 
 All of it is gated by explicit caps and raises CapExceeded rather than
@@ -14,7 +18,7 @@ scale.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +30,10 @@ from .graphs import GraphPair, UnionLineGraph, build_union_line_graph
 
 DEFAULT_COUNT_CAP = 10 ** 7
 FLOAT_STATE_CAP = 2 * 10 ** 4
-RATIONAL_STATE_CAP = 3 * 10 ** 3
+# the exact mixing sweep grows with the square of the proper count: 1296
+# states, all proper, take about 30 s and 240 MB on a 2-CPU machine
+RATIONAL_STATE_CAP = 1300
+# a float sweep holds a few dense proper-by-proper arrays: 230 MB at 2744
 TMIX_STATE_CAP = 3 * 10 ** 3
 
 
@@ -125,52 +132,53 @@ def simultaneous_chromatic_index(gp: GraphPair, kmax: int | None = None,
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """One-step kernel over every assignment, proper or not."""
+    """One-step kernel over every assignment, proper or not: num / den.
+
+    `num` holds int64 numerators over the single row denominator `den`.
+    `rows` is the same kernel in the mode's view: a float csr whose
+    entries are num / den, each correctly rounded, or in rational mode
+    one {target: Fraction} dict per state.
+    """
 
     index: StateIndex
     proper: tuple[bool, ...]
     mode: str
-    rows: object  # csr_matrix in float mode, list[dict[int, Fraction]] in rational
+    num: sp.csr_matrix
+    den: int
+    rows: object
 
     @property
     def size(self) -> int:
         return self.index.size
 
-    def row_items(self, s: int):
-        if self.mode == "rational":
-            return self.rows[s].items()
-        r = self.rows.getrow(s)
-        return zip(r.indices.tolist(), r.data.tolist())
-
 
 def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
-                       powers, fp: FlipParams | None, lists):
-    """Yield (target_state_delta, probability) per proposal; rest is lazy self-mass."""
-    base = Fraction(1, G.m * k)
+                       powers, fp: FlipParams | None, lists, unit: int, acc):
+    """Yield (target_state_delta, numerator) per proposal, each worth `unit`.
+
+    acc[s] is the flip acceptance p_s / s in the same units.
+    """
     for v in range(G.m):
         for i in range(k):
             if kind == "glauber":
                 c = i + 1
                 if all(assign[w] != c for w in G.nbrs[v]):
-                    yield (c - assign[v]) * powers[v], base
+                    yield (c - assign[v]) * powers[v], unit
                 else:
-                    yield 0, base
+                    yield 0, unit
                 continue
             proposal = propose_flip(assign, G.nbrs, v, i, fp.locality, lists)
             if proposal is None:
-                yield 0, base
+                yield 0, unit
                 continue
             c, members = proposal
             a = assign[v]
-            acc = fp.accept[len(members)]
-            if acc > 0:
-                delta = sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
-                            for w in members)
-                yield delta, base * acc
-                if acc < 1:
-                    yield 0, base * (1 - acc)
-            else:
-                yield 0, base
+            n = acc[len(members)]
+            if n:
+                yield sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
+                          for w in members), n
+            if n < unit:
+                yield 0, unit - n
 
 
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
@@ -189,32 +197,38 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
         raise CapExceeded(f"{idx.size} states exceed the {mode} cap {cap}")
     if kind == "flip" and fp is None:
         fp = FlipParams.default()
+    unit, acc = 1, None
+    if kind == "flip":
+        unit = math.lcm(*(q.denominator for q in fp.accept))
+        acc = [int(q * unit) for q in fp.accept]
+    den = G.m * k * unit
+    if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
+        raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
     powers = [k ** v for v in range(G.m)]
-    proper = idx.proper_mask(G)
 
-    rational = mode == "rational"
-    rows: list[dict[int, Fraction]] = []
-    coo_r: list[int] = []
-    coo_c: list[int] = []
-    coo_v: list[float] = []
+    indptr, indices, data = [0], [], []
     for s in range(idx.size):
-        assign = idx.decode(s)
-        row: dict[int, Fraction] = {}
-        for delta, prob in _state_transitions(G, k, kind, assign, powers, fp, lists):
-            t = s + delta
-            row[t] = row.get(t, Fraction(0)) + prob
-        assert sum(row.values()) == 1
-        if rational:
-            rows.append(row)
-        else:
-            for t, prob in row.items():
-                coo_r.append(s)
-                coo_c.append(t)
-                coo_v.append(float(prob))
-    if rational:
-        return TransitionMatrix(index=idx, proper=proper, mode=mode, rows=rows)
-    mat = sp.coo_matrix((coo_v, (coo_r, coo_c)), shape=(idx.size, idx.size)).tocsr()
-    return TransitionMatrix(index=idx, proper=proper, mode=mode, rows=mat)
+        row: dict[int, int] = {}
+        for delta, n in _state_transitions(G, k, kind, idx.decode(s), powers,
+                                           fp, lists, unit, acc):
+            row[s + delta] = row.get(s + delta, 0) + n
+        assert sum(row.values()) == den
+        targets = sorted(row)
+        indices += targets
+        data += [row[t] for t in targets]
+        indptr.append(len(indices))
+    shape = (idx.size, idx.size)
+    num = sp.csr_matrix((np.array(data, dtype=np.int64), np.array(indices),
+                         np.array(indptr)), shape=shape)
+    if mode == "float":
+        # divide the data array: scipy's `/ den` multiplies by 1/den and can
+        # land an ulp away from the correctly rounded quotient
+        rows = sp.csr_matrix((num.data / den, num.indices, num.indptr), shape=shape)
+    else:
+        rows = [{t: Fraction(n, den) for t, n in zip(indices[lo:hi], data[lo:hi])}
+                for lo, hi in zip(indptr, indptr[1:])]
+    return TransitionMatrix(index=idx, proper=idx.proper_mask(G), mode=mode,
+                            num=num, den=den, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -227,107 +241,79 @@ class StationaryReport:
     aperiodic: bool
 
 
-def _reachability(P: TransitionMatrix, proper_states: list[int], reverse: bool):
-    """BFS over positive transitions among proper states."""
-    pos = set(proper_states)
-    adj: dict[int, list[int]] = {s: [] for s in proper_states}
-    for s in proper_states:
-        for t, prob in P.row_items(s):
-            if prob and t in pos:
-                if reverse:
-                    adj[t].append(s)
-                else:
-                    adj[s].append(t)
-    start = proper_states[0]
-    seen = {start}
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
+def _reached(Q: sp.csr_matrix) -> list[bool]:
+    """Which states a walk from state 0 reaches along nonzero entries of Q."""
+    indptr, indices = Q.indptr.tolist(), Q.indices.tolist()
+    seen = [False] * Q.shape[0]
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
     return seen
 
 
+def _proper_block(P: TransitionMatrix):
+    """The proper states and the numerators among them, zeros dropped."""
+    proper_states = np.flatnonzero(P.proper)
+    Q = P.num[proper_states][:, proper_states]
+    Q.eliminate_zeros()
+    return proper_states, Q
+
+
 def stationary_check(P: TransitionMatrix) -> StationaryReport:
-    """Verify the uniform-on-proper row vector is a fixed point.
+    """Verify, exactly, that the uniform-on-proper row vector u is a fixed point.
 
-    Also checks that proper states only transition to proper states, that
-    they are mutually reachable (both directions, so the restriction is
-    irreducible as a directed chain), and that every proper state holds a
-    self-loop (aperiodicity).
+    uP = u iff the proper rows of num sum to den in each proper column and
+    to 0 in each improper one; max_error is max |uP - u|.  Also checks
+    that proper states only transition to proper states, that they are
+    mutually reachable (both directions, so the restriction is irreducible
+    as a directed chain), and that every proper state holds a self-loop
+    (aperiodicity).
     """
-    proper_states = [s for s in range(P.size) if P.proper[s]]
-    if not proper_states:
-        raise ValueError("no proper states at this k")
+    proper_states, Q = _proper_block(P)
     n = len(proper_states)
+    if not n:
+        raise ValueError("no proper states at this k")
+    is_proper = np.asarray(P.proper)
+    top = P.num[proper_states]
+    proper_closed = not top.data[~is_proper[top.indices]].any()
+    aperiodic = bool((P.num.diagonal()[proper_states] > 0).all())
+    colsum = np.zeros(P.size, dtype=np.int64)
+    np.add.at(colsum, top.indices, top.data)
+    err = int(np.abs(colsum - P.den * is_proper).max())
 
-    proper_closed = True
-    aperiodic = True
-    if P.mode == "rational":
-        acc: dict[int, Fraction] = {}
-        for s in proper_states:
-            diag = Fraction(0)
-            for t, prob in P.rows[s].items():
-                if not P.proper[t] and prob:
-                    proper_closed = False
-                acc[t] = acc.get(t, Fraction(0)) + prob
-                if t == s:
-                    diag = prob
-            if diag == 0:
-                aperiodic = False
-        # acc[t] = n * (uP)[t]; the fixed point needs acc = 1 on proper states
-        err = Fraction(0)
-        for t, total in acc.items():
-            expect = Fraction(1) if P.proper[t] else Fraction(0)
-            err = max(err, abs(total - expect))
-        max_error = float(err)
-        uniform_ok = err == 0
-    else:
-        mat = P.rows
-        u = np.zeros(P.size)
-        u[proper_states] = 1.0 / n
-        up = mat.T.dot(u)
-        max_error = float(np.max(np.abs(up - u)))
-        uniform_ok = max_error <= 1e-10
-        diag = mat.diagonal()
-        for s in proper_states:
-            if diag[s] <= 0:
-                aperiodic = False
-            row = mat.getrow(s)
-            for t, prob in zip(row.indices.tolist(), row.data.tolist()):
-                if prob and not P.proper[t]:
-                    proper_closed = False
-
-    forward = _reachability(P, proper_states, reverse=False)
-    backward = _reachability(P, proper_states, reverse=True)
-    irreducible = len(forward) == n and len(backward) == n
+    forward = _reached(Q)
+    backward = _reached(Q.T.tocsr())
+    irreducible = all(forward) and all(backward)
     violating_pair = None
     if not irreducible:
-        missing = forward if len(forward) < n else backward
-        bad = next(s for s in proper_states if s not in missing)
-        violating_pair = (proper_states[0], bad)
+        missing = forward if not all(forward) else backward
+        bad = proper_states[missing.index(False)]
+        violating_pair = (int(proper_states[0]), int(bad))
 
-    return StationaryReport(uniform_ok=uniform_ok, max_error=max_error,
+    return StationaryReport(uniform_ok=err == 0, max_error=err / (n * P.den),
                             proper_closed=proper_closed, irreducible=irreducible,
                             violating_pair=violating_pair, aperiodic=aperiodic)
 
 
-def _restrict_to_proper(P: TransitionMatrix):
-    proper_states = [s for s in range(P.size) if P.proper[s]]
-    pos = {s: i for i, s in enumerate(proper_states)}
-    if P.mode == "rational":
-        rows = []
-        for s in proper_states:
-            row = {pos[t]: prob for t, prob in P.rows[s].items() if t in pos}
-            assert sum(row.values()) == 1, "proper states must stay proper"
-            rows.append(row)
-        return proper_states, rows
-    mat = P.rows[proper_states][:, proper_states].tocsr()
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    assert np.max(np.abs(sums - 1.0)) < 1e-12, "proper states must stay proper"
-    return proper_states, mat
+def _times(N: np.ndarray, cols) -> np.ndarray:
+    """N @ Q in Python integers, Q given column by column as (rows, values)."""
+    out = np.empty_like(N)
+    for j, (i, q) in enumerate(cols):
+        out[:, j] = N[:, i].dot(q)
+    return out
+
+
+def _columns(Q: sp.csr_matrix):
+    """Q's columns as (row indices, Python-int values), the form `_times` reads."""
+    Qc = Q.tocsc()
+    ptr = Qc.indptr
+    return [(Qc.indices[lo:hi], Qc.data[lo:hi].astype(object))
+            for lo, hi in zip(ptr, ptr[1:])]
 
 
 def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
@@ -335,44 +321,42 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
     """Least t with worst-start total variation (from proper starts) <= eps.
 
     Returns (tmix, curve) with curve = [[t, distance], ...] starting at
-    t = 0.  Exact in rational mode; distances are reported as floats
-    either way.  The distance must be non-increasing in t, and the sweep
-    asserts that as it goes.
+    t = 0.  Exact in rational mode, where start i's law at time t is row i
+    of an integer matrix N over den**t, so its distance is
+    sum_j |n N_ij - den**t| / (2 n den**t) for n proper states; distances
+    are reported as floats either way, in rational mode correctly rounded.
+    The distance must be non-increasing in t, and the sweep asserts that as
+    it goes.
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
     runs all max_steps before it raises CapExceeded.
     """
-    proper_states, Q = _restrict_to_proper(P)
+    proper_states, Q = _proper_block(P)
     n = len(proper_states)
+    assert (np.asarray(Q.sum(axis=1)).ravel() == P.den).all(), \
+        "proper states must stay proper"
     if n > TMIX_STATE_CAP:
         raise CapExceeded(f"{n} proper states exceed the mixing-curve cap")
 
     curve: list[list[float]] = []
     if P.mode == "rational":
-        target = Fraction(1, n)
-        dist = [{i: Fraction(1)} for i in range(n)]
+        e = Fraction(eps).limit_denominator(10 ** 9)
+        cols = _columns(Q)
+        N = np.identity(n, dtype=object)
+        scale = 1  # den**t
         prev = None
         for t in range(max_steps + 1):
-            d = max(
-                sum((abs(row.get(j, Fraction(0)) - target) for j in range(n)),
-                    Fraction(0)) / 2
-                for row in dist)
-            curve.append([t, float(d)])
-            assert prev is None or d <= prev
+            d = max(np.abs(row * n - scale).sum() for row in N)  # over 2 n scale
+            curve.append([t, d / (2 * n * scale)])
+            assert prev is None or d <= prev * P.den
             prev = d
-            if d <= Fraction(eps).limit_denominator(10 ** 9):
+            if d * e.denominator <= e.numerator * 2 * n * scale:
                 return t, curve
-            nxt = []
-            for row in dist:
-                out: dict[int, Fraction] = {}
-                for i, mass in row.items():
-                    for j, prob in Q[i].items():
-                        out[j] = out.get(j, Fraction(0)) + mass * prob
-                nxt.append(out)
-            dist = nxt
+            N = _times(N, cols)
+            scale *= P.den
     else:
-        QT = Q.T.tocsr()
+        QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
         dt = np.eye(n)
         prev = None
         for t in range(max_steps + 1):
@@ -388,28 +372,27 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
 
 def absorption_curve(P: TransitionMatrix, steps: int = 50) -> list[float]:
     """Mass still outside the proper set, from the uniform improper start."""
-    improper = [s for s in range(P.size) if not P.proper[s]]
-    if not improper:
+    improper = np.flatnonzero(~np.asarray(P.proper))
+    if not len(improper):
         return [0.0] * (steps + 1)
     if P.mode == "rational":
-        mu = {s: Fraction(1, len(improper)) for s in improper}
+        # mu over len(improper) * den**t, a one-row integer matrix
+        mu = np.zeros((1, P.size), dtype=object)
+        mu[0, improper] = 1
+        cols = _columns(P.num)
+        scale = len(improper)
         out = []
         for _ in range(steps + 1):
-            out.append(float(sum((mu.get(s, Fraction(0)) for s in improper),
-                                 Fraction(0))))
-            nxt: dict[int, Fraction] = {}
-            for s, mass in mu.items():
-                for t, prob in P.rows[s].items():
-                    nxt[t] = nxt.get(t, Fraction(0)) + mass * prob
-            mu = nxt
+            out.append(int(mu[0, improper].sum()) / scale)
+            mu = _times(mu, cols)
+            scale *= P.den
         return out
     mu = np.zeros(P.size)
     mu[improper] = 1.0 / len(improper)
     mat_t = P.rows.T.tocsr()
     out = []
-    mask = np.array([not p for p in P.proper])
     for _ in range(steps + 1):
-        out.append(float(mu[mask].sum()))
+        out.append(float(mu[improper].sum()))
         mu = mat_t.dot(mu)
     return out
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from simcol.dynamics import FlipParams, ListAssignment
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
-from simcol.oracle import (CapExceeded, StateIndex, absorption_curve,
-                           build_transition_matrix, count_proper,
-                           enumerate_proper, oracle_report,
+from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
+                           absorption_curve, build_transition_matrix,
+                           count_proper, enumerate_proper, oracle_report,
                            simultaneous_chromatic_index, stationary_check,
                            tv_mixing_time)
 
@@ -17,6 +18,9 @@ from helpers import numpy_brute_count
 
 def pair(n, e1, e2=()):
     return GraphPair(n, frozenset(map(tuple, e1)), frozenset(map(tuple, e2)))
+
+
+NONDYADIC = FlipParams((1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
 
 
 class TestCounting:
@@ -153,20 +157,34 @@ class TestTransitionMatrix:
         assert Pd.rows == Pl.rows
 
     def test_float_and_rational_agree(self):
-        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)]))
-        Pr = build_transition_matrix(G, 4, kind="flip", mode="rational")
-        Pf = build_transition_matrix(G, 4, kind="flip", mode="float")
-        dense = Pf.rows.toarray()
-        for s, row in enumerate(Pr.rows):
-            for t in range(Pr.size):
-                assert dense[s, t] == pytest.approx(float(row.get(t, 0)), abs=1e-15)
+        # every float entry is the correctly rounded rational, no tolerance
+        G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
+                                        [(3, 4), (4, 5)]))
+        for kind, fp in (("glauber", None), ("flip", FlipParams.default()),
+                         ("flip", NONDYADIC)):
+            Pr = build_transition_matrix(G, 5, kind=kind, fp=fp, mode="rational")
+            Pf = build_transition_matrix(G, 5, kind=kind, fp=fp, mode="float")
+            F = Pf.rows
+            for s, row in enumerate(Pr.rows):
+                lo, hi = F.indptr[s], F.indptr[s + 1]
+                got = dict(zip(F.indices[lo:hi].tolist(), F.data[lo:hi].tolist()))
+                assert got == {t: float(q) for t, q in row.items()}, (kind, fp, s)
 
     def test_state_caps(self):
-        G = build_union_line_graph(pair(6, [(i, i + 1) for i in range(1, 6)]))
+        # the first sizes past each cap
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
         with pytest.raises(CapExceeded):
-            build_transition_matrix(G, 8, mode="rational")  # 8^5 > 3000
+            build_transition_matrix(G, 11, mode="rational")  # 11^3 > 1300
+        G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
         with pytest.raises(CapExceeded):
-            build_transition_matrix(G, 12, mode="float")  # 12^5 > 20000
+            build_transition_matrix(G, 12, mode="float")  # 12^4 > 20000
+
+    def test_denominator_past_int64_is_a_cap(self):
+        # p_2 / 2 = 2^-62 puts the row denominator at m * k * 2^62
+        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)]))
+        fp = FlipParams((1, Fraction(1, 2 ** 61)))
+        with pytest.raises(CapExceeded):
+            build_transition_matrix(G, 3, kind="flip", fp=fp)
 
 
 class TestStationarity:
@@ -200,6 +218,27 @@ class TestStationarity:
         a, b = rep.violating_pair
         assert P.proper[a] and P.proper[b] and a != b
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_moved_mass_breaks_uniformity(self, mode):
+        # shift one unit of a proper state's self-loop to another target:
+        # the row still sums to den, but uP != u
+        gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
+        G = build_union_line_graph(gp)
+        P = build_transition_matrix(G, 5, kind="flip", mode=mode)
+        assert stationary_check(P).uniform_ok
+        s = P.proper.index(True)
+        inside = next(t for t in P.num.getrow(s).indices.tolist() if t != s)
+        outside = P.proper.index(False)
+        for t, closed in ((inside, True), (outside, False)):
+            num = P.num.tolil()
+            num[s, s] -= 1
+            num[s, t] += 1
+            num = num.tocsr()
+            assert num.getrow(s).sum() == P.den
+            rep = stationary_check(dataclasses.replace(P, num=num))
+            assert not rep.uniform_ok and rep.max_error > 0
+            assert rep.proper_closed is closed
+
     def test_absorption_decays_at_enough_colors(self):
         gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
         G = build_union_line_graph(gp)
@@ -209,6 +248,17 @@ class TestStationarity:
         assert curve[0] == pytest.approx(1.0)
         assert curve[-1] < 1e-3
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
+
+    def test_absorption_rational_matches_float(self):
+        gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
+        G = build_union_line_graph(gp)
+        k = 4 * G.delta - 3
+        for kind in ("glauber", "flip"):
+            curves = [absorption_curve(build_transition_matrix(G, k, kind=kind, mode=mode),
+                                       steps=80)
+                      for mode in ("float", "rational")]
+            assert curves[1][0] == 1.0 and curves[1][-1] < 1e-3
+            assert curves[0] == pytest.approx(curves[1], abs=1e-12)
 
 
 class TestMixing:
@@ -228,9 +278,44 @@ class TestMixing:
     def test_tmix_cap(self):
         gp = random_graph_pair(n=8, delta=3, overlap=0.5, seed=0)
         G = build_union_line_graph(gp)
-        # enough states to pass the build cap but exceed the mixing cap
         k = 2
         while k ** G.m <= 2 * 10 ** 4:
             k += 1
         with pytest.raises(CapExceeded):
             build_transition_matrix(G, k, mode="float")
+        # under the build cap, past the mixing cap: 9^4 states, 9 * 8^3 proper
+        G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+        P = build_transition_matrix(G, 9, mode="float")
+        assert sum(P.proper) == 9 * 8 ** 3 > TMIX_STATE_CAP
+        with pytest.raises(CapExceeded):
+            tv_mixing_time(P)
+
+    def test_rational_sweep_matches_fraction_propagation(self):
+        # reference: propagate each proper start's law as Fraction dicts
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
+        P = build_transition_matrix(G, 4, kind="flip", fp=NONDYADIC, mode="rational")
+        assert P.den % 3 == 0 and P.den % 7 == 0 and P.den % 11 == 0
+        proper = [s for s in range(P.size) if P.proper[s]]
+        pos = {s: i for i, s in enumerate(proper)}
+        Q = [{pos[t]: q for t, q in P.rows[s].items()} for s in proper]
+        n = len(proper)
+        eps = Fraction(0.25)
+        dist = [{i: Fraction(1)} for i in range(n)]
+        want = []
+        while True:
+            d = max(sum(abs(row.get(j, 0) - Fraction(1, n)) for j in range(n)) / 2
+                    for row in dist)
+            want.append([len(want), float(d)])
+            if d <= eps:
+                break
+            nxt = []
+            for row in dist:
+                out = {}
+                for i, mass in row.items():
+                    for j, q in Q[i].items():
+                        out[j] = out.get(j, 0) + mass * q
+                nxt.append(out)
+            dist = nxt
+        tmix, curve = tv_mixing_time(P, eps=0.25)
+        assert tmix == len(want) - 1 > 1
+        assert curve == want
