@@ -19,8 +19,7 @@ from .graphs import (GraphPair, ParseError, UnionLineGraph,
                      build_union_line_graph, random_graph_pair, read_instance,
                      write_instance)
 from .oracle import (CapExceeded, StateIndex, build_transition_matrix,
-                     count_proper, enumerate_proper, oracle_report,
-                     simultaneous_chromatic_index, stationary_check,
+                     count_proper, oracle_report, stationary_check,
                      tv_mixing_time)
 
 __version__ = "0.1.0"
@@ -30,12 +29,12 @@ __all__ = [
     "ListAssignment", "ParseError", "StateIndex", "UnionLineGraph",
     "build_flip_coupling_table", "build_transition_matrix",
     "build_union_line_graph", "certify_report", "count_proper",
-    "coupled_flip_step", "coupled_glauber_step", "enumerate_proper",
+    "coupled_flip_step", "coupled_glauber_step",
     "estimate_contraction", "flip_exact_drift", "flip_step",
     "glauber_exact_drift", "glauber_step", "greedy_coloring", "is_proper",
     "oracle_report", "random_graph_pair", "rate_maxima",
     "read_instance", "run_chain", "sample_adjacent_pairs",
-    "simultaneous_chromatic_index", "stationary_check", "threshold_ratio",
+    "stationary_check", "threshold_ratio",
     "tv_mixing_time", "verify_flip_properties", "weighted_hamming",
     "write_instance",
 ]

@@ -10,10 +10,10 @@ expressions, and the two must agree.  Exhaustive enumeration of shapes
 then yields the per-branch maxima that assemble into the k/Delta
 threshold ratio certifying contraction.
 
-Both evaluations run in integer p-units: with D the lcm of the
-denominators of the flip schedule, every flip mass is the integer
-p_s * D, and every shape value is num / (color_weight * D) with an
-integer num.  The dual check compares two integers, shapes are ranked by
+Both evaluations run in the schedule's integer unit: with D =
+`FlipParams.units.den`, every flip mass is the integer p_s * D, and
+every shape value is num / (color_weight * D) with an integer num.  The
+dual check compares two integers, shapes are ranked by
 cross-multiplication, and a Fraction is built only for what the report
 exposes (a branch maximum, a single color_rate value).
 
@@ -26,14 +26,12 @@ equivalence-classed by the cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
-from .dynamics import FlipParams
+from .dynamics import FlipParams, FlipUnits
 from .matching import match_color_moves, pick_anchor
 
 SIZE_CAP = 8
@@ -95,32 +93,22 @@ class ClusterConfig:
         }
 
 
-class PUnits(NamedTuple):
-    """A schedule's flip masses as integers over one common denominator.
+def _shape_units(fp: FlipParams) -> FlipUnits:
+    """fp.units with p padded by 0 up to the largest size a shape has.
 
-    den is D, the lcm of the denominators of fp.probs; mass[s] = p_s * D
-    for every component size s from 0 up to the biggest one a
-    ClusterConfig admits (v* plus four branches at the cap), 0 at s = 0
-    and past the locality.  Every shape value is then num / (color_weight
-    * D) with an integer num.
+    That is v* plus four branches at SIZE_CAP, read at call time.
     """
-
-    den: int
-    mass: tuple[int, ...]
-
-
-def p_units(fp: FlipParams) -> PUnits:
-    den = math.lcm(*(p.denominator for p in fp.probs))
-    return PUnits(den, tuple(int(fp.p(s) * den) for s in range(2 + 4 * SIZE_CAP)))
+    units = fp.units
+    return units._replace(p=units.p + (0,) * (2 + 4 * SIZE_CAP - len(units.p)))
 
 
-def _matcher_rate(cfg: ClusterConfig, units: PUnits) -> tuple[int, int]:
+def _matcher_rate(cfg: ClusterConfig, units: FlipUnits) -> tuple[int, int]:
     """Evaluate the shape through the coupling's own mass matching.
 
     Returns (numerator over color_weight * D, clamp count).
     """
     d = cfg.d
-    P = units.mass
+    P = units.p
     t_ids = [("t", i) for i in range(d)]
     u_ids = [("u", i) for i in range(d)]
     mass = {_BIG_X: P[1 + sum(cfg.x_branch_sizes)],
@@ -154,10 +142,10 @@ def _matcher_rate(cfg: ClusterConfig, units: PUnits) -> tuple[int, int]:
     return raw - (d - 1) * cfg.vstar_weight * units.den, clamped
 
 
-def _closed_form_rate(cfg: ClusterConfig, units: PUnits) -> int:
+def _closed_form_rate(cfg: ClusterConfig, units: FlipUnits) -> int:
     """The same numerator from the per-neighbor leftover expressions."""
     d = cfg.d
-    P = units.mass
+    P = units.p
     big_a = P[1 + sum(cfg.x_branch_sizes)]
     big_b = P[1 + sum(cfg.y_branch_sizes)]
     if d == 1:
@@ -180,17 +168,17 @@ def _closed_form_rate(cfg: ClusterConfig, units: PUnits) -> int:
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams,
-               units: PUnits | None = None) -> Fraction | int:
+               units: FlipUnits | None = None) -> Fraction | int:
     """Normalized expected metric change charged to one color, times m*k.
 
     Computed through the mass matching; cross-checked against the closed
     form whenever no clamping occurred (with clamping the closed form's
     leftover expressions go negative and only the matching is meaningful).
     Returns the exact Fraction.  A caller pricing many shapes passes
-    units = p_units(fp) once and gets instead the integer numerator over
-    cfg.color_weight * units.den, so no Fraction is made per shape.
+    units = _shape_units(fp) once and gets instead the integer numerator
+    over cfg.color_weight * units.den, so no Fraction is made per shape.
     """
-    scale = p_units(fp) if units is None else units
+    scale = _shape_units(fp) if units is None else units
     value, clamped = _matcher_rate(cfg, scale)
     if clamped == 0:
         check = _closed_form_rate(cfg, scale)
@@ -212,7 +200,7 @@ class BranchMaximum:
     attained: bool
 
 
-def _enumerate_branch(fp: FlipParams, units: PUnits, wstar: int, d: int,
+def _enumerate_branch(fp: FlipParams, units: FlipUnits, wstar: int, d: int,
                       lemma_value: Fraction) -> BranchMaximum:
     """Every shape of one branch, compared as integer numerators.
 
@@ -253,7 +241,7 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     if fp.locality > 6:
         raise ValueError(f"size cap {SIZE_CAP} is tuned to 6-local chains")
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
-    units = p_units(fp)
+    units = _shape_units(fp)
     return {
         "dc1": _enumerate_branch(fp, units, wstar=1, d=1,
                                  lemma_value=p1 + p2 - 2 * p3),

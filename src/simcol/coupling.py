@@ -9,10 +9,12 @@ differently in the two chains are paired up mass-for-mass by the greedy
 matching in `matching`, components the chains agree on ride together
 unchanged, and the leftover proposal mass is jointly null.
 
-Everything downstream of a table is exact: entry masses are rationals
-with denominators dividing m*k times the flip-probability denominator,
-and the one-step expected change of the weighted disagreement metric is
-a rational, compared against the certified threshold without tolerance.
+Everything downstream of a table is exact.  Move laws, entry masses,
+the marginal ledger and the per-color drift shares are integer
+numerators over m*k*D, D = `FlipParams.units.den`; Fractions are built
+only for what a report exposes, and the one-step expected change of the
+weighted disagreement metric is compared against the certified
+threshold without tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certify import threshold_ratio
 from .dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
@@ -108,6 +111,18 @@ class CouplingTable:
         return sum((e.mass for e in self.entries), Fraction(0)) + self.residual
 
 
+class _IntTable(NamedTuple):
+    """A coupling table in integers, masses over den = m*k*D.
+
+    entries are (mass, move_x, move_y, delta); the rest of den is null.
+    """
+
+    entries: list[tuple[int, Move | None, Move | None, int]]
+    den: int
+    clamp_events: int
+    dc_max: int
+
+
 @dataclass(frozen=True)
 class ColorTerm:
     """Per-color share of the expected metric change, times nothing: exact."""
@@ -128,27 +143,27 @@ class DriftReport:
 
 
 def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
-                  k: int | None = None) -> dict[Move, Fraction]:
-    """Exact move distribution of one flip proposal.
+                  k: int | None = None) -> dict[Move, int]:
+    """Exact move distribution of one flip proposal, over m*k*D.
 
-    Every flippable component appears with mass p(size)/(m*k); the
-    complement of the total is the null mass.  Zero-probability moves
-    are omitted.
+    Each proposal of a flippable component adds fp.units.accept[size] to
+    its move, so a component of size s totals p_s * D; the complement of
+    the total m*k*D is the null mass.  Zero-probability moves are omitted.
     """
     k = sigma.k if k is None else k
-    mass = [q / (G.m * k) for q in fp.accept]
-    law: dict[Move, Fraction] = {}
+    acc = fp.units.accept
+    law: dict[Move, int] = {}
     for v in range(G.m):
         for i in range(k):
             proposal = propose_flip(sigma.assign, G.nbrs, v, i, fp.locality)
             if proposal is None:
                 continue
             c, members = proposal
-            q = mass[len(members)]
+            q = acc[len(members)]
             if q == 0:
                 continue
             mv = Move(frozenset(members), frozenset((sigma.assign[v], c)))
-            law[mv] = law.get(mv, Fraction(0)) + q
+            law[mv] = law.get(mv, 0) + q
     return law
 
 
@@ -172,6 +187,9 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
                          fp: FlipParams):
     """Build the coupled table and the per-color drift terms together.
 
+    Returns (table, alphas), both in integer numerators over m*k*D:
+    alphas[c] is (color c's share of the drift, its neighbor weight, dc).
+
     Construction doubles as a proof of marginal correctness: every move
     of either single-chain law must be consumed exactly, either by the
     per-color matching around the disagreement or as a shared identity
@@ -183,23 +201,24 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
     if not is_proper(G, x) or not is_proper(G, y):
         raise ValueError("coupled tables are defined for proper states")
     xstar, ystar = pair.xstar, pair.ystar
-    mk = G.m * k
+    D, P = fp.units.den, fp.units.p
     law_x = flip_move_law(G, x, fp, k)
     law_y = flip_move_law(G, y, fp, k)
 
-    entries: list[TableEntry] = []
-    per_color: dict[int, ColorTerm] = {}
-    used_x: dict[Move, Fraction] = {}
-    used_y: dict[Move, Fraction] = {}
+    rows: list[tuple] = []
+    alphas: dict[int, tuple[int, int, int]] = {}
+    used_x: dict[Move, int] = {}
+    used_y: dict[Move, int] = {}
     clamp_events = 0
     dc_max = 0
 
-    def consume(entry: TableEntry) -> None:
-        entries.append(entry)
-        if entry.move_x is not None:
-            used_x[entry.move_x] = used_x.get(entry.move_x, Fraction(0)) + entry.mass
-        if entry.move_y is not None:
-            used_y[entry.move_y] = used_y.get(entry.move_y, Fraction(0)) + entry.mass
+    def consume(mass: int, move_x: Move | None, move_y: Move | None,
+                delta: int) -> None:
+        rows.append((mass, move_x, move_y, delta))
+        if move_x is not None:
+            used_x[move_x] = used_x.get(move_x, 0) + mass
+        if move_y is not None:
+            used_y[move_y] = used_y.get(move_y, 0) + mass
 
     for c in range(1, k + 1):
         nbrs_c = [w for w in G.nbrs[vs] if x.assign[w] == c]
@@ -210,11 +229,10 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
             # c = xstar or ystar one side's move is its null proposal
             mv_x = Move(frozenset((vs,)), frozenset((xstar, c)))
             mv_y = Move(frozenset((vs,)), frozenset((ystar, c)))
-            mass = Fraction(1, mk)
             delta = _coupled_delta(G, pair, mv_x, mv_y)
             assert delta == -G.weight[vs]
-            consume(TableEntry(mass, mv_x, mv_y, delta))
-            per_color[c] = ColorTerm(alpha=mass * delta, weight=0, dc=0)
+            consume(D, mv_x, mv_y, delta)
+            alphas[c] = (D * delta, 0, 0)
             continue
 
         big_x = Move(compute_cluster(G, x, vs, c), frozenset((xstar, c)))
@@ -226,22 +244,20 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         assert big_x.members == frozenset((vs,)).union(*(u.members for u in u_moves))
         assert big_y.members == frozenset((vs,)).union(*(t.members for t in t_moves))
 
-        mass_map = {big_x: fp.p(big_x.size), big_y: fp.p(big_y.size)}
-        for mv in (*t_moves, *u_moves):
-            mass_map[mv] = fp.p(mv.size)
+        mass_map = {mv: P[mv.size] if mv.size < len(P) else 0
+                    for mv in (big_x, big_y, *t_moves, *u_moves)}
         weights = [G.weight[w] for w in nbrs_c]
         m_a = pick_anchor([u.size for u in u_moves], weights)
         m_b = pick_anchor([t.size for t in t_moves], weights)
         matched, clamped = match_color_moves(big_x, big_y, t_moves, u_moves,
                                              mass_map, m_a, m_b)
         clamp_events += clamped
-        alpha = Fraction(0)
+        alpha = 0
         for p in matched:
-            mass = p.mass / mk
             delta = _coupled_delta(G, pair, p.x, p.y)
-            consume(TableEntry(mass, p.x, p.y, delta))
-            alpha += mass * delta
-        per_color[c] = ColorTerm(alpha=alpha, weight=sum(weights), dc=dc)
+            consume(p.mass, p.x, p.y, delta)
+            alpha += p.mass * delta
+        alphas[c] = (alpha, sum(weights), dc)
 
     for mv, q in used_x.items():
         assert law_x.get(mv) == q, f"X marginal off at {mv}: used {q}, law {law_x.get(mv)}"
@@ -251,31 +267,37 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         if mv in used_x:
             continue
         assert vs not in mv.members and law_y.get(mv) == q, f"unshared leftover {mv}"
-        consume(TableEntry(q, mv, mv, 0))
+        consume(q, mv, mv, 0)
     leftover_y = [mv for mv in law_y if mv not in used_y]
     assert not leftover_y, f"Y moves never consumed: {leftover_y}"
-
-    total = sum((e.mass for e in entries), Fraction(0))
-    assert 0 <= total <= 1
-    table = CouplingTable(entries=tuple(entries), residual=1 - total,
-                          clamp_events=clamp_events, dc_max=dc_max)
-    return table, per_color
+    den = G.m * k * D
+    assert 0 <= sum(r[0] for r in rows) <= den
+    return _IntTable(rows, den, clamp_events, dc_max), alphas
 
 
 def build_flip_coupling_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
                               fp: FlipParams) -> CouplingTable:
     table, _ = _assemble_flip_table(pair, G, k, fp)
-    return table
+    den = table.den
+    return CouplingTable(
+        entries=tuple(TableEntry(Fraction(q, den), mx, my, d)
+                      for q, mx, my, d in table.entries),
+        residual=Fraction(den - sum(e[0] for e in table.entries), den),
+        clamp_events=table.clamp_events, dc_max=table.dc_max)
 
 
 def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
                      fp: FlipParams) -> DriftReport:
     """Exact one-step expectation of the metric change under the table."""
-    table, per_color = _assemble_flip_table(pair, G, k, fp)
-    drift = sum((e.mass * e.delta for e in table.entries), Fraction(0))
-    assert drift == sum((t.alpha for t in per_color.values()), Fraction(0))
+    table, alphas = _assemble_flip_table(pair, G, k, fp)
+    den = table.den
+    num = sum(q * d for q, _, _, d in table.entries)
+    assert num == sum(a for a, _, _ in alphas.values())
+    drift = Fraction(num, den)
     wstar = G.weight[pair.vstar]
     bound = Fraction(wstar, G.m * k) * (threshold_ratio(fp) * G.delta - k)
+    per_color = {c: ColorTerm(alpha=Fraction(a, den), weight=w, dc=dc)
+                 for c, (a, w, dc) in alphas.items()}
     return DriftReport(exact_drift=drift, per_color=per_color, bound=bound,
                        beta=1 + drift / wstar, dc_max=table.dc_max,
                        clamp_events=table.clamp_events)

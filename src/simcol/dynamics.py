@@ -11,6 +11,9 @@ Two chains, both driven by uniform proposals (vertex v, index i):
 The flip rule is written once, as `propose_flip` plus the acceptance
 tables of `FlipParams`; the sampler, the coupling's move law and the
 exact kernel all use it.  The sampler compares u < p_s / s exactly.
+Exact flip masses are integers over one common denominator, owned by
+`FlipParams.units`; the coupling, the certifier and the exact kernel
+all count in that unit.
 
 Colors are 1-based.  The RNG contract, which the trajectory-equivalence
 tests rely on, is exactly: one `randrange(m)` for the vertex, one
@@ -27,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import UnionLineGraph
 
@@ -44,6 +48,20 @@ def _float_cut(q: Fraction) -> float:
     while t >= q:  # a float against a Fraction compares exactly
         t = math.nextafter(t, 0.0)
     return t
+
+
+class FlipUnits(NamedTuple):
+    """A schedule's exact flip masses as integers over one denominator.
+
+    den is D, the lcm of the denominators of p_s / s; p[s] = p_s * D is
+    the mass of a component of size s (times m*k), accept[s] = (p_s / s)
+    * D that of one proposal of it.  Both run over s = 0..locality and
+    are 0 at s = 0; every size past the locality has mass 0 too.
+    """
+
+    den: int
+    p: tuple[int, ...]
+    accept: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,13 @@ class FlipParams:
     def accept(self) -> tuple[Fraction, ...]:
         """accept[s] = p_s / s exactly, per component size s (entry 0 unused)."""
         return (Fraction(0),) + tuple(p / s for s, p in enumerate(self.probs, start=1))
+
+    @functools.cached_property
+    def units(self) -> FlipUnits:
+        """The exact flip masses in integer units; see `FlipUnits`."""
+        den = math.lcm(*(q.denominator for q in self.accept))
+        return FlipUnits(den, (0,) + tuple(int(p * den) for p in self.probs),
+                         tuple(int(q * den) for q in self.accept))
 
     @functools.cached_property
     def cut(self) -> tuple[float, ...]:

@@ -15,9 +15,9 @@ mass still unspent on both participants:
 4. leftover branch mass is cross-paired in increasing neighbor order,
 5. anything left moves alone.
 
-Masses are exact numbers in p-units (the per-component flip mass times
-m*k): Fractions from the coupling, integers over a common denominator
-from the certifier; min and subtraction keep either type exact.
+Masses are integers in the schedule's unit (`FlipParams.units.p`: the
+per-component flip mass times m*k*D), from the coupling and the
+certifier alike, so min and subtraction stay exact.
 Branches of distinct neighbors may be one and the same component (the
 ids then repeat); the shared ledger makes the pairing well defined in
 that case too.  `clamped` counts big components whose designated
@@ -28,7 +28,6 @@ probabilities are nonincreasing in the component size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class MatchedPair:
 
     x: object | None
     y: object | None
-    mass: Fraction | int
+    mass: int
 
 
 def _ordered_distinct(ids) -> list:
@@ -63,7 +62,7 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, mass: dict, m_a: int, m_b: int
     """Pair the differing component flips for one color.
 
     big_x/big_y: ids of the through-v* components; x_ids/y_ids: branch ids
-    per neighbor index; mass: initial p-unit mass per id; m_a: neighbor
+    per neighbor index; mass: initial integer mass per id; m_a: neighbor
     index whose Y branch absorbs big_x; m_b: mirror for big_y.
     Returns (pairs, clamped).
     """

@@ -1,15 +1,14 @@
 """Ground truth on small instances.
 
-Proper colorings are enumerated by backtracking; chains become explicit
+Proper colorings are counted by backtracking; chains become explicit
 transition matrices over the full product state space (all assignments,
 proper or not).  Each is built once as integers: an int64 sparse matrix
 of numerators over one row denominator.  It has two views, a
 double-precision sparse matrix (each entry correctly rounded) and exact
 rationals; the mode picks which one a caller reads.  On top of the
 integers: exact uniform-stationarity verification, reachability checks,
-worst-start total-variation mixing curves (exact in rational mode, by
-integer propagation over powers of the denominator), and an absorption
-diagnostic for improper starts.
+and worst-start total-variation mixing curves (exact in rational mode,
+by integer propagation over powers of the denominator).
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
@@ -18,7 +17,6 @@ scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import FlipParams, ListAssignment, propose_flip
-from .graphs import GraphPair, UnionLineGraph, build_union_line_graph
+from .graphs import UnionLineGraph
 
 DEFAULT_COUNT_CAP = 10 ** 7
 FLOAT_STATE_CAP = 2 * 10 ** 4
@@ -78,18 +76,18 @@ class StateIndex:
         return tuple(mask)
 
 
-def _backtrack(G: UnionLineGraph, k: int, collect: bool):
+def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
+    """Proper colorings with k colors, by backtracking in vertex-id order."""
+    if k ** G.m > cap:
+        raise CapExceeded(f"k^m = {k ** G.m} exceeds the counting cap {cap}")
     earlier = [tuple(w for w in G.nbrs[v] if w < v) for v in range(G.m)]
     assign = [0] * G.m
-    found: list[tuple[int, ...]] = []
     count = 0
 
     def rec(v: int) -> None:
         nonlocal count
         if v == G.m:
             count += 1
-            if collect:
-                found.append(tuple(assign))
             return
         for c in range(1, k + 1):
             if all(assign[w] != c for w in earlier[v]):
@@ -98,36 +96,7 @@ def _backtrack(G: UnionLineGraph, k: int, collect: bool):
         assign[v] = 0
 
     rec(0)
-    return count, found
-
-
-def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
-    if k ** G.m > cap:
-        raise CapExceeded(f"k^m = {k ** G.m} exceeds the counting cap {cap}")
-    return _backtrack(G, k, collect=False)[0]
-
-
-def enumerate_proper(G: UnionLineGraph, k: int,
-                     cap: int = DEFAULT_COUNT_CAP) -> list[tuple[int, ...]]:
-    if k ** G.m > cap:
-        raise CapExceeded(f"k^m = {k ** G.m} exceeds the enumeration cap {cap}")
-    return _backtrack(G, k, collect=True)[1]
-
-
-def simultaneous_chromatic_index(gp: GraphPair, kmax: int | None = None,
-                                 cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Smallest k admitting a proper coloring of the edge pair.
-
-    Greedy on the union line graph succeeds with 4*delta - 3 colors, so
-    the default search is bounded there.
-    """
-    G = build_union_line_graph(gp)
-    if kmax is None:
-        kmax = max(1, 4 * G.delta - 3)
-    for k in range(1, kmax + 1):
-        if count_proper(G, k, cap=cap) > 0:
-            return k
-    raise ValueError(f"no proper coloring with up to {kmax} colors")
+    return count
 
 
 @dataclass(frozen=True)
@@ -156,7 +125,8 @@ def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
                        powers, fp: FlipParams | None, lists, unit: int, acc):
     """Yield (target_state_delta, numerator) per proposal, each worth `unit`.
 
-    acc[s] is the flip acceptance p_s / s in the same units.
+    For the flip chain unit and acc come from `FlipParams.units`: acc[s]
+    is the acceptance p_s / s in the same units.
     """
     for v in range(G.m):
         for i in range(k):
@@ -199,8 +169,7 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
         fp = FlipParams.default()
     unit, acc = 1, None
     if kind == "flip":
-        unit = math.lcm(*(q.denominator for q in fp.accept))
-        acc = [int(q * unit) for q in fp.accept]
+        unit, _, acc = fp.units
     den = G.m * k * unit
     if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
         raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
@@ -368,33 +337,6 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
                 return t, curve
             dt = QT.dot(dt)
     raise CapExceeded(f"no mixing within {max_steps} steps")
-
-
-def absorption_curve(P: TransitionMatrix, steps: int = 50) -> list[float]:
-    """Mass still outside the proper set, from the uniform improper start."""
-    improper = np.flatnonzero(~np.asarray(P.proper))
-    if not len(improper):
-        return [0.0] * (steps + 1)
-    if P.mode == "rational":
-        # mu over len(improper) * den**t, a one-row integer matrix
-        mu = np.zeros((1, P.size), dtype=object)
-        mu[0, improper] = 1
-        cols = _columns(P.num)
-        scale = len(improper)
-        out = []
-        for _ in range(steps + 1):
-            out.append(int(mu[0, improper].sum()) / scale)
-            mu = _times(mu, cols)
-            scale *= P.den
-        return out
-    mu = np.zeros(P.size)
-    mu[improper] = 1.0 / len(improper)
-    mat_t = P.rows.T.tocsr()
-    out = []
-    for _ in range(steps + 1):
-        out.append(float(mu[improper].sum()))
-        mu = mat_t.dot(mu)
-    return out
 
 
 def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",

@@ -15,7 +15,8 @@ from simcol.dynamics import FlipParams
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()
 VIOLATION = FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2)))
-# coprime denominators: the common p-unit denominator is their lcm, 231
+# coprime denominators: the flip masses' common denominator D is the lcm
+# of the p_s / s denominators, 924
 MIXED = FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -223,6 +224,25 @@ class TestDrift:
         assert lines[0] == ("pair_id,vstar_weight,exact_drift_num,"
                             "exact_drift_den,bound_num,bound_den,beta,dc_max")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("schedule, digest", [
+        (None, "2a1b54f02ce0c63235ffa5b80bd100ac64c4b2ca34e83ca526835b871f5c652a"),
+        ("1\n1/3\n1/7\n1/11\n",
+         "7abc6cea79bad84ae13043719979232c03f4d791fd367ea0da4af381a37a9e9a"),
+    ])
+    def test_csv_bytes_pinned(self, tmp_path, schedule, digest):
+        # a mis-scaled flip mass anywhere in the exact drift moves these bytes
+        g = tmp_path / "inst.txt"
+        main(["gen", "--n", "16", "--delta", "3", "--seed", "8", "--out", str(g)])
+        out = tmp_path / "drift.csv"
+        args = ["drift", "--graph", str(g), "--k", "18", "--pairs", "10",
+                "--seed", "2", "--format", "csv", "--out", str(out)]
+        if schedule is not None:
+            fp = tmp_path / "fp.txt"
+            fp.write_text(schedule)
+            args += ["--fp", str(fp)]
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_too_few_colors_is_usage_error(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"

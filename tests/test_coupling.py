@@ -68,14 +68,16 @@ class TestFlipMoveLaw:
             sigma = G_pairs[0].x
             law = flip_move_law(G, sigma, DEFAULT)
             brute = brute_flip_law(G, sigma.assign, k, DEFAULT)
-            as_tuples = {(mv.members, mv.colors): mass for mv, mass in law.items()}
+            den = G.m * k * DEFAULT.units.den
+            as_tuples = {(mv.members, mv.colors): Fraction(n, den)
+                         for mv, n in law.items()}
             assert as_tuples == brute
 
     def test_total_mass_at_most_one(self):
         sigma = worked_pair().x
         law = flip_move_law(WORKED_G, sigma, DEFAULT)
-        total = sum(law.values(), Fraction(0))
-        assert 0 < total <= 1
+        total = sum(law.values())
+        assert 0 < total <= WORKED_G.m * sigma.k * DEFAULT.units.den
 
 
 class TestWorkedInstance:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -51,6 +52,29 @@ class TestFlipParams:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             FlipParams.from_text("1/1\nnot a number\n")
+
+    @pytest.mark.parametrize("fp, den", [
+        (FlipParams.default(), 39000),
+        (FlipParams.glauber(), 1),
+        (FlipParams((1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))), 924),
+    ])
+    def test_units_are_exact_integers(self, fp, den):
+        units = fp.units
+        assert units.den == den == math.lcm(*(q.denominator for q in fp.accept))
+        assert len(units.p) == len(units.accept) == fp.locality + 1
+        assert units.p[0] == units.accept[0] == 0
+        for s in range(1, fp.locality + 1):
+            assert type(units.p[s]) is int and type(units.accept[s]) is int
+            assert units.p[s] == fp.p(s) * den
+            assert units.accept[s] == fp.p(s) / s * den
+
+    def test_units_leave_identity_alone(self):
+        a, b = FlipParams.default(), FlipParams.default()
+        before = repr(a)
+        assert "units" not in vars(b)  # computed on first use, not at construction
+        a.units
+        assert a == b and hash(a) == hash(b) and repr(a) == before
+        assert "units" not in {f.name for f in dataclasses.fields(FlipParams)}
 
 
 class TestGreedy:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from simcol.dynamics import FlipParams, ListAssignment
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
-                           absorption_curve, build_transition_matrix,
-                           count_proper, enumerate_proper, oracle_report,
-                           simultaneous_chromatic_index, stationary_check,
-                           tv_mixing_time)
+                           build_transition_matrix, count_proper,
+                           oracle_report, stationary_check, tv_mixing_time)
 
 from helpers import numpy_brute_count
 
@@ -50,16 +48,6 @@ class TestCounting:
             assert got == numpy_brute_count(G, k, perm_seed=seed)
             assert got == numpy_brute_count(G, k, perm_seed=seed + 100)
 
-    def test_enumeration_consistent_with_count(self):
-        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)], [(1, 2)]))
-        k = 3
-        cols = enumerate_proper(G, k)
-        assert len(cols) == count_proper(G, k)
-        assert len(set(cols)) == len(cols)
-        for assign in cols:
-            assert all(assign[v] != assign[w]
-                       for v in range(G.m) for w in G.nbrs[v] if w > v)
-
     def test_cap_enforced(self):
         G = build_union_line_graph(pair(3, [(1, 2), (2, 3)]))
         with pytest.raises(CapExceeded):
@@ -84,26 +72,6 @@ class TestStateIndex:
         G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
         idx = StateIndex(G.m, 3)
         assert sum(idx.proper_mask(G)) == count_proper(G, 3)
-
-
-class TestChromaticIndex:
-    def test_triangle_pair_needs_three(self):
-        tri = [(1, 2), (2, 3), (1, 3)]
-        assert simultaneous_chromatic_index(pair(3, tri, tri)) == 3
-
-    def test_disjoint_single_edges_need_one(self):
-        assert simultaneous_chromatic_index(pair(4, [(1, 2)], [(3, 4)])) == 1
-
-    def test_at_most_twice_delta_on_small_random(self):
-        for seed in range(8):
-            gp = random_graph_pair(n=6, delta=2, overlap=0.5, seed=seed)
-            G = build_union_line_graph(gp)
-            chi = simultaneous_chromatic_index(gp)
-            assert chi <= 2 * G.delta
-            # cross-check the decision at chi and chi-1 independently
-            assert numpy_brute_count(G, chi, perm_seed=seed) > 0
-            if chi > 1:
-                assert numpy_brute_count(G, chi - 1, perm_seed=seed) == 0
 
 
 class TestTransitionMatrix:
@@ -238,27 +206,6 @@ class TestStationarity:
             rep = stationary_check(dataclasses.replace(P, num=num))
             assert not rep.uniform_ok and rep.max_error > 0
             assert rep.proper_closed is closed
-
-    def test_absorption_decays_at_enough_colors(self):
-        gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
-        G = build_union_line_graph(gp)
-        k = 4 * G.delta - 3
-        P = build_transition_matrix(G, k, kind="glauber", mode="float")
-        curve = absorption_curve(P, steps=80)
-        assert curve[0] == pytest.approx(1.0)
-        assert curve[-1] < 1e-3
-        assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
-
-    def test_absorption_rational_matches_float(self):
-        gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
-        G = build_union_line_graph(gp)
-        k = 4 * G.delta - 3
-        for kind in ("glauber", "flip"):
-            curves = [absorption_curve(build_transition_matrix(G, k, kind=kind, mode=mode),
-                                       steps=80)
-                      for mode in ("float", "rational")]
-            assert curves[1][0] == 1.0 and curves[1][-1] < 1e-3
-            assert curves[0] == pytest.approx(curves[1], abs=1e-12)
 
 
 class TestMixing:
