@@ -13,8 +13,8 @@ from .certify import certify_report, rate_maxima, threshold_ratio, verify_flip_p
 from .coupling import (AdjacentPair, build_flip_coupling_table, coupled_flip_step,
                        coupled_glauber_step, estimate_contraction, flip_exact_drift,
                        glauber_exact_drift, sample_adjacent_pairs, weighted_hamming)
-from .dynamics import (Coloring, FlipParams, ListAssignment, flip_step,
-                       glauber_step, greedy_coloring, is_proper, run_chain)
+from .dynamics import (Coloring, FlipParams, flip_step, glauber_step,
+                       greedy_coloring, is_proper, run_chain)
 from .graphs import (GraphPair, ParseError, UnionLineGraph,
                      build_union_line_graph, random_graph_pair, read_instance,
                      write_instance)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacentPair", "CapExceeded", "Coloring", "FlipParams", "GraphPair",
-    "ListAssignment", "ParseError", "StateIndex", "UnionLineGraph",
+    "ParseError", "StateIndex", "UnionLineGraph",
     "build_flip_coupling_table", "build_transition_matrix",
     "build_union_line_graph", "certify_report", "count_proper",
     "coupled_flip_step", "coupled_glauber_step",

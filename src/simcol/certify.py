@@ -148,11 +148,6 @@ def _closed_form_rate(cfg: ClusterConfig, units: FlipUnits) -> int:
     P = units.p
     big_a = P[1 + sum(cfg.x_branch_sizes)]
     big_b = P[1 + sum(cfg.y_branch_sizes)]
-    if d == 1:
-        a, b = cfg.x_branch_sizes[0], cfg.y_branch_sizes[0]
-        q = P[a] - big_a
-        qp = P[b] - big_b
-        return max(q, qp) * cfg.neighbor_weights[0] + 2 * q * (a - 1) + 2 * qp * (b - 1)
     uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
     tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
     m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)

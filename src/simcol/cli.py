@@ -205,10 +205,6 @@ def cmd_certify(args) -> int:
 def cmd_oracle(args) -> int:
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
-    if args.count:
-        n = count_proper(G, args.k)
-        _emit(str(n), args.out)
-        return EXIT_OK
     fp = _load_fp(args.fp) if args.chain == "flip" else None
     report = oracle_report(G, args.k, kind=args.chain, fp=fp,
                            eps=args.eps, mode=args.mode)
@@ -277,8 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fp")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--mode", choices=("float", "rational"), default="float")
-    p.add_argument("--count", action="store_true",
-                   help="only count proper colorings")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

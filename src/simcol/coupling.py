@@ -25,8 +25,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .certify import threshold_ratio
-from .dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
-                       greedy_coloring, is_proper, propose_flip, swap_colors)
+from .dynamics import (Coloring, FlipParams, alternating_component,
+                       compute_cluster, flip_step, greedy_coloring, is_proper,
+                       swap_colors)
 from .graphs import UnionLineGraph
 from .matching import match_color_moves, pick_anchor
 
@@ -63,8 +64,7 @@ class AdjacentPair:
         return self.y.assign[self.vstar]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One component flip: swap the two colors on the members.
 
     colors has one element for the null proposal at a vertex already
@@ -152,17 +152,17 @@ def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
     """
     k = sigma.k if k is None else k
     acc = fp.units.accept
+    assign, nbrs, cap = sigma.assign, G.nbrs, fp.locality
     law: dict[Move, int] = {}
     for v in range(G.m):
-        for i in range(k):
-            proposal = propose_flip(sigma.assign, G.nbrs, v, i, fp.locality)
-            if proposal is None:
+        for c in range(1, k + 1):
+            members = alternating_component(assign, nbrs, v, c, cap)
+            if members is None:
                 continue
-            c, members = proposal
             q = acc[len(members)]
             if q == 0:
                 continue
-            mv = Move(frozenset(members), frozenset((sigma.assign[v], c)))
+            mv = Move(frozenset(members), frozenset((assign[v], c)))
             law[mv] = law.get(mv, 0) + q
     return law
 

@@ -1,26 +1,25 @@
 """Colorings of the union line graph and the chains that move them.
 
-Two chains, both driven by uniform proposals (vertex v, index i):
+Two chains, both driven by uniform proposals (vertex v, color c):
 
-* Glauber: recolor v to color i + 1 iff no neighbor holds it.
-* Flip: swap v's color and c = i + 1 on the two-colored component through
-  v with probability p_s / s, s the component size; components larger
-  than the locality never move.  With `lists=`, c is entry i of v's list
-  (none past its end: a null move) and every member must list both colors.
+* Glauber: recolor v to c iff no neighbor holds it.
+* Flip: swap v's color and c on the two-colored component through v
+  with probability p_s / s, s the component size; components larger
+  than the locality never move.
 
-The flip rule is written once, as `propose_flip` plus the acceptance
-tables of `FlipParams`; the sampler, the coupling's move law and the
-exact kernel all use it.  The sampler compares u < p_s / s exactly.
-Exact flip masses are integers over one common denominator, owned by
-`FlipParams.units`; the coupling, the certifier and the exact kernel
-all count in that unit.
+The flip rule is written once, as `alternating_component` capped at the
+locality plus the acceptance tables of `FlipParams`; the sampler, the
+coupling's move law and the exact kernel all use it.  The sampler
+compares u < p_s / s exactly.  Exact flip masses are integers over one
+common denominator, owned by `FlipParams.units`; the coupling, the
+certifier and the exact kernel all count in that unit.
 
 Colors are 1-based.  The RNG contract, which the trajectory-equivalence
 tests rely on, is exactly: one `randrange(m)` for the vertex, one
-`randrange(k)` for the color (or list index), then one `random()` for
-acceptance drawn only when the acceptance probability lies strictly
-between 0 and 1.  A flip chain with probabilities (1, 0, ...) therefore
-consumes the same draw sequence as Glauber and realizes the same walk.
+`randrange(k)` for the color, then one `random()` for acceptance drawn
+only when the acceptance probability lies strictly between 0 and 1.  A
+flip chain with probabilities (1, 0, ...) therefore consumes the same
+draw sequence as Glauber and realizes the same walk.
 """
 
 from __future__ import annotations
@@ -151,38 +150,18 @@ class Coloring:
         return Coloring(assign=list(self.assign), k=self.k)
 
 
-@dataclass(frozen=True)
-class ListAssignment:
-    """Per-vertex allowed colors, each list sorted ascending."""
-
-    lists: tuple[tuple[int, ...], ...]
-    k: int
-
-    def __post_init__(self):
-        for v, lst in enumerate(self.lists):
-            if not lst:
-                raise ValueError(f"vertex {v} has an empty list")
-            if len(lst) > self.k:
-                raise ValueError(f"vertex {v} list longer than k={self.k}")
-            if list(lst) != sorted(set(lst)) or lst[0] < 1:
-                raise ValueError(f"vertex {v} list must be sorted distinct positives")
-
-    @classmethod
-    def full(cls, m: int, k: int) -> "ListAssignment":
-        return cls(lists=tuple(tuple(range(1, k + 1)) for _ in range(m)), k=k)
-
-
-def _grow_cluster(assign, nbrs, seed: int, c: int, cap) -> list[int] | None:
-    """BFS closure under strict alternation between assign[seed] and c.
+def alternating_component(assign, nbrs, v: int, c: int, cap) -> list[int] | None:
+    """v's component under strict alternation between assign[v] and c, v first.
 
     Returns None as soon as the component exceeds cap members (the flip
-    probability is 0 there, so callers never need the full set).
+    probability is 0 there, so callers never need the full set); cap None
+    grows the whole component.
     """
-    a = assign[seed]
+    a = assign[v]
     if a == c:
-        return [seed]
-    members = [seed]
-    seen = {seed}
+        return [v]
+    members = [v]
+    seen = {v}
     i = 0
     while i < len(members):
         u = members[i]
@@ -199,30 +178,7 @@ def _grow_cluster(assign, nbrs, seed: int, c: int, cap) -> list[int] | None:
 
 def compute_cluster(G: UnionLineGraph, sigma: Coloring, v: int, c: int) -> frozenset[int]:
     """The whole alternating component of v between its color and c."""
-    return frozenset(_grow_cluster(sigma.assign, G.nbrs, v, c, None))
-
-
-def propose_flip(assign, nbrs, v: int, i: int, locality: int,
-                 lists: ListAssignment | None = None):
-    """The flip rule's proposal (v, i): (c, members) to swap, None if null.
-
-    The caller accepts it with probability p_s / s, s = len(members).
-    """
-    if lists is None:
-        c = i + 1
-    else:
-        lst = lists.lists[v]
-        if i >= len(lst):
-            return None
-        c = lst[i]
-    members = _grow_cluster(assign, nbrs, v, c, locality)
-    if members is None:
-        return None
-    a = assign[v]
-    if lists is not None and any(a not in lists.lists[w] or c not in lists.lists[w]
-                                 for w in members):
-        return None
-    return c, members
+    return frozenset(alternating_component(sigma.assign, G.nbrs, v, c, None))
 
 
 def swap_colors(assign: list[int], members, a: int, b: int) -> None:
@@ -246,21 +202,19 @@ def glauber_step(G: UnionLineGraph, sigma: Coloring, rng: random.Random) -> int:
 
 
 def flip_step(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
-              rng: random.Random, lists: ListAssignment | None = None) -> int:
+              rng: random.Random) -> int:
     """One proposal; returns the flipped component size, 0 on a null move."""
-    if lists is not None and lists.k != sigma.k:
-        raise ValueError(f"lists are over k={lists.k}, the coloring over k={sigma.k}")
     v = rng.randrange(G.m)
-    i = rng.randrange(sigma.k)
-    proposal = propose_flip(sigma.assign, G.nbrs, v, i, fp.locality, lists)
-    if proposal is None:
+    c = rng.randrange(sigma.k) + 1
+    assign = sigma.assign
+    members = alternating_component(assign, G.nbrs, v, c, fp.locality)
+    if members is None:
         return 0
-    c, members = proposal
     s = len(members)
     cut = fp.cut[s]
     if cut < 0.0 or (cut < 1.0 and rng.random() > cut):
         return 0
-    swap_colors(sigma.assign, members, sigma.assign[v], c)
+    swap_colors(assign, members, assign[v], c)
     return s
 
 

@@ -29,10 +29,6 @@ from functools import cached_property
 
 Edge = tuple[int, int]
 
-# origin bitmasks for union line graph adjacencies
-G1 = 1
-G2 = 2
-
 
 class ParseError(ValueError):
     """Input file rejected; carries the 1-based offending line number.
@@ -92,23 +88,18 @@ class UnionLineGraph:
     """Weighted adjacency structure the chains run on.
 
     Vertices are indexed 0..m-1 in sorted canonical edge order, so ids are
-    reproducible for a given pair.  ``adj[i]`` holds ``(j, origin)`` tuples
-    where origin is a bitmask over G1/G2; ``nbrs[i]`` is the plain neighbor
-    id tuple for hot loops.
+    reproducible for a given pair.  ``nbrs[i]`` holds i's neighbor ids in
+    ascending order.
     """
 
     verts: tuple[Edge, ...]
     weight: tuple[int, ...]
-    adj: tuple[tuple[tuple[int, int], ...], ...]
+    nbrs: tuple[tuple[int, ...], ...]
     delta: int
 
     @property
     def m(self) -> int:
         return len(self.verts)
-
-    @cached_property
-    def nbrs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(j for j, _ in row) for row in self.adj)
 
     @cached_property
     def index(self) -> dict[Edge, int]:
@@ -118,12 +109,12 @@ class UnionLineGraph:
         """Check the structural bounds implied by the construction."""
         d = self.delta
         for i in range(self.m):
-            degree = len(self.adj[i])
+            degree = len(self.nbrs[i])
             if self.weight[i] == 1 and degree > 2 * d:
                 raise AssertionError(f"weight-1 vertex {i} has degree {degree} > {2 * d}")
             if self.weight[i] == 2 and degree > 4 * d - 4:
                 raise AssertionError(f"weight-2 vertex {i} has degree {degree} > {4 * d - 4}")
-            wsum = sum(self.weight[j] for j, _ in self.adj[i])
+            wsum = sum(self.weight[j] for j in self.nbrs[i])
             if wsum > 4 * d:
                 raise AssertionError(f"vertex {i} neighborhood weight {wsum} > {4 * d}")
 
@@ -131,33 +122,23 @@ class UnionLineGraph:
 def build_union_line_graph(gp: GraphPair) -> UnionLineGraph:
     """Construct the union line graph of a pair.
 
-    Deterministic: vertex ids follow sorted canonical edge order, and each
-    adjacency records via which source graph(s) the edges meet.
+    Deterministic: vertex ids follow sorted canonical edge order.
     """
     verts = tuple(sorted(gp.edges1 | gp.edges2))
     index = {e: i for i, e in enumerate(verts)}
     weight = tuple(2 if e in gp.edges1 and e in gp.edges2 else 1 for e in verts)
 
-    pair_origin: dict[tuple[int, int], int] = {}
-    for mask, edges in ((G1, gp.edges1), (G2, gp.edges2)):
+    adj: list[set[int]] = [set() for _ in verts]
+    for edges in (gp.edges1, gp.edges2):
         at_vertex: dict[int, list[int]] = {}
         for e in edges:
-            i = index[e]
             for endpoint in e:
-                at_vertex.setdefault(endpoint, []).append(i)
+                at_vertex.setdefault(endpoint, []).append(index[e])
         for ids in at_vertex.values():
-            ids.sort()
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    key = (ids[a], ids[b])
-                    pair_origin[key] = pair_origin.get(key, 0) | mask
-
-    rows: list[list[tuple[int, int]]] = [[] for _ in verts]
-    for (i, j), mask in sorted(pair_origin.items()):
-        rows[i].append((j, mask))
-        rows[j].append((i, mask))
-    adj = tuple(tuple(sorted(row)) for row in rows)
-    return UnionLineGraph(verts=verts, weight=weight, adj=adj, delta=gp.delta)
+            for i in ids:
+                adj[i].update(ids)
+    nbrs = tuple(tuple(sorted(row - {i})) for i, row in enumerate(adj))
+    return UnionLineGraph(verts=verts, weight=weight, nbrs=nbrs, delta=gp.delta)
 
 
 def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPair:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import FlipParams, ListAssignment, propose_flip
+from .dynamics import FlipParams, alternating_component
 from .graphs import UnionLineGraph
 
 DEFAULT_COUNT_CAP = 10 ** 7
@@ -122,27 +122,25 @@ class TransitionMatrix:
 
 
 def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
-                       powers, fp: FlipParams | None, lists, unit: int, acc):
+                       powers, fp: FlipParams | None, unit: int, acc):
     """Yield (target_state_delta, numerator) per proposal, each worth `unit`.
 
     For the flip chain unit and acc come from `FlipParams.units`: acc[s]
     is the acceptance p_s / s in the same units.
     """
     for v in range(G.m):
-        for i in range(k):
+        a = assign[v]
+        for c in range(1, k + 1):
             if kind == "glauber":
-                c = i + 1
                 if all(assign[w] != c for w in G.nbrs[v]):
-                    yield (c - assign[v]) * powers[v], unit
+                    yield (c - a) * powers[v], unit
                 else:
                     yield 0, unit
                 continue
-            proposal = propose_flip(assign, G.nbrs, v, i, fp.locality, lists)
-            if proposal is None:
+            members = alternating_component(assign, G.nbrs, v, c, fp.locality)
+            if members is None:
                 yield 0, unit
                 continue
-            c, members = proposal
-            a = assign[v]
             n = acc[len(members)]
             if n:
                 yield sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
@@ -153,12 +151,9 @@ def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
 
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
                             fp: FlipParams | None = None,
-                            lists: ListAssignment | None = None,
                             mode: str = "float") -> TransitionMatrix:
     if kind not in ("glauber", "flip"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    if lists is not None and (kind != "flip" or lists.k != k):
-        raise ValueError(f"lists need the flip chain over k={k}")
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     idx = StateIndex(G.m, k)
@@ -179,7 +174,7 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     for s in range(idx.size):
         row: dict[int, int] = {}
         for delta, n in _state_transitions(G, k, kind, idx.decode(s), powers,
-                                           fp, lists, unit, acc):
+                                           fp, unit, acc):
             row[s + delta] = row.get(s + delta, 0) + n
         assert sum(row.values()) == den
         targets = sorted(row)

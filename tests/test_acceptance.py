@@ -28,7 +28,7 @@ from simcol.coupling import (
     glauber_exact_drift,
     sample_adjacent_pairs,
 )
-from simcol.dynamics import FlipParams, ListAssignment
+from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import build_transition_matrix, count_proper, stationary_check
 
@@ -214,9 +214,6 @@ def test_criterion_07_uniform_stationarity_on_tiny_instances():
         kernels = [
             build_transition_matrix(G, k, kind="glauber", mode="rational"),
             build_transition_matrix(G, k, kind="flip", fp=DEFAULT,
-                                    mode="rational"),
-            build_transition_matrix(G, k, kind="flip", fp=DEFAULT,
-                                    lists=ListAssignment.full(G.m, k),
                                     mode="rational"),
         ]
         for P in kernels:

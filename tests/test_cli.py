@@ -156,8 +156,6 @@ class TestCertify:
 class TestOracleAndCount:
     def test_count_shared_edge(self, instance, capsys):
         g = instance("shared.txt", SHARED_EDGE)
-        assert main(["oracle", "--graph", g, "--k", "5", "--count"]) == 0
-        assert capsys.readouterr().out.strip() == "5"
         assert main(["count", "--graph", g, "--k", "5"]) == 0
         assert capsys.readouterr().out.strip() == "5"
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simcol.dynamics import (Coloring, FlipParams, ListAssignment, compute_cluster,
-                             flip_step, glauber_step, greedy_coloring, is_proper,
+from simcol.dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
+                             glauber_step, greedy_coloring, is_proper,
                              run_chain, swap_colors)
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 
@@ -300,38 +300,6 @@ class TestSteps:
                 glauber_step(G, a, ra)
                 flip_step(G, b, FlipParams.glauber(), rb)
                 assert a.assign == b.assign
-
-    def test_list_flip_with_full_lists_matches_flip(self):
-        gp = random_graph_pair(n=8, delta=3, overlap=0.5, seed=4)
-        G = build_union_line_graph(gp)
-        k = 12
-        fp = FlipParams.default()
-        a = greedy_coloring(G, k)
-        b = a.copy()
-        L = ListAssignment.full(G.m, k)
-        ra, rb = random.Random(5), random.Random(5)
-        for _ in range(400):
-            flip_step(G, a, fp, ra)
-            flip_step(G, b, fp, rb, lists=L)
-            assert a.assign == b.assign
-
-    def test_list_flip_respects_lists(self):
-        gp = random_graph_pair(n=8, delta=2, overlap=0.5, seed=3)
-        G = build_union_line_graph(gp)
-        k = 8
-        lists = ListAssignment(tuple(tuple(range(1, 7)) for _ in range(G.m)), k)
-        sigma = greedy_coloring(G, 6)
-        sigma = Coloring(assign=sigma.assign, k=k)
-        rng = random.Random(1)
-        for _ in range(300):
-            flip_step(G, sigma, FlipParams.default(), rng, lists=lists)
-            assert all(sigma.assign[v] in lists.lists[v] for v in range(G.m))
-
-    def test_lists_over_another_k_rejected(self):
-        sigma = Coloring(assign=[1, 2, 1, 2], k=3)
-        with pytest.raises(ValueError):
-            flip_step(PATH4, sigma, FlipParams.default(), random.Random(0),
-                      lists=ListAssignment.full(PATH4.m, 4))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simcol.graphs import (G1, G2, GraphPair, ParseError, build_union_line_graph,
+from simcol.graphs import (GraphPair, ParseError, build_union_line_graph,
                            canonical_edge, random_graph_pair, read_instance,
                            write_instance)
 
@@ -142,7 +142,3 @@ class TestInstanceFormat:
 def test_canonical_edge_orders_endpoints():
     assert canonical_edge(5, 2) == (2, 5)
     assert canonical_edge(2, 5) == (2, 5)
-
-
-def test_source_graph_tags_distinct():
-    assert G1 != G2

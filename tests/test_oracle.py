@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simcol.dynamics import FlipParams, ListAssignment
+from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
                            build_transition_matrix, count_proper,
@@ -115,14 +116,24 @@ class TestTransitionMatrix:
                                      fp=FlipParams.glauber(), mode="rational")
         assert Pg.rows == Pf.rows
 
-    def test_listflip_full_lists_equals_flip(self):
-        gp = pair(4, [(1, 2), (2, 3)], [(2, 3), (3, 4)])
-        G = build_union_line_graph(gp)
-        Pd = build_transition_matrix(G, 4, kind="flip", mode="rational")
-        Pl = build_transition_matrix(G, 4, kind="flip",
-                                     lists=ListAssignment.full(G.m, 4),
-                                     mode="rational")
-        assert Pd.rows == Pl.rows
+    @pytest.mark.parametrize("fp, den, digest", [
+        (FlipParams.default(), 624000,
+         "e92108b459c902e661ddfd4ed0f0240f5e14843e2f820d4f3b0b4ab1d54855dd"),
+        (NONDYADIC, 14784,
+         "41f71a4e78522c95bd18766a6901ea5f53541fb9ec8549ff00a37f0817a507b8"),
+    ], ids=["default", "nondyadic"])
+    def test_flip_kernel_integers_pinned(self, fp, den, digest):
+        # the integer kernel of the flip chain on the weighted 4-edge path
+        # at k = 4, pinned entry by entry: a proposal mapped to the wrong
+        # color or component moves numerators between columns
+        G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
+                                        [(3, 4), (4, 5)]))
+        P = build_transition_matrix(G, 4, kind="flip", fp=fp)
+        h = hashlib.sha256()
+        for part in (P.num.data, P.num.indices, P.num.indptr):
+            h.update(part.astype("<i8").tobytes())
+        assert P.den == den
+        assert h.hexdigest() == digest
 
     def test_float_and_rational_agree(self):
         # every float entry is the correctly rounded rational, no tolerance
