@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _load_graph(path: str) -> GraphPair:
     with open(path, encoding="utf-8") as fh:
         return read_instance(fh.read())
@@ -153,6 +164,8 @@ def cmd_sample(args) -> int:
     payload["accepted"] = stats.accepted
     payload["accepted_by_size"] = {
         str(s): stats.flips_by_size[s] for s in sorted(stats.flips_by_size)}
+    payload["over_locality"] = stats.over_locality
+    payload["rejected"] = stats.rejected
     _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
 
@@ -241,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chain", choices=("glauber", "flip"),
                    default="flip")
     p.add_argument("--fp", help="flip probabilities, one num/den per line")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=_at_least(0), default=0)
     p.add_argument("--start", help="initial coloring JSON (default: greedy)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
@@ -252,7 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--fp")
-    p.add_argument("--pairs", type=int, default=100)
+    p.add_argument("--pairs", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

@@ -459,6 +459,8 @@ def estimate_contraction(G: UnionLineGraph, k: int, fp: FlipParams,
     at most two same-colored neighbors at the disagreement; the others
     are counted in dc_over_2 and reported, not judged.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     rng = random.Random(seed)
     sampled = sample_adjacent_pairs(G, k, fp, pairs, rng)
     records = []

@@ -19,7 +19,12 @@ tests rely on, is exactly: one `randrange(m)` for the vertex, one
 `randrange(k)` for the color, then one `random()` for acceptance drawn
 only when the acceptance probability lies strictly between 0 and 1.  A
 flip chain with probabilities (1, 0, ...) therefore consumes the same
-draw sequence as Glauber and realizes the same walk.
+draw sequence as Glauber and realizes the same walk.  The single-step
+functions `glauber_step` and `flip_step` make exactly these calls.
+`run_chain` draws the same 32-bit words through `getrandbits`: v is
+`getrandbits(m.bit_length())` redrawn while >= m, which is how
+`random.Random.randrange(m)` draws it, and c likewise.  So for
+`random.Random` its stream, walk and final RNG state equal theirs.
 """
 
 from __future__ import annotations
@@ -244,25 +249,87 @@ def greedy_coloring(G: UnionLineGraph, k: int) -> Coloring:
 
 @dataclass
 class ChainStats:
+    """Outcome counts of a run: accepted + over_locality + rejected == steps.
+
+    over_locality counts proposals whose component outgrew the locality
+    (for Glauber, a neighbor held c: a component over locality 1);
+    rejected counts the rest of the null moves, declined by p_s / s.
+    """
+
     steps: int
     accepted: int
     flips_by_size: dict[int, int]
+    over_locality: int
+    rejected: int
 
 
 def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random,
               kind: str = "glauber", fp: FlipParams | None = None) -> ChainStats:
-    """Advance sigma in place for `steps` proposals, tallying acceptances."""
-    if kind == "glauber":
-        step = functools.partial(glauber_step, G, sigma, rng)
-    elif kind == "flip":
+    """Advance sigma in place for `steps` proposals, tallying their outcomes.
+
+    Same walk, tallies and final RNG state as `steps` calls of
+    `glauber_step` / `flip_step`, written as one loop: v and c come from
+    `getrandbits` redrawn while out of range, which is how
+    `random.Random.randrange` draws them, so rng must draw its integers
+    that way (TypeError otherwise).
+    """
+    if kind == "flip":
         if fp is None:
             raise ValueError("flip chain needs flip parameters")
-        step = functools.partial(flip_step, G, sigma, fp, rng)
-    else:
+    elif kind != "glauber":
         raise ValueError(f"unknown chain kind {kind!r}")
-    by_size: dict[int, int] = {}
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow_with_getrandbits:
+        raise TypeError(f"{type(rng).__name__} does not draw integers through getrandbits; "
+                        "run_chain needs random.Random's randrange")
+    m, k = G.m, sigma.k
+    if steps and not m:
+        raise ValueError("no vertex to propose")
+    mbits, kbits = m.bit_length(), k.bit_length()
+    nbrs, assign = G.nbrs, sigma.assign
+    getrandbits = rng.getrandbits
+    if kind == "glauber":
+        accepted = 0
+        for _ in range(steps):
+            v = getrandbits(mbits)
+            while v >= m:
+                v = getrandbits(mbits)
+            c = getrandbits(kbits)
+            while c >= k:
+                c = getrandbits(kbits)
+            c += 1
+            for w in nbrs[v]:
+                if assign[w] == c:
+                    break
+            else:
+                assign[v] = c
+                accepted += 1
+        return ChainStats(steps=steps, accepted=accepted,
+                          flips_by_size={1: accepted} if accepted else {},
+                          over_locality=steps - accepted, rejected=0)
+    locality, cut, uniform = fp.locality, fp.cut, rng.random
+    counts = [0] * (locality + 1)
+    over = rejected = 0
     for _ in range(steps):
-        s = step()
-        if s:
-            by_size[s] = by_size.get(s, 0) + 1
-    return ChainStats(steps=steps, accepted=sum(by_size.values()), flips_by_size=by_size)
+        v = getrandbits(mbits)
+        while v >= m:
+            v = getrandbits(mbits)
+        c = getrandbits(kbits)
+        while c >= k:
+            c = getrandbits(kbits)
+        c += 1
+        members = alternating_component(assign, nbrs, v, c, locality)
+        if members is None:
+            over += 1
+            continue
+        s = len(members)
+        q = cut[s]
+        if q < 0.0 or (q < 1.0 and uniform() > q):
+            rejected += 1
+            continue
+        swap_colors(assign, members, assign[v], c)
+        counts[s] += 1
+    by_size = {s: n for s, n in enumerate(counts) if n}
+    return ChainStats(steps=steps, accepted=sum(counts), flips_by_size=by_size,
+                      over_locality=over, rejected=rejected)

@@ -118,6 +118,25 @@ class TestSample:
         assert code == 1
         assert "greedy" in capsys.readouterr().err
 
+    def test_null_moves_by_reason(self, instance, tmp_path):
+        g = instance("inst.txt", TWO_EDGES)
+        out = tmp_path / "c.json"
+        assert main(["sample", "--graph", g, "--k", "6", "--steps", "300",
+                     "--seed", "4", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["accepted"] + data["over_locality"] + data["rejected"] == 300
+        assert data["rejected"] > 0
+
+    def test_negative_steps_is_usage_error(self, instance, tmp_path, capsys):
+        g = instance("inst.txt", TWO_EDGES)
+        out = tmp_path / "c.json"
+        with pytest.raises(SystemExit) as ei:
+            main(["sample", "--graph", g, "--k", "6", "--steps", "-5",
+                  "--seed", "1", "--out", str(out)])
+        assert ei.value.code == 1
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singleton_flip_matches_glauber_trajectory(self, instance, tmp_path):
         g = instance("inst.txt", TWO_EDGES)
         fp = tmp_path / "fp.txt"
@@ -241,6 +260,13 @@ class TestDrift:
             args += ["--fp", str(fp)]
         assert main(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_zero_pairs_is_usage_error(self, instance, capsys):
+        g = instance("inst.txt", TWO_EDGES)
+        with pytest.raises(SystemExit) as ei:
+            main(["drift", "--graph", g, "--k", "6", "--pairs", "0", "--seed", "2"])
+        assert ei.value.code == 1
+        assert "--pairs" in capsys.readouterr().err
 
     def test_too_few_colors_is_usage_error(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"

@@ -327,6 +327,11 @@ class TestContractionSummary:
                         "bound_num,bound_den,beta,dc_max")
         assert len(rows) == 12
 
+    def test_zero_pairs_rejected(self):
+        G = build_union_line_graph(random_graph_pair(n=9, delta=3, overlap=0.5, seed=8))
+        with pytest.raises(ValueError, match="pairs"):
+            estimate_contraction(G, 18, DEFAULT, pairs=0, seed=4)
+
     def test_bound_margin_positive_above_threshold(self):
         gp = random_graph_pair(n=9, delta=3, overlap=0.5, seed=8)
         G = build_union_line_graph(gp)

@@ -300,6 +300,12 @@ class TestSteps:
                 glauber_step(G, a, ra)
                 flip_step(G, b, FlipParams.glauber(), rb)
                 assert a.assign == b.assign
+            # and run_chain tallies the same outcomes, a blocked Glauber
+            # proposal being a component over locality 1
+            assert (run_chain(G, a, 400, random.Random(5), kind="glauber")
+                    == run_chain(G, b, 400, random.Random(5), kind="flip",
+                                 fp=FlipParams.glauber()))
+            assert a.assign == b.assign
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -323,7 +329,71 @@ class TestRunChain:
                           fp=FlipParams.default())
         assert stats.steps == 500
         assert stats.accepted == sum(stats.flips_by_size.values())
+        assert stats.accepted + stats.over_locality + stats.rejected == 500
+        assert stats.rejected
         assert all(1 <= s <= 6 for s in stats.flips_by_size)
+
+    @pytest.mark.parametrize("kind, fp", [
+        ("glauber", None),
+        ("flip", FlipParams.default()),
+        ("flip", FlipParams((1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))),
+        ("flip", FlipParams((1, 0, Fraction(1, 5)))),
+        ("flip", FlipParams.glauber()),
+    ], ids=["glauber", "flip-default", "flip-nondyadic", "flip-gap", "flip-1"])
+    def test_equals_single_steps(self, kind, fp):
+        # run_chain draws v and c through getrandbits itself; it must make
+        # the walk, tallies and RNG state of one step function per proposal,
+        # also where the rejection draw redraws most (m or k one past a
+        # power of two) or never (powers of two, m = 1, k = 1)
+        over_locality = 0
+        for m in (1, 2, 4, 5, 8, 9, 16, 17):
+            # a path in g1, every third edge shared with g2
+            e1 = [(i, i + 1) for i in range(1, m + 1)]
+            G = line_graph(m + 1, e1, e1[::3])
+            for k in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+                start = Coloring([v % k + 1 for v in range(G.m)], k)
+                a, b = start.copy(), start.copy()
+                ra, rb = random.Random(m * 100 + k), random.Random(m * 100 + k)
+                stats = run_chain(G, a, 200, ra, kind=kind, fp=fp)
+                by_size = {}
+                for _ in range(200):
+                    s = (glauber_step(G, b, rb) if kind == "glauber"
+                         else flip_step(G, b, fp, rb))
+                    if s:
+                        by_size[s] = by_size.get(s, 0) + 1
+                assert a.assign == b.assign, (m, k)
+                assert stats.flips_by_size == by_size, (m, k)
+                assert stats.accepted == sum(by_size.values())
+                assert stats.accepted + stats.over_locality + stats.rejected == 200
+                assert ra.getstate() == rb.getstate(), (m, k)
+                over_locality += stats.over_locality
+        assert over_locality
+
+    def test_rng_must_draw_integers_through_getrandbits(self):
+        class Plain(random.Random):
+            pass
+
+        class OwnUniform(random.Random):
+            def random(self):
+                return super().random()
+
+        a, b = greedy_coloring(PATH4, 3), greedy_coloring(PATH4, 3)
+        assert (run_chain(PATH4, a, 100, Plain(3), kind="flip", fp=FlipParams.default())
+                == run_chain(PATH4, b, 100, random.Random(3), kind="flip",
+                             fp=FlipParams.default()))
+        assert a.assign == b.assign
+        # OwnUniform's randrange draws through random(), off run_chain's stream
+        with pytest.raises(TypeError):
+            run_chain(PATH4, a, 1, OwnUniform(3))
+
+    def test_negative_steps_and_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="steps"):
+            run_chain(PATH4, greedy_coloring(PATH4, 3), -5, random.Random(0))
+        empty = line_graph(2, [])
+        assert run_chain(empty, Coloring([], 3), 0, random.Random(0)).steps == 0
+        # getrandbits(0) is always 0, so a draw below m = 0 would never end
+        with pytest.raises(ValueError, match="vertex"):
+            run_chain(empty, Coloring([], 3), 1, random.Random(0))
 
     @pytest.mark.parametrize("kind, probs, digest, accepted, by_size", [
         ("flip", FlipParams.default().probs,
