@@ -13,11 +13,10 @@ Usage: python3 scripts/contraction_study.py --delta 3 --pairs 60
 
 import argparse
 import math
-import random
 from fractions import Fraction
 
 from simcol.certify import threshold_ratio
-from simcol.coupling import flip_exact_drift, sample_adjacent_pairs
+from simcol.coupling import estimate_contraction
 from simcol.dynamics import FlipParams
 from simcol.graphs import build_union_line_graph, random_graph_pair
 
@@ -48,15 +47,9 @@ def main():
     print(f"{'k':>4} {'k/delta':>8} {'worst drift':>14} {'mean drift':>14} "
           f"{'dc>2':>5}")
     for k in range(kmin, 6 * G.delta + 3):
-        rng = random.Random(seed)
-        pairs = sample_adjacent_pairs(G, k, fp, args.pairs, rng)
-        drifts, skipped = [], 0
-        for pair in pairs:
-            rep = flip_exact_drift(pair, G, k, fp)
-            if rep.dc_max > 2:
-                skipped += 1
-            else:
-                drifts.append(rep.exact_drift)
+        records = estimate_contraction(G, k, fp, args.pairs, seed).records
+        drifts = [r.exact_drift for r in records if r.dc_max <= 2]
+        skipped = len(records) - len(drifts)
         if not drifts:  # every pair has a color at more than two neighbors
             print(f"{k:>4} {k / G.delta:>8.3f} {'-':>14} {'-':>14} {skipped:>5}")
             continue

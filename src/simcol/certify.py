@@ -36,6 +36,8 @@ from .matching import match_color_moves, pick_anchor
 
 SIZE_CAP = 8
 TARGET_RATIO = Fraction(5948, 1000)
+# maximizer shapes listed per branch in certify_report
+MAX_ARGMAX = 8
 
 _BIG_X = "big_x"
 _BIG_Y = "big_y"
@@ -299,7 +301,7 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
     return report
 
 
-def certify_report(fp: FlipParams, max_argmax: int = 8) -> dict:
+def certify_report(fp: FlipParams) -> dict:
     """JSON-ready certification summary; rationals as "num/den" strings."""
     mx = rate_maxima(fp)
     branches = branch_thresholds(fp)
@@ -315,7 +317,7 @@ def certify_report(fp: FlipParams, max_argmax: int = 8) -> dict:
                 "enumerated_max": frac_str(bm.enumerated),
                 "bound_holds": bm.bound_holds,
                 "attained": bm.attained,
-                "argmax": [c.as_dict() for c in bm.maximizers[:max_argmax]],
+                "argmax": [c.as_dict() for c in bm.maximizers[:MAX_ARGMAX]],
                 "argmax_count": len(bm.maximizers),
             }
             for name, bm in mx.items()

@@ -302,6 +302,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "chain", None) == "glauber" and args.fp is not None:
+        # Glauber is the flip chain at p = (1,); a --fp file would go unread
+        parser.error("argument --fp: not allowed with --chain glauber")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -142,20 +142,18 @@ class DriftReport:
     clamp_events: int = 0
 
 
-def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
-                  k: int | None = None) -> dict[Move, int]:
+def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams) -> dict[Move, int]:
     """Exact move distribution of one flip proposal, over m*k*D.
 
     Each proposal of a flippable component adds fp.units.accept[size] to
     its move, so a component of size s totals p_s * D; the complement of
     the total m*k*D is the null mass.  Zero-probability moves are omitted.
     """
-    k = sigma.k if k is None else k
     acc = fp.units.accept
     assign, nbrs, cap = sigma.assign, G.nbrs, fp.locality
     law: dict[Move, int] = {}
     for v in range(G.m):
-        for c in range(1, k + 1):
+        for c in range(1, sigma.k + 1):
             members = alternating_component(assign, nbrs, v, c, cap)
             if members is None:
                 continue
@@ -202,8 +200,8 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         raise ValueError("coupled tables are defined for proper states")
     xstar, ystar = pair.xstar, pair.ystar
     D, P = fp.units.den, fp.units.p
-    law_x = flip_move_law(G, x, fp, k)
-    law_y = flip_move_law(G, y, fp, k)
+    law_x = flip_move_law(G, x, fp)
+    law_y = flip_move_law(G, y, fp)
 
     rows: list[tuple] = []
     alphas: dict[int, tuple[int, int, int]] = {}

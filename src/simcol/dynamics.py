@@ -1,11 +1,11 @@
 """Colorings of the union line graph and the chains that move them.
 
-Two chains, both driven by uniform proposals (vertex v, color c):
-
-* Glauber: recolor v to c iff no neighbor holds it.
-* Flip: swap v's color and c on the two-colored component through v
-  with probability p_s / s, s the component size; components larger
-  than the locality never move.
+The flip chain draws uniform proposals (vertex v, color c) and swaps
+v's color and c on the two-colored component through v with probability
+p_s / s, s the component size; components past the locality never move.
+Glauber (recolor v to c iff no neighbor holds it) is the flip chain at
+p = (1,): proposing v's own color is an accepted size-1 null flip in
+both, also where a neighbor holds it (on improper states).
 
 The flip rule is written once, as `alternating_component` capped at the
 locality plus the acceptance tables of `FlipParams`; the sampler, the
@@ -20,11 +20,12 @@ tests rely on, is exactly: one `randrange(m)` for the vertex, one
 only when the acceptance probability lies strictly between 0 and 1.  A
 flip chain with probabilities (1, 0, ...) therefore consumes the same
 draw sequence as Glauber and realizes the same walk.  The single-step
-functions `glauber_step` and `flip_step` make exactly these calls.
-`run_chain` draws the same 32-bit words through `getrandbits`: v is
-`getrandbits(m.bit_length())` redrawn while >= m, which is how
-`random.Random.randrange(m)` draws it, and c likewise.  So for
-`random.Random` its stream, walk and final RNG state equal theirs.
+functions `glauber_step` (Glauber written on its own, as a reference)
+and `flip_step` make exactly these calls.  `run_chain` draws the same
+32-bit words through `getrandbits`: v is `getrandbits(m.bit_length())`
+redrawn while >= m, which is how `random.Random.randrange(m)` draws it,
+and c likewise.  So for `random.Random` its stream, walk and final RNG
+state equal theirs.
 """
 
 from __future__ import annotations
@@ -195,13 +196,12 @@ def swap_colors(assign: list[int], members, a: int, b: int) -> None:
 
 
 def glauber_step(G: UnionLineGraph, sigma: Coloring, rng: random.Random) -> int:
-    """One proposal; returns 1 if the recoloring was applied, else 0."""
+    """One proposal; returns 1 if v now holds c (its own color counts), else 0."""
     v = rng.randrange(G.m)
     c = rng.randrange(sigma.k) + 1
     assign = sigma.assign
-    for w in G.nbrs[v]:
-        if assign[w] == c:
-            return 0
+    if assign[v] != c and any(assign[w] == c for w in G.nbrs[v]):
+        return 0
     assign[v] = c
     return 1
 
@@ -252,8 +252,10 @@ class ChainStats:
     """Outcome counts of a run: accepted + over_locality + rejected == steps.
 
     over_locality counts proposals whose component outgrew the locality
-    (for Glauber, a neighbor held c: a component over locality 1);
-    rejected counts the rest of the null moves, declined by p_s / s.
+    (for Glauber, locality 1: a neighbor held c and v did not); rejected
+    counts the rest of the null moves, declined by p_s / s.  A proposal
+    of v's own color is an accepted size-1 flip that changes nothing,
+    in either chain, even where a neighbor also holds that color.
     """
 
     steps: int
@@ -267,17 +269,19 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
               kind: str = "glauber", fp: FlipParams | None = None) -> ChainStats:
     """Advance sigma in place for `steps` proposals, tallying their outcomes.
 
-    Same walk, tallies and final RNG state as `steps` calls of
-    `glauber_step` / `flip_step`, written as one loop: v and c come from
-    `getrandbits` redrawn while out of range, which is how
-    `random.Random.randrange` draws them, so rng must draw its integers
-    that way (TypeError otherwise).
+    kind "glauber" runs the flip chain at `FlipParams.glauber()`, p = (1,);
+    kind "flip" runs it at fp.  Same walk, tallies and final RNG state as
+    `steps` calls of `flip_step` (or `glauber_step`), written as one loop:
+    v and c come from `getrandbits` redrawn while out of range, which is
+    how `random.Random.randrange` draws them, so rng must draw its
+    integers that way (TypeError otherwise).
     """
-    if kind == "flip":
-        if fp is None:
-            raise ValueError("flip chain needs flip parameters")
-    elif kind != "glauber":
+    if kind == "glauber":
+        fp = FlipParams.glauber()
+    elif kind != "flip":
         raise ValueError(f"unknown chain kind {kind!r}")
+    elif fp is None:
+        raise ValueError("flip chain needs flip parameters")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow_with_getrandbits:
@@ -288,29 +292,10 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
         raise ValueError("no vertex to propose")
     mbits, kbits = m.bit_length(), k.bit_length()
     nbrs, assign = G.nbrs, sigma.assign
-    getrandbits = rng.getrandbits
-    if kind == "glauber":
-        accepted = 0
-        for _ in range(steps):
-            v = getrandbits(mbits)
-            while v >= m:
-                v = getrandbits(mbits)
-            c = getrandbits(kbits)
-            while c >= k:
-                c = getrandbits(kbits)
-            c += 1
-            for w in nbrs[v]:
-                if assign[w] == c:
-                    break
-            else:
-                assign[v] = c
-                accepted += 1
-        return ChainStats(steps=steps, accepted=accepted,
-                          flips_by_size={1: accepted} if accepted else {},
-                          over_locality=steps - accepted, rejected=0)
-    locality, cut, uniform = fp.locality, fp.cut, rng.random
+    getrandbits, uniform = rng.getrandbits, rng.random
+    locality, cut = fp.locality, fp.cut
     counts = [0] * (locality + 1)
-    over = rejected = 0
+    free = rejected = 0
     for _ in range(steps):
         v = getrandbits(mbits)
         while v >= m:
@@ -319,9 +304,21 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
         while c >= k:
             c = getrandbits(kbits)
         c += 1
+        for w in nbrs[v]:
+            if assign[w] == c:
+                break
+        else:
+            # no neighbor holds c, so the component is {v}; p_1 = 1 (a
+            # FlipParams invariant) accepts it without a uniform draw
+            assign[v] = c
+            free += 1
+            continue
+        if locality == 1 and assign[v] != c:
+            # the neighbor holding c joins v's component, which is then
+            # past locality 1 whatever else it would grow into
+            continue
         members = alternating_component(assign, nbrs, v, c, locality)
         if members is None:
-            over += 1
             continue
         s = len(members)
         q = cut[s]
@@ -330,6 +327,9 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
             continue
         swap_colors(assign, members, assign[v], c)
         counts[s] += 1
-    by_size = {s: n for s, n in enumerate(counts) if n}
-    return ChainStats(steps=steps, accepted=sum(counts), flips_by_size=by_size,
-                      over_locality=over, rejected=rejected)
+    counts[1] += free
+    accepted = sum(counts)
+    # every proposal not accepted or rejected ended over the locality
+    return ChainStats(steps=steps, accepted=accepted,
+                      flips_by_size={s: n for s, n in enumerate(counts) if n},
+                      over_locality=steps - accepted - rejected, rejected=rejected)

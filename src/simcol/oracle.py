@@ -33,6 +33,8 @@ FLOAT_STATE_CAP = 2 * 10 ** 4
 RATIONAL_STATE_CAP = 1300
 # a float sweep holds a few dense proper-by-proper arrays: 230 MB at 2744
 TMIX_STATE_CAP = 3 * 10 ** 3
+# the longest mixing sweep, in steps of the chain
+TMIX_MAX_STEPS = 10 ** 5
 
 
 class CapExceeded(Exception):
@@ -280,8 +282,7 @@ def _columns(Q: sp.csr_matrix):
             for lo, hi in zip(ptr, ptr[1:])]
 
 
-def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
-                   max_steps: int = 10 ** 5):
+def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     """Least t with worst-start total variation (from proper starts) <= eps.
 
     Returns (tmix, curve) with curve = [[t, distance], ...] starting at
@@ -294,7 +295,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
-    runs all max_steps before it raises CapExceeded.
+    runs all TMIX_MAX_STEPS before it raises CapExceeded.
     """
     proper_states, Q = _proper_block(P)
     n = len(proper_states)
@@ -310,7 +311,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
         N = np.identity(n, dtype=object)
         scale = 1  # den**t
         prev = None
-        for t in range(max_steps + 1):
+        for t in range(TMIX_MAX_STEPS + 1):
             d = max(np.abs(row * n - scale).sum() for row in N)  # over 2 n scale
             curve.append([t, d / (2 * n * scale)])
             assert prev is None or d <= prev * P.den
@@ -323,7 +324,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
         QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
         dt = np.eye(n)
         prev = None
-        for t in range(max_steps + 1):
+        for t in range(TMIX_MAX_STEPS + 1):
             d = float(0.5 * np.abs(dt - 1.0 / n).sum(axis=0).max())
             curve.append([t, d])
             assert prev is None or d <= prev + 1e-12
@@ -331,7 +332,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25,
             if d <= eps:
                 return t, curve
             dt = QT.dot(dt)
-    raise CapExceeded(f"no mixing within {max_steps} steps")
+    raise CapExceeded(f"no mixing within {TMIX_MAX_STEPS} steps")
 
 
 def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",

@@ -149,6 +149,37 @@ class TestSample:
             outs.append(json.loads(out.read_text())["colors"])
         assert outs[0] == outs[1]
 
+    def test_glauber_output_equals_flip_1_from_improper_start(self, instance, tmp_path):
+        # both edges hold the one color; proposing an edge its own color
+        # is an accepted size-1 flip in both chains, clash or not
+        g = instance("inst.txt", TWO_EDGES)
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"k": 1, "colors": [
+            {"u": 1, "v": 2, "color": 1}, {"u": 2, "v": 3, "color": 1}]}))
+        fp = instance("fp.txt", "1\n")
+        outs = []
+        for chain, extra in (("glauber", []), ("flip", ["--fp", fp])):
+            out = tmp_path / f"{chain}.json"
+            assert main(["sample", "--graph", g, "--k", "1", "--chain", chain,
+                         "--steps", "40", "--seed", "5", "--start", str(start),
+                         "--out", str(out)] + extra) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        data = json.loads(outs[0])
+        assert (data["accepted"], data["over_locality"], data["rejected"]) == (40, 0, 0)
+
+    def test_fp_with_glauber_is_usage_error(self, instance, tmp_path, capsys):
+        g = instance("inst.txt", TWO_EDGES)
+        fp = instance("fp.txt", "1\n1/2\n")
+        out = tmp_path / "c.json"
+        with pytest.raises(SystemExit) as ei:
+            main(["sample", "--graph", g, "--k", "6", "--chain", "glauber",
+                  "--fp", fp, "--steps", "10", "--seed", "1", "--out", str(out)])
+        assert ei.value.code == 1
+        err = capsys.readouterr().err
+        assert "--fp" in err and "--chain glauber" in err
+        assert not out.exists()
+
 
 class TestCertify:
     def test_default_parameters_pass(self, tmp_path):
@@ -186,6 +217,17 @@ class TestOracleAndCount:
         rep = json.loads(out.read_text())
         assert set(rep) == {"count", "uniform_ok", "tv_curve", "tmix"}
         assert rep["count"] == 6 and rep["tmix"] == 6
+
+    def test_fp_with_glauber_is_usage_error(self, instance, tmp_path, capsys):
+        g = instance("two.txt", TWO_EDGES)
+        fp = instance("fp.txt", "1\n1/2\n")
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as ei:
+            main(["oracle", "--graph", g, "--k", "3", "--fp", fp, "--out", str(out)])
+        assert ei.value.code == 1
+        err = capsys.readouterr().err
+        assert "--fp" in err and "--chain glauber" in err
+        assert not out.exists()
 
     def test_reducible_chain_exits_bound_without_mixing_sweep(self, tmp_path):
         # the single-site chain is frozen on this instance's g1 triangle at

@@ -369,6 +369,19 @@ class TestRunChain:
                 over_locality += stats.over_locality
         assert over_locality
 
+    def test_glauber_tallies_as_flip_1_from_improper_start(self):
+        # at k = 1 every proposal is v's own color with the neighbor
+        # holding it too: an accepted size-1 null flip in both chains
+        G = line_graph(3, [(1, 2), (2, 3)])
+        a, b = Coloring([1, 1], 1), Coloring([1, 1], 1)
+        glauber = run_chain(G, a, 1000, random.Random(3), kind="glauber")
+        flip_1 = run_chain(G, b, 1000, random.Random(3), kind="flip",
+                           fp=FlipParams.glauber())
+        assert glauber == flip_1
+        assert glauber.flips_by_size == {1: 1000} and glauber.over_locality == 0
+        assert a.assign == b.assign == [1, 1]
+        assert glauber_step(G, a, random.Random(3)) == 1
+
     def test_rng_must_draw_integers_through_getrandbits(self):
         class Plain(random.Random):
             pass
