@@ -4,16 +4,17 @@ Everything here is abstract: no graph instances, only the shape of a
 disagreement neighborhood for one color (how many neighbors carry the
 color, their weights, and the sizes of the alternating components hanging
 off them).  For each shape the expected weighted-Hamming change of one
-coupled step is evaluated two independent ways, through the same greedy
-mass matching the concrete coupling tables use and through closed-form
-expressions, and the two must agree.  Exhaustive enumeration of shapes
+coupled step is evaluated two independent ways: by `match_color_moves`,
+handed sizes and weights as the concrete coupling tables hand them, and
+by closed-form expressions that pick their own anchors; the two must
+agree.  Exhaustive enumeration of shapes
 then yields the per-branch maxima that assemble into the k/Delta
 threshold ratio certifying contraction.
 
 Both evaluations run in the schedule's integer unit: with D =
-`FlipParams.units.den`, every flip mass is the integer p_s * D, and
-every shape value is num / (color_weight * D) with an integer num.  The
-dual check compares two integers, shapes are ranked by
+`FlipParams.units.den`, every flip mass is the integer p_s * D (0 past
+the locality), and every shape value is num / (color_weight * D) with an
+integer num.  The dual check compares two integers, shapes are ranked by
 cross-multiplication, and a Fraction is built only for what the report
 exposes (a branch maximum, a single color_rate value).
 
@@ -95,32 +96,21 @@ class ClusterConfig:
         }
 
 
-def _shape_units(fp: FlipParams) -> FlipUnits:
-    """fp.units with p padded by 0 up to the largest size a shape has.
-
-    That is v* plus four branches at SIZE_CAP, read at call time.
-    """
-    units = fp.units
-    return units._replace(p=units.p + (0,) * (2 + 4 * SIZE_CAP - len(units.p)))
-
-
 def _matcher_rate(cfg: ClusterConfig, units: FlipUnits) -> tuple[int, int]:
     """Evaluate the shape through the coupling's own mass matching.
 
     Returns (numerator over color_weight * D, clamp count).
     """
     d = cfg.d
-    P = units.p
     t_ids = [("t", i) for i in range(d)]
     u_ids = [("u", i) for i in range(d)]
-    mass = {_BIG_X: P[1 + sum(cfg.x_branch_sizes)],
-            _BIG_Y: P[1 + sum(cfg.y_branch_sizes)]}
+    size = {_BIG_X: 1 + sum(cfg.x_branch_sizes),
+            _BIG_Y: 1 + sum(cfg.y_branch_sizes)}
     for i in range(d):
-        mass[t_ids[i]] = P[cfg.y_branch_sizes[i]]
-        mass[u_ids[i]] = P[cfg.x_branch_sizes[i]]
-    m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)
-    m_b = pick_anchor(cfg.y_branch_sizes, cfg.neighbor_weights)
-    pairs, clamped = match_color_moves(_BIG_X, _BIG_Y, t_ids, u_ids, mass, m_a, m_b)
+        size[t_ids[i]] = cfg.y_branch_sizes[i]
+        size[u_ids[i]] = cfg.x_branch_sizes[i]
+    pairs, clamped = match_color_moves(_BIG_X, _BIG_Y, t_ids, u_ids, size,
+                                       cfg.neighbor_weights, units)
 
     uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
     tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
@@ -147,17 +137,17 @@ def _matcher_rate(cfg: ClusterConfig, units: FlipUnits) -> tuple[int, int]:
 def _closed_form_rate(cfg: ClusterConfig, units: FlipUnits) -> int:
     """The same numerator from the per-neighbor leftover expressions."""
     d = cfg.d
-    P = units.p
-    big_a = P[1 + sum(cfg.x_branch_sizes)]
-    big_b = P[1 + sum(cfg.y_branch_sizes)]
+    mass = units.mass
+    big_a = mass(1 + sum(cfg.x_branch_sizes))
+    big_b = mass(1 + sum(cfg.y_branch_sizes))
     uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
     tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
     m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)
     m_b = pick_anchor(cfg.y_branch_sizes, cfg.neighbor_weights)
     total = big_a * (sum(uw) - uw[m_a]) + big_b * (sum(tw) - tw[m_b])
     for i in range(d):
-        q = P[cfg.x_branch_sizes[i]] - (big_a if i == m_a else 0)
-        qp = P[cfg.y_branch_sizes[i]] - (big_b if i == m_b else 0)
+        q = mass(cfg.x_branch_sizes[i]) - (big_a if i == m_a else 0)
+        qp = mass(cfg.y_branch_sizes[i]) - (big_b if i == m_b else 0)
         total += (max(q, qp) * cfg.neighbor_weights[i]
                   + 2 * q * (cfg.x_branch_sizes[i] - 1)
                   + 2 * qp * (cfg.y_branch_sizes[i] - 1))
@@ -172,10 +162,10 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams,
     form whenever no clamping occurred (with clamping the closed form's
     leftover expressions go negative and only the matching is meaningful).
     Returns the exact Fraction.  A caller pricing many shapes passes
-    units = _shape_units(fp) once and gets instead the integer numerator
-    over cfg.color_weight * units.den, so no Fraction is made per shape.
+    units = fp.units and gets instead the integer numerator over
+    cfg.color_weight * units.den, so no Fraction is made per shape.
     """
-    scale = _shape_units(fp) if units is None else units
+    scale = fp.units if units is None else units
     value, clamped = _matcher_rate(cfg, scale)
     if clamped == 0:
         check = _closed_form_rate(cfg, scale)
@@ -238,7 +228,7 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     if fp.locality > 6:
         raise ValueError(f"size cap {SIZE_CAP} is tuned to 6-local chains")
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
-    units = _shape_units(fp)
+    units = fp.units
     return {
         "dc1": _enumerate_branch(fp, units, wstar=1, d=1,
                                  lemma_value=p1 + p2 - 2 * p3),

@@ -5,8 +5,9 @@ randomized command takes an explicit --seed and produces byte-identical
 output for identical arguments.
 
 Exit codes: 0 success (and, where applicable, all asserted bounds
-hold), 1 usage, 2 input file parse failure, 3 a certified bound or
-target is violated, 4 a desk-scale cap was exceeded.
+hold), 1 usage or arguments a command cannot run on, 2 input file parse
+failure, 3 a certified bound or target is violated, 4 a desk-scale cap
+was exceeded.
 """
 
 from __future__ import annotations
@@ -174,11 +175,7 @@ def cmd_drift(args) -> int:
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     fp = _load_fp(args.fp)
-    try:
-        summary = estimate_contraction(G, args.k, fp, args.pairs, args.seed)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    summary = estimate_contraction(G, args.k, fp, args.pairs, args.seed)
     if args.format == "csv":
         _emit(records_to_csv(summary.records), args.out)
     else:
@@ -310,6 +307,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except ValueError as exc:
+        # arguments the command cannot run on: too few colors, an instance
+        # with no edges, a schedule past the certifier's size cap
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

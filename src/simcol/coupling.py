@@ -6,15 +6,16 @@ passed through a transposition of the two disagreement colors when the
 vertex neighbors the disagreement.  The component-swap chain couples
 through an explicit table: per proposed color, the components that behave
 differently in the two chains are paired up mass-for-mass by the greedy
-matching in `matching`, components the chains agree on ride together
-unchanged, and the leftover proposal mass is jointly null.
+matching in `matching`, which prices them from their sizes; components
+the chains agree on ride together unchanged, and the leftover proposal
+mass is jointly null.
 
 Everything downstream of a table is exact.  Move laws, entry masses,
 the marginal ledger and the per-color drift shares are integer
-numerators over m*k*D, D = `FlipParams.units.den`; Fractions are built
-only for what a report exposes, and the one-step expected change of the
-weighted disagreement metric is compared against the certified
-threshold without tolerance.
+numerators over m*k*D, D = `FlipParams.units.den` (the single-site
+drift's over m*k); Fractions are built only for what a report exposes,
+and the one-step expected change of the weighted disagreement metric is
+compared against the certified threshold without tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .dynamics import (Coloring, FlipParams, alternating_component,
                        compute_cluster, flip_step, greedy_coloring, is_proper,
                        swap_colors)
 from .graphs import UnionLineGraph
-from .matching import match_color_moves, pick_anchor
+from .matching import match_color_moves
 
 
 def weighted_hamming(x: Coloring, y: Coloring, G: UnionLineGraph) -> int:
@@ -199,7 +200,7 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
     if not is_proper(G, x) or not is_proper(G, y):
         raise ValueError("coupled tables are defined for proper states")
     xstar, ystar = pair.xstar, pair.ystar
-    D, P = fp.units.den, fp.units.p
+    D = fp.units.den
     law_x = flip_move_law(G, x, fp)
     law_y = flip_move_law(G, y, fp)
 
@@ -242,13 +243,10 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         assert big_x.members == frozenset((vs,)).union(*(u.members for u in u_moves))
         assert big_y.members == frozenset((vs,)).union(*(t.members for t in t_moves))
 
-        mass_map = {mv: P[mv.size] if mv.size < len(P) else 0
-                    for mv in (big_x, big_y, *t_moves, *u_moves)}
         weights = [G.weight[w] for w in nbrs_c]
-        m_a = pick_anchor([u.size for u in u_moves], weights)
-        m_b = pick_anchor([t.size for t in t_moves], weights)
+        size = {mv: mv.size for mv in (big_x, big_y, *t_moves, *u_moves)}
         matched, clamped = match_color_moves(big_x, big_y, t_moves, u_moves,
-                                             mass_map, m_a, m_b)
+                                             size, weights, fp.units)
         clamp_events += clamped
         alpha = 0
         for p in matched:
@@ -366,23 +364,22 @@ def glauber_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int) -> DriftR
     xstar, ystar = pair.xstar, pair.ystar
     mk = G.m * k
     nbr_colors = {pair.x.assign[w] for w in G.nbrs[vs]}
-    per_color: dict[int, ColorTerm] = {}
-    dc_max = 0
+    alphas: dict[int, tuple[int, int, int]] = {}
     for c in range(1, k + 1):
-        alpha = Fraction(0)
+        alpha = 0  # over m*k
         nbrs_c = [w for w in G.nbrs[vs] if pair.x.assign[w] == c]
-        dc_max = max(dc_max, len(nbrs_c))
         if c not in nbr_colors:
-            alpha += Fraction(-G.weight[vs], mk)
+            alpha -= G.weight[vs]
         if c == ystar:
             for w in G.nbrs[vs]:
                 others = {pair.x.assign[u] for u in G.nbrs[w] if u != vs}
                 if ystar not in others or xstar not in others:
-                    alpha += Fraction(G.weight[w], mk)
-        per_color[c] = ColorTerm(alpha=alpha,
-                                 weight=sum(G.weight[w] for w in nbrs_c),
-                                 dc=len(nbrs_c))
-    drift = sum((t.alpha for t in per_color.values()), Fraction(0))
+                    alpha += G.weight[w]
+        alphas[c] = (alpha, sum(G.weight[w] for w in nbrs_c), len(nbrs_c))
+    drift = Fraction(sum(a for a, _, _ in alphas.values()), mk)
+    per_color = {c: ColorTerm(alpha=Fraction(a, mk), weight=w, dc=dc)
+                 for c, (a, w, dc) in alphas.items()}
+    dc_max = max(dc for _, _, dc in alphas.values())
     wstar = G.weight[vs]
     deg = len(G.nbrs[vs])
     bound = Fraction(-wstar * (k - deg) + sum(G.weight[w] for w in G.nbrs[vs]), mk)
@@ -421,7 +418,7 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
             pairs.append(AdjacentPair(x=sigma.copy(), y=y, vstar=v))
             break
         else:
-            raise RuntimeError("no proper single-vertex perturbation exists")
+            raise ValueError("no proper single-vertex perturbation exists")
     return pairs
 
 

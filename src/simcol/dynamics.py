@@ -68,6 +68,10 @@ class FlipUnits(NamedTuple):
     p: tuple[int, ...]
     accept: tuple[int, ...]
 
+    def mass(self, size: int) -> int:
+        """p[size], and 0 for a size past the locality."""
+        return self.p[size] if size < len(self.p) else 0
+
 
 @dataclass(frozen=True)
 class FlipParams:
@@ -132,7 +136,10 @@ class FlipParams:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            probs.append(Fraction(line))
+            try:
+                probs.append(Fraction(line))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {line!r}") from None
         return cls(tuple(probs))
 
 

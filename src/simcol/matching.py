@@ -9,15 +9,16 @@ probability mass so that each side's marginal stays intact.
 The pairing implemented here, in order, with every amount capped by the
 mass still unspent on both participants:
 
-1. the big X component rides with the designated largest Y branch,
-2. the big Y component rides with the designated largest X branch,
+1. the big X component rides with the Y branch `pick_anchor` picks
+   from the Y branch sizes,
+2. the big Y component rides with the mirror-image X branch,
 3. the two branches at each neighbor ride together,
 4. leftover branch mass is cross-paired in increasing neighbor order,
 5. anything left moves alone.
 
-Masses are integers in the schedule's unit (`FlipParams.units.p`: the
-per-component flip mass times m*k*D), from the coupling and the
-certifier alike, so min and subtraction stay exact.
+The coupling and the certifier hand over component sizes and neighbor
+weights; each mass is the integer `FlipUnits.mass(size)` (the flip
+mass times m*k*D), so min and subtraction stay exact.
 Branches of distinct neighbors may be one and the same component (the
 ids then repeat); the shared ledger makes the pairing well defined in
 that case too.  `clamped` counts big components whose designated
@@ -39,14 +40,6 @@ class MatchedPair:
     mass: int
 
 
-def _ordered_distinct(ids) -> list:
-    out = []
-    for i in ids:
-        if i not in out:
-            out.append(i)
-    return out
-
-
 def pick_anchor(sizes, weights) -> int:
     """Index of the branch that absorbs the opposing big component.
 
@@ -55,20 +48,23 @@ def pick_anchor(sizes, weights) -> int:
     at the heavier of two equal-size branches is what keeps the leftover
     single flips light, and the certified per-branch maxima assume it.
     """
-    return max(range(len(sizes)), key=lambda i: (sizes[i], weights[i], -i))
+    pairs = list(zip(sizes, weights))
+    return pairs.index(max(pairs))  # the first of the largest pairs
 
 
-def match_color_moves(big_x, big_y, x_ids, y_ids, mass: dict, m_a: int, m_b: int):
+def match_color_moves(big_x, big_y, x_ids, y_ids, size: dict, weights, units):
     """Pair the differing component flips for one color.
 
     big_x/big_y: ids of the through-v* components; x_ids/y_ids: branch ids
-    per neighbor index; mass: initial integer mass per id; m_a: neighbor
-    index whose Y branch absorbs big_x; m_b: mirror for big_y.
+    per neighbor index; size: component size per id; weights: neighbor
+    weight per index; units: the schedule's `FlipUnits`.
     Returns (pairs, clamped).
     """
     if len(x_ids) != len(y_ids) or not x_ids:
         raise ValueError("need one branch id per neighbor on both sides")
-    rem = {i: mass[i] for i in {big_x, big_y, *x_ids, *y_ids}}
+    rem = {i: units.mass(size[i]) for i in {big_x, big_y, *x_ids, *y_ids}}
+    m_a = pick_anchor([size[i] for i in y_ids], weights)
+    m_b = pick_anchor([size[i] for i in x_ids], weights)
     pairs: list[MatchedPair] = []
 
     def emit(x, y, amount) -> None:
@@ -94,8 +90,8 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, mass: dict, m_a: int, m_b: int
     for xi, yi in zip(x_ids, y_ids):
         emit(xi, yi, min(rem[xi], rem[yi]))
 
-    xs = [i for i in _ordered_distinct(x_ids) if rem[i] > 0]
-    ys = [i for i in _ordered_distinct(y_ids) if rem[i] > 0]
+    xs = [i for i in dict.fromkeys(x_ids) if rem[i] > 0]
+    ys = [i for i in dict.fromkeys(y_ids) if rem[i] > 0]
     a = b = 0
     while a < len(xs) and b < len(ys):
         emit(xs[a], ys[b], min(rem[xs[a]], rem[ys[b]]))
@@ -104,9 +100,9 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, mass: dict, m_a: int, m_b: int
         if rem[ys[b]] == 0:
             b += 1
 
-    for i in _ordered_distinct([big_x, *x_ids]):
+    for i in dict.fromkeys((big_x, *x_ids)):
         emit(i, None, rem[i])
-    for i in _ordered_distinct([big_y, *y_ids]):
+    for i in dict.fromkeys((big_y, *y_ids)):
         emit(None, i, rem[i])
 
     assert all(v == 0 for v in rem.values())

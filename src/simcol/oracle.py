@@ -2,7 +2,8 @@
 
 Proper colorings are counted by backtracking; chains become explicit
 transition matrices over the full product state space (all assignments,
-proper or not).  Each is built once as integers: an int64 sparse matrix
+proper or not), through the flip rule of `dynamics`: Glauber's kernel
+is the flip chain's at p = (1,).  Each is built once as integers: an int64 sparse matrix
 of numerators over one row denominator.  It has two views, a
 double-precision sparse matrix (each entry correctly rounded) and exact
 rationals; the mode picks which one a caller reads.  On top of the
@@ -123,22 +124,17 @@ class TransitionMatrix:
         return self.index.size
 
 
-def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
-                       powers, fp: FlipParams | None, unit: int, acc):
-    """Yield (target_state_delta, numerator) per proposal, each worth `unit`.
+def _state_transitions(G: UnionLineGraph, k: int, assign, powers,
+                       fp: FlipParams):
+    """Yield (target_state_delta, numerator) per proposal, over fp.units.den.
 
-    For the flip chain unit and acc come from `FlipParams.units`: acc[s]
-    is the acceptance p_s / s in the same units.
+    Each proposal is worth D = fp.units.den; a flippable component of
+    size s moves with accept[s] = (p_s / s) * D of it.
     """
+    unit, _, acc = fp.units
     for v in range(G.m):
         a = assign[v]
         for c in range(1, k + 1):
-            if kind == "glauber":
-                if all(assign[w] != c for w in G.nbrs[v]):
-                    yield (c - a) * powers[v], unit
-                else:
-                    yield 0, unit
-                continue
             members = alternating_component(assign, G.nbrs, v, c, fp.locality)
             if members is None:
                 yield 0, unit
@@ -154,20 +150,21 @@ def _state_transitions(G: UnionLineGraph, k: int, kind: str, assign,
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
                             fp: FlipParams | None = None,
                             mode: str = "float") -> TransitionMatrix:
-    if kind not in ("glauber", "flip"):
+    if kind == "glauber":
+        fp = FlipParams.glauber()
+    elif kind != "flip":
         raise ValueError(f"unknown chain kind {kind!r}")
+    elif fp is None:
+        fp = FlipParams.default()
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not G.m:
+        raise ValueError("no vertex to propose")
     idx = StateIndex(G.m, k)
     cap = RATIONAL_STATE_CAP if mode == "rational" else FLOAT_STATE_CAP
     if idx.size > cap:
         raise CapExceeded(f"{idx.size} states exceed the {mode} cap {cap}")
-    if kind == "flip" and fp is None:
-        fp = FlipParams.default()
-    unit, acc = 1, None
-    if kind == "flip":
-        unit, _, acc = fp.units
-    den = G.m * k * unit
+    den = G.m * k * fp.units.den
     if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
         raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
     powers = [k ** v for v in range(G.m)]
@@ -175,8 +172,7 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     indptr, indices, data = [0], [], []
     for s in range(idx.size):
         row: dict[int, int] = {}
-        for delta, n in _state_transitions(G, k, kind, idx.decode(s), powers,
-                                           fp, unit, acc):
+        for delta, n in _state_transitions(G, k, idx.decode(s), powers, fp):
             row[s + delta] = row.get(s + delta, 0) + n
         assert sum(row.values()) == den
         targets = sorted(row)

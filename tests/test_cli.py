@@ -8,6 +8,12 @@ from simcol.graphs import read_instance
 
 SHARED_EDGE = "simcol 1\nn 2\ng1 1\n1 2\ng2 1\n1 2\n"
 TWO_EDGES = "simcol 1\nn 3\ng1 2\n1 2\n2 3\ng2 0\n"
+NO_EDGES = "simcol 1\nn 3\ng1 0\ng2 0\n"
+
+
+def one_error_line(err: str) -> bool:
+    lines = err.strip().split("\n")
+    return len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.fixture
@@ -181,6 +187,20 @@ class TestSample:
         assert not out.exists()
 
 
+    def test_no_edges_is_usage_error(self, instance, capsys):
+        g = instance("empty.txt", NO_EDGES)
+        assert main(["sample", "--graph", g, "--k", "3", "--steps", "5",
+                     "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err)
+
+    def test_no_edges_zero_steps_emits_empty_coloring(self, instance, capsys):
+        g = instance("empty.txt", NO_EDGES)
+        assert main(["sample", "--graph", g, "--k", "3", "--steps", "0",
+                     "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["colors"] == []
+
+
 class TestCertify:
     def test_default_parameters_pass(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -201,6 +221,29 @@ class TestCertify:
     def test_malformed_fp_file_is_parse_error(self, instance):
         fp = instance("fp.txt", "1/1\nnonsense\n")
         assert main(["certify", "--fp", fp]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["certify"],
+        ["drift", "--k", "6", "--seed", "1"],
+        ["sample", "--k", "6", "--seed", "1"],
+        ["oracle", "--k", "3", "--chain", "flip"],
+    ], ids=lambda c: c[0])
+    def test_zero_denominator_fp_is_parse_error(self, instance, capsys, command):
+        fp = instance("fp.txt", "1\n1/0\n")
+        if command[0] != "certify":
+            command = command + ["--graph", instance("two.txt", TWO_EDGES)]
+        assert main(command + ["--fp", fp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "'1/0'" in err
+        assert len(err.strip().split("\n")) == 1
+
+    def test_schedule_past_size_cap_is_usage_error(self, instance, tmp_path, capsys):
+        fp = instance("fp.txt", "1\n1/2\n1/3\n1/4\n1/5\n1/6\n1/7\n")
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--fp", fp, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert one_error_line(err) and "size cap" in err
+        assert not out.exists()
 
 
 class TestOracleAndCount:
@@ -240,6 +283,18 @@ class TestOracleAndCount:
                      "--out", str(out)]) == 3
         rep = json.loads(out.read_text())
         assert rep == {"count": 12, "uniform_ok": False, "tv_curve": [], "tmix": None}
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_oracle_on_no_edges_is_usage_error(self, instance, capsys, mode):
+        g = instance("empty.txt", NO_EDGES)
+        assert main(["oracle", "--graph", g, "--k", "3", "--mode", mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err)
+
+    def test_count_on_no_edges_is_one(self, instance, capsys):
+        g = instance("empty.txt", NO_EDGES)
+        assert main(["count", "--graph", g, "--k", "3"]) == 0
+        assert capsys.readouterr().out == "1\n"
 
     def test_cap_exit_code(self, instance, tmp_path):
         code = main(["gen", "--n", "10", "--delta", "3", "--seed", "1",
@@ -309,6 +364,13 @@ class TestDrift:
             main(["drift", "--graph", g, "--k", "6", "--pairs", "0", "--seed", "2"])
         assert ei.value.code == 1
         assert "--pairs" in capsys.readouterr().err
+
+    def test_no_edges_is_usage_error(self, instance, capsys):
+        g = instance("empty.txt", NO_EDGES)
+        assert main(["drift", "--graph", g, "--k", "3", "--pairs", "2",
+                     "--seed", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err)
 
     def test_too_few_colors_is_usage_error(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"

@@ -67,6 +67,10 @@ class TestFlipParams:
             assert type(units.p[s]) is int and type(units.accept[s]) is int
             assert units.p[s] == fp.p(s) * den
             assert units.accept[s] == fp.p(s) / s * den
+        # mass reads p inside the locality and 0 past it, where p stops
+        for s in range(1, fp.locality + 34):
+            assert type(units.mass(s)) is int
+            assert units.mass(s) == fp.p(s) * den
 
     def test_units_leave_identity_alone(self):
         a, b = FlipParams.default(), FlipParams.default()

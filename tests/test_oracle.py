@@ -116,19 +116,22 @@ class TestTransitionMatrix:
                                      fp=FlipParams.glauber(), mode="rational")
         assert Pg.rows == Pf.rows
 
-    @pytest.mark.parametrize("fp, den, digest", [
-        (FlipParams.default(), 624000,
+    @pytest.mark.parametrize("kind, fp, den, digest", [
+        ("flip", FlipParams.default(), 624000,
          "e92108b459c902e661ddfd4ed0f0240f5e14843e2f820d4f3b0b4ab1d54855dd"),
-        (NONDYADIC, 14784,
+        ("flip", NONDYADIC, 14784,
          "41f71a4e78522c95bd18766a6901ea5f53541fb9ec8549ff00a37f0817a507b8"),
-    ], ids=["default", "nondyadic"])
-    def test_flip_kernel_integers_pinned(self, fp, den, digest):
+        ("glauber", None, 16,
+         "889dce0dc759661e10c36ca3381e7e3b7e22a2fe40f53c21240301289b0e06f4"),
+    ], ids=["default", "nondyadic", "glauber"])
+    def test_flip_kernel_integers_pinned(self, kind, fp, den, digest):
         # the integer kernel of the flip chain on the weighted 4-edge path
-        # at k = 4, pinned entry by entry: a proposal mapped to the wrong
-        # color or component moves numerators between columns
+        # at k = 4, pinned entry by entry over every state, improper ones
+        # included: a proposal mapped to the wrong color or component
+        # moves numerators between columns
         G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
                                         [(3, 4), (4, 5)]))
-        P = build_transition_matrix(G, 4, kind="flip", fp=fp)
+        P = build_transition_matrix(G, 4, kind=kind, fp=fp)
         h = hashlib.sha256()
         for part in (P.num.data, P.num.indices, P.num.indptr):
             h.update(part.astype("<i8").tobytes())
