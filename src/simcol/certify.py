@@ -18,6 +18,19 @@ integer num.  The dual check compares two integers, shapes are ranked by
 cross-multiplication, and a Fraction is built only for what the report
 exposes (a branch maximum, a single color_rate value).
 
+The closed form is one numpy broadcast per weight vector over the whole
+(x sizes) x (y sizes) grid: each side's big mass, its anchor (the first
+argmax of size*4 + weight, `pick_anchor`'s rule) and its leftovers are
+computed once per row or column, and the per-neighbor max terms pair
+them up.  The same broadcast marks where a clamp is possible: a big
+component heavier than its anchor branch on either side.  The matcher
+still prices every shape, one call each on plain tuples; the two routes
+must agree wherever no clamp is possible, must see the same clamps, and
+a clamped shape takes the matcher's value.  `color_rate` prices its one
+shape through the same grid at 1x1.  The grid holds int64 when D times
+the bound of `_grid_dtype` fits, and exact Python ints (dtype=object)
+otherwise, so no value ever wraps.
+
 Component sizes are capped at 8: under a 6-local chain any size past the
 locality carries zero flip mass, and sizes only enter the formulas
 through flip probabilities and through (size-1) factors multiplied by
@@ -32,17 +45,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .dynamics import FlipParams, FlipUnits
-from .matching import match_color_moves, pick_anchor
+from .matching import match_color_moves
 
 SIZE_CAP = 8
 TARGET_RATIO = Fraction(5948, 1000)
 # maximizer shapes listed per branch in certify_report
 MAX_ARGMAX = 8
-
-_BIG_X = "big_x"
-_BIG_Y = "big_y"
-
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -96,62 +107,126 @@ class ClusterConfig:
         }
 
 
-def _matcher_rate(cfg: ClusterConfig, units: FlipUnits) -> tuple[int, int]:
-    """Evaluate the shape through the coupling's own mass matching.
+def _grid_dtype(den: int, d: int, cap: int):
+    """int64 when no value of a d-neighbor grid with sizes up to cap can
+    leave it, else exact Python ints (dtype=object).
 
-    Returns (numerator over color_weight * D, clamp count).
+    Every mass lies in [0, D] and every weighted size w + 2*(s-1) in
+    [1, 2*cap].  Per neighbor the closed form adds at most two weighted
+    sizes times a big mass (2*cap*D each), a max term (2*D) and two
+    (size-1) terms (2*(cap-1)*D each); with the (d-1)*wstar*D offset,
+    every partial sum stays within 8*d*cap*D in absolute value.  The
+    matcher's numerator, each component's mass times at most twice its
+    weighted sizes, is within it too, and the ranking multiplies a
+    numerator by a color weight of at most 2*d.
     """
-    d = cfg.d
-    t_ids = [("t", i) for i in range(d)]
-    u_ids = [("u", i) for i in range(d)]
-    size = {_BIG_X: 1 + sum(cfg.x_branch_sizes),
-            _BIG_Y: 1 + sum(cfg.y_branch_sizes)}
+    return np.int64 if 16 * d * d * cap * den < 2 ** 63 else object
+
+
+def _size_grid(d: int, cap: int) -> np.ndarray:
+    """Every size tuple in 1..cap, one per row, in `product` order."""
+    return np.indices((cap,) * d).reshape(d, -1).T + 1
+
+
+def _closed_form_grid(units: FlipUnits, wstar: int, weights, xs: np.ndarray,
+                      ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form numerators over color_weight * D for every (x, y) shape.
+
+    xs (rows) and ys (columns) hold one tuple of branch sizes per row.
+    Returns (num, clampable), both of shape (len(xs), len(ys)).  Each side
+    picks its own anchor as the first argmax of size*4 + weight (sizes
+    first, ties to the heavier neighbor, then to the lower index: the rule
+    `pick_anchor` states).  A clamp is possible exactly where a big
+    component outweighs its anchor branch, mass(1 + sum) > mass(anchor
+    size), on either side; there the closed form's leftovers go negative.
+    """
+    d = len(weights)
+    cap = int(max(xs.max(), ys.max()))
+    dtype = _grid_dtype(units.den, d, cap)
+    mass = np.array([units.mass(s) for s in range(d * cap + 2)], dtype=dtype)
+    w = np.array(weights, dtype=dtype)
+
+    def side(sizes):
+        rows = np.arange(len(sizes))
+        anchor = np.argmax(sizes * 4 + np.asarray(weights), axis=1)
+        big = mass[1 + sizes.sum(axis=1)]
+        q = mass[sizes]
+        lead = q[rows, anchor]
+        q[rows, anchor] -= big
+        extra = (sizes - 1).astype(dtype)
+        wsize = w + 2 * extra
+        fixed = (big * (wsize.sum(axis=1) - wsize[rows, anchor])
+                 + (2 * q * extra).sum(axis=1))
+        return fixed, q, big > lead
+
+    fixed_a, q, clamp_a = side(xs)
+    fixed_b, qp, clamp_b = side(ys)
+    num = fixed_a[:, None] + fixed_b[None, :] - (d - 1) * wstar * units.den
     for i in range(d):
-        size[t_ids[i]] = cfg.y_branch_sizes[i]
-        size[u_ids[i]] = cfg.x_branch_sizes[i]
-    pairs, clamped = match_color_moves(_BIG_X, _BIG_Y, t_ids, u_ids, size,
-                                       cfg.neighbor_weights, units)
+        num += w[i] * np.maximum(q[:, None, i], qp[None, :, i])
+    return num, clamp_a[:, None] | clamp_b[None, :]
 
-    uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
-    tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
 
-    def delta(x, y) -> int:
-        if x == _BIG_X:
-            return sum(uw) if y is None else sum(uw) - uw[y[1]]
-        if y == _BIG_Y:
-            return sum(tw) if x is None else sum(tw) - tw[x[1]]
-        if x is None:
-            return uw[y[1]]
+def _matcher_ids(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Component ids for a d-neighbor shape: 0 is the big X component, 1
+    the big Y one, then the X-side branches (Y sizes), then the Y-side
+    branches (X sizes)."""
+    return tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
+
+
+def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
+                  ids) -> tuple[int, int]:
+    """Evaluate one shape through the coupling's own mass matching.
+
+    xs, ys: branch size tuples; ids: `_matcher_ids(d)`.  Returns
+    (numerator over color_weight * D, clamp count).
+    """
+    d = len(weights)
+    x_ids, y_ids = ids
+    pairs, clamped = match_color_moves(0, 1, x_ids, y_ids,
+                                       (1 + sum(xs), 1 + sum(ys), *ys, *xs),
+                                       weights, units)
+    # metric weight each component's flip moves, by id
+    tw = [w + 2 * (s - 1) for w, s in zip(weights, ys)]
+    uw = [w + 2 * (s - 1) for w, s in zip(weights, xs)]
+    gain = (sum(uw), sum(tw), *tw, *uw)
+
+    raw = 0
+    for p in pairs:
+        x, y = p.x, p.y
         if y is None:
-            return tw[x[1]]
-        i, j = x[1], y[1]
-        if i == j:
+            delta = gain[x]
+        elif x is None:
+            delta = gain[y]
+        elif x == 0 or y == 1:
+            # the big component minus the branch riding with it
+            delta = gain[x] - gain[y] if x == 0 else gain[y] - gain[x]
+        elif y - x == d:
             # the two branches at one neighbor overlap exactly in the neighbor
-            return uw[i] + tw[i] - cfg.neighbor_weights[i]
-        return tw[i] + uw[j]
+            delta = gain[x] + gain[y] - weights[x - 2]
+        else:
+            delta = gain[x] + gain[y]
+        raw += p.mass * delta
+    return raw - (d - 1) * wstar * units.den, clamped
 
-    raw = sum(p.mass * delta(p.x, p.y) for p in pairs)
-    return raw - (d - 1) * cfg.vstar_weight * units.den, clamped
 
+def _dual_check(xs, ys, weights, wstar: int, units: FlipUnits, ids,
+                closed: int, clampable: bool) -> int:
+    """The matcher's numerator for one shape, checked against the closed form.
 
-def _closed_form_rate(cfg: ClusterConfig, units: FlipUnits) -> int:
-    """The same numerator from the per-neighbor leftover expressions."""
-    d = cfg.d
-    mass = units.mass
-    big_a = mass(1 + sum(cfg.x_branch_sizes))
-    big_b = mass(1 + sum(cfg.y_branch_sizes))
-    uw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.x_branch_sizes)]
-    tw = [w + 2 * (s - 1) for w, s in zip(cfg.neighbor_weights, cfg.y_branch_sizes)]
-    m_a = pick_anchor(cfg.x_branch_sizes, cfg.neighbor_weights)
-    m_b = pick_anchor(cfg.y_branch_sizes, cfg.neighbor_weights)
-    total = big_a * (sum(uw) - uw[m_a]) + big_b * (sum(tw) - tw[m_b])
-    for i in range(d):
-        q = mass(cfg.x_branch_sizes[i]) - (big_a if i == m_a else 0)
-        qp = mass(cfg.y_branch_sizes[i]) - (big_b if i == m_b else 0)
-        total += (max(q, qp) * cfg.neighbor_weights[i]
-                  + 2 * q * (cfg.x_branch_sizes[i] - 1)
-                  + 2 * qp * (cfg.y_branch_sizes[i] - 1))
-    return total - (d - 1) * cfg.vstar_weight * units.den
+    Where no clamp is possible the two routes must agree; where one is,
+    the closed form's leftover expressions go negative and only the
+    matching is meaningful.  Both routes must see the same clamps.
+    """
+    value, clamped = _matcher_rate(xs, ys, weights, wstar, units, ids)
+    if (clamped > 0) != clampable or (not clampable and value != closed):
+        cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
+                            x_branch_sizes=xs, y_branch_sizes=ys)
+        raise AssertionError(
+            f"evaluation mismatch on {cfg}: matching {value} (clamped "
+            f"{clamped}) vs closed form {closed} (clampable {clampable}), "
+            f"over {cfg.color_weight * units.den}")
+    return value
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams,
@@ -159,20 +234,16 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams,
     """Normalized expected metric change charged to one color, times m*k.
 
     Computed through the mass matching; cross-checked against the closed
-    form whenever no clamping occurred (with clamping the closed form's
-    leftover expressions go negative and only the matching is meaningful).
-    Returns the exact Fraction.  A caller pricing many shapes passes
-    units = fp.units and gets instead the integer numerator over
-    cfg.color_weight * units.den, so no Fraction is made per shape.
+    form (a 1x1 grid) wherever no clamp is possible.  Returns the exact
+    Fraction, or, given units = fp.units, the integer numerator over
+    cfg.color_weight * units.den.
     """
     scale = fp.units if units is None else units
-    value, clamped = _matcher_rate(cfg, scale)
-    if clamped == 0:
-        check = _closed_form_rate(cfg, scale)
-        if check != value:
-            raise AssertionError(
-                f"evaluation mismatch on {cfg}: matching {value} vs closed form "
-                f"{check}, over {cfg.color_weight * scale.den}")
+    xs, ys = cfg.x_branch_sizes, cfg.y_branch_sizes
+    num, clampable = _closed_form_grid(scale, cfg.vstar_weight, cfg.neighbor_weights,
+                                       np.array([xs]), np.array([ys]))
+    value = _dual_check(xs, ys, cfg.neighbor_weights, cfg.vstar_weight, scale,
+                        _matcher_ids(cfg.d), int(num[0, 0]), bool(clampable[0, 0]))
     if units is not None:
         return value
     return Fraction(value, cfg.color_weight * scale.den)
@@ -187,27 +258,39 @@ class BranchMaximum:
     attained: bool
 
 
-def _enumerate_branch(fp: FlipParams, units: FlipUnits, wstar: int, d: int,
+def _enumerate_branch(units: FlipUnits, wstar: int, d: int,
                       lemma_value: Fraction) -> BranchMaximum:
-    """Every shape of one branch, compared as integer numerators.
+    """Every shape of one branch, priced by both routes and ranked in numpy.
 
     A shape's value is num / (color_weight * D) with D shared by all
     shapes, so values compare by cross-multiplying num with color_weight.
     """
-    sizes = range(1, SIZE_CAP + 1)
-    best_num, best_cw = None, 1
-    argmax: list[ClusterConfig] = []
+    grid = _size_grid(d, SIZE_CAP)
+    tuples = [tuple(row) for row in grid.tolist()]
+    ids = _matcher_ids(d)
+    groups = []
     for weights in product((1, 2), repeat=d):
-        cw = sum(weights)
-        for xs in product(sizes, repeat=d):
-            for ys in product(sizes, repeat=d):
-                cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
-                                    x_branch_sizes=xs, y_branch_sizes=ys)
-                num = color_rate(cfg, fp, units)
-                if best_num is None or num * best_cw > best_num * cw:
-                    best_num, best_cw, argmax = num, cw, [cfg]
-                elif num * best_cw == best_num * cw:
-                    argmax.append(cfg)
+        num, clampable = _closed_form_grid(units, wstar, weights, grid, grid)
+        for i, xs in enumerate(tuples):
+            closed, clamp_row = num[i].tolist(), clampable[i].tolist()
+            for j, ys in enumerate(tuples):
+                value = _dual_check(xs, ys, weights, wstar, units, ids,
+                                    closed[j], clamp_row[j])
+                if clamp_row[j]:
+                    num[i, j] = value
+        groups.append((weights, sum(weights), num))
+
+    best_num, best_cw = None, 1
+    for _, cw, num in groups:
+        top = int(num.max())
+        if best_num is None or top * best_cw > best_num * cw:
+            best_num, best_cw = top, cw
+    argmax = [
+        ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
+                      x_branch_sizes=tuples[i], y_branch_sizes=tuples[j])
+        for weights, cw, num in groups
+        for i, j in zip(*np.nonzero(num * best_cw == best_num * cw))
+    ]
     best = Fraction(best_num, best_cw * units.den)
     return BranchMaximum(lemma_value=lemma_value, enumerated=best,
                          maximizers=tuple(argmax),
@@ -230,11 +313,11 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
     units = fp.units
     return {
-        "dc1": _enumerate_branch(fp, units, wstar=1, d=1,
+        "dc1": _enumerate_branch(units, wstar=1, d=1,
                                  lemma_value=p1 + p2 - 2 * p3),
-        "w1dc2": _enumerate_branch(fp, units, wstar=1, d=2,
+        "w1dc2": _enumerate_branch(units, wstar=1, d=2,
                                    lemma_value=Fraction(3, 4) + 2 * p3),
-        "w2dc2": _enumerate_branch(fp, units, wstar=2, d=2, lemma_value=8 * p3),
+        "w2dc2": _enumerate_branch(units, wstar=2, d=2, lemma_value=8 * p3),
     }
 
 

@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="count proper colorings by backtracking")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=_at_least(1), default=10 ** 7)
     p.add_argument("--out")
     p.set_defaults(func=cmd_count)
 
@@ -309,7 +309,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         # arguments the command cannot run on: too few colors, an instance
-        # with no edges, a schedule past the certifier's size cap
+        # with no edges, a schedule past the certifier's size cap, an
+        # oracle eps outside (0, 1)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -28,11 +28,10 @@ probabilities are nonincreasing in the component size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(NamedTuple):
     """One coupled table row: component ids (None = that side idles)."""
 
     x: object | None
@@ -52,43 +51,49 @@ def pick_anchor(sizes, weights) -> int:
     return pairs.index(max(pairs))  # the first of the largest pairs
 
 
-def match_color_moves(big_x, big_y, x_ids, y_ids, size: dict, weights, units):
+def match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
     """Pair the differing component flips for one color.
 
     big_x/big_y: ids of the through-v* components; x_ids/y_ids: branch ids
-    per neighbor index; size: component size per id; weights: neighbor
-    weight per index; units: the schedule's `FlipUnits`.
+    per neighbor index; size: component size per id (a dict, or any
+    sequence the ids index); weights: neighbor weight per index; units:
+    the schedule's `FlipUnits`.
     Returns (pairs, clamped).
     """
     if len(x_ids) != len(y_ids) or not x_ids:
         raise ValueError("need one branch id per neighbor on both sides")
-    rem = {i: units.mass(size[i]) for i in {big_x, big_y, *x_ids, *y_ids}}
+    mass = units.mass
+    rem = {i: mass(size[i]) for i in (big_x, big_y, *x_ids, *y_ids)}
     m_a = pick_anchor([size[i] for i in y_ids], weights)
     m_b = pick_anchor([size[i] for i in x_ids], weights)
     pairs: list[MatchedPair] = []
 
     def emit(x, y, amount) -> None:
-        if amount <= 0:
-            return
-        pairs.append(MatchedPair(x=x, y=y, mass=amount))
+        pairs.append(MatchedPair(x, y, amount))
         if x is not None:
             rem[x] -= amount
         if y is not None:
             rem[y] -= amount
 
     clamped = 0
-    take = min(rem[big_x], rem[y_ids[m_a]])
+    anchor = y_ids[m_a]
+    take = min(rem[big_x], rem[anchor])
     if take < rem[big_x]:
         clamped += 1
-    emit(big_x, y_ids[m_a], take)
+    if take > 0:
+        emit(big_x, anchor, take)
 
-    take = min(rem[x_ids[m_b]], rem[big_y])
+    anchor = x_ids[m_b]
+    take = min(rem[anchor], rem[big_y])
     if take < rem[big_y]:
         clamped += 1
-    emit(x_ids[m_b], big_y, take)
+    if take > 0:
+        emit(anchor, big_y, take)
 
     for xi, yi in zip(x_ids, y_ids):
-        emit(xi, yi, min(rem[xi], rem[yi]))
+        take = min(rem[xi], rem[yi])
+        if take > 0:
+            emit(xi, yi, take)
 
     xs = [i for i in dict.fromkeys(x_ids) if rem[i] > 0]
     ys = [i for i in dict.fromkeys(y_ids) if rem[i] > 0]
@@ -101,9 +106,11 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, size: dict, weights, units):
             b += 1
 
     for i in dict.fromkeys((big_x, *x_ids)):
-        emit(i, None, rem[i])
+        if rem[i] > 0:
+            emit(i, None, rem[i])
     for i in dict.fromkeys((big_y, *y_ids)):
-        emit(None, i, rem[i])
+        if rem[i] > 0:
+            emit(None, i, rem[i])
 
-    assert all(v == 0 for v in rem.values())
+    assert not any(rem.values())
     return pairs, clamped

@@ -278,6 +278,11 @@ def _columns(Q: sp.csr_matrix):
             for lo, hi in zip(ptr, ptr[1:])]
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < 1:
+        raise ValueError(f"eps {eps} outside (0, 1)")
+
+
 def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     """Least t with worst-start total variation (from proper starts) <= eps.
 
@@ -291,8 +296,11 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
-    runs all TMIX_MAX_STEPS before it raises CapExceeded.
+    runs all TMIX_MAX_STEPS before it raises CapExceeded.  An eps outside
+    (0, 1) raises ValueError: the distance in general reaches 0 only in
+    the limit, and at 1 or more t = 0 already qualifies.
     """
+    _check_eps(eps)
     proper_states, Q = _proper_block(P)
     n = len(proper_states)
     assert (np.asarray(Q.sum(axis=1)).ravel() == P.den).all(), \
@@ -337,7 +345,9 @@ def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",
     """The JSON-shaped summary: count, stationarity, mixing curve.
 
     A reducible chain has no mixing time: tmix is None, the curve empty.
+    eps is checked before any work, as `tv_mixing_time` checks it.
     """
+    _check_eps(eps)
     count = count_proper(G, k)
     P = build_transition_matrix(G, k, kind=kind, fp=fp, mode=mode)
     report = stationary_check(P)

@@ -1,6 +1,9 @@
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,9 @@ VIOLATION = FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2)))
 # coprime denominators: the flip masses' common denominator D is the lcm
 # of the p_s / s denominators, 924
 MIXED = FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
+# p_2 < p_3: the big components outweigh their anchors on some shapes, so
+# the matcher clamps there and the closed form does not apply
+CLAMPING = FlipParams((Fraction(1), Fraction(1, 10), Fraction(1, 2), Fraction(1, 2)))
 
 
 class TestProperties:
@@ -103,6 +109,117 @@ class TestRateMaxima:
         assert fp.locality == 7
         with pytest.raises(ValueError):
             rate_maxima(fp)
+
+
+class TestClampPath:
+    def test_clamping_schedule_maxima(self, monkeypatch):
+        # count the shapes where each route sees a clamp, on a cold
+        # enumeration; rate_maxima asserts the two counts agree shape by shape
+        grid_clamps, matcher_clamps = {}, []
+        grid, matcher = certify._closed_form_grid, certify.match_color_moves
+
+        def counted_grid(units, wstar, weights, xs, ys):
+            num, clampable = grid(units, wstar, weights, xs, ys)
+            key = (wstar, len(weights))
+            grid_clamps[key] = grid_clamps.get(key, 0) + int(clampable.sum())
+            return num, clampable
+
+        def counted_matcher(*args):
+            pairs, clamped = matcher(*args)
+            matcher_clamps.append(clamped > 0)
+            return pairs, clamped
+
+        monkeypatch.setattr(certify, "_closed_form_grid", counted_grid)
+        monkeypatch.setattr(certify, "match_color_moves", counted_matcher)
+        rate_maxima.cache_clear()
+        try:
+            mx = rate_maxima(CLAMPING)
+            ratio = threshold_ratio(CLAMPING)
+        finally:
+            monkeypatch.undo()
+            rate_maxima.cache_clear()
+        assert grid_clamps == {(1, 1): 30, (1, 2): 1008, (2, 2): 1008}
+        assert sum(matcher_clamps) == 30 + 1008 + 1008
+        assert len(matcher_clamps) == 2 * 8 ** 2 + 2 * 4 * 8 ** 4
+        assert {name: bm.enumerated for name, bm in mx.items()} == {
+            "dc1": Fraction(13, 2), "w1dc2": Fraction(6), "w2dc2": Fraction(11, 2)}
+        assert ratio == 28
+
+    def test_clamped_shape_takes_the_matcher_value(self):
+        # a big X component of size 3 against its anchor branch of size 2:
+        # mass(3) = D/2 > mass(2) = D/10, so the closed form goes negative
+        cfg = ClusterConfig(vstar_weight=1, neighbor_weights=(1,),
+                            x_branch_sizes=(2,), y_branch_sizes=(1,))
+        num, clampable = certify._closed_form_grid(
+            CLAMPING.units, 1, (1,), np.array([(2,)]), np.array([(1,)]))
+        assert clampable[0, 0]
+        matched, clamped = certify._matcher_rate((2,), (1,), (1,), 1, CLAMPING.units,
+                                                 certify._matcher_ids(1))
+        assert clamped == 1
+        assert color_rate(cfg, CLAMPING, CLAMPING.units) == matched != num[0, 0]
+
+
+class TestDualCheckCoverage:
+    """The closed form stays a second route on every shape, not only on
+    the maximizers: a wrong value anywhere must stop the enumeration."""
+
+    # unclamped under the default schedule (no shape clamps there) and far
+    # below the w1dc2 maximum
+    TARGET = ClusterConfig(vstar_weight=1, neighbor_weights=(1, 2),
+                           x_branch_sizes=(2, 1), y_branch_sizes=(1, 4))
+
+    def test_target_is_unclamped_and_not_maximal(self):
+        assert color_rate(self.TARGET, DEFAULT) < rate_maxima(DEFAULT)["w1dc2"].enumerated
+        _, clampable = certify._closed_form_grid(
+            DEFAULT.units, 1, (1, 2), np.array([(2, 1)]), np.array([(1, 4)]))
+        assert not clampable.any()
+
+    @pytest.mark.parametrize("entry", [rate_maxima, threshold_ratio],
+                             ids=["rate_maxima", "threshold_ratio"])
+    def test_one_mispriced_shape_is_caught(self, monkeypatch, entry):
+        grid = certify._closed_form_grid
+        t = self.TARGET
+
+        def mutated(units, wstar, weights, xs, ys):
+            num, clampable = grid(units, wstar, weights, xs, ys)
+            if wstar == t.vstar_weight and tuple(weights) == t.neighbor_weights:
+                rows = np.nonzero((xs == t.x_branch_sizes).all(axis=1))[0]
+                cols = np.nonzero((ys == t.y_branch_sizes).all(axis=1))[0]
+                num[np.ix_(rows, cols)] += 1
+            return num, clampable
+
+        monkeypatch.setattr(certify, "_closed_form_grid", mutated)
+        rate_maxima.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=re.escape(repr(t))):
+                entry(DEFAULT)
+        finally:
+            monkeypatch.undo()
+            rate_maxima.cache_clear()
+
+
+class TestGridWidth:
+    def test_int64_grid_below_the_bound_object_past_it(self):
+        # the last schedule of tests/test_cli.py's certify pins: D is about
+        # 6.0e18, and an int64 grid would wrap
+        assert certify._grid_dtype(650, 2, 8) is np.int64
+        huge = FlipParams.from_text("1\n1/1000000007\n1/1000000009\n")
+        assert certify._grid_dtype(huge.units.den, 1, 8) is object
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grid_matches_per_shape_color_rate(self, data):
+        # a 3x2 grid against color_rate's 1x1 grids, d = 1..4
+        d = data.draw(st.integers(1, 4))
+        weights = tuple(data.draw(st.sampled_from((1, 2))) for _ in range(d))
+        xs = [tuple(data.draw(st.integers(1, 8)) for _ in range(d)) for _ in range(3)]
+        ys = [tuple(data.draw(st.integers(1, 8)) for _ in range(d)) for _ in range(2)]
+        units = MIXED.units
+        num, _ = certify._closed_form_grid(units, 2, weights, np.array(xs), np.array(ys))
+        for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
+            cfg = ClusterConfig(vstar_weight=2, neighbor_weights=weights,
+                                x_branch_sizes=x, y_branch_sizes=y)
+            assert num[i, j] == color_rate(cfg, MIXED, units)
 
 
 class TestThreshold:

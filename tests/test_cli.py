@@ -237,6 +237,29 @@ class TestCertify:
         assert err.startswith("parse error: ") and "'1/0'" in err
         assert len(err.strip().split("\n")) == 1
 
+    @pytest.mark.parametrize("schedule, code, digest", [
+        (None, 0, "bd186531263d62358797bbaceb156667f14320ba18182aa87f67e5c48acf7f71"),
+        ("1\n", 3, "2513861381c80e6d277f326609eabc1a47a6c60fd0fcf96eee4514af72e2b8e1"),
+        ("1\n1/2\n1/2\n", 3,
+         "e7876f9d360a6cd81567a776c6dbd40502e616d3214d4b4733eb84b5ef3f81ca"),
+        ("1\n1/3\n1/7\n1/11\n", 3,
+         "dc0df98ac60733efaf704d86a5afca9db1bafae73412690a191e0e0442149c3f"),
+        # p_2 < p_3: the matcher clamps on 2 046 shapes
+        ("1\n1/10\n1/2\n1/2\n", 3,
+         "a2f4bd392397b09631dc7a52807ff17aa2c206b43a82a4fc5bf8c761e3f05f22"),
+        # D is about 6.0e18, past what an int64 grid holds
+        ("1\n1/1000000007\n1/1000000009\n", 3,
+         "4bb8f7188b2fe672046b8edf801e8884d94c9c1dbad96a120056cf16a60da4d8"),
+    ], ids=["default", "glauber", "violation", "mixed", "clamping", "past_int64"])
+    def test_stdout_bytes_pinned(self, instance, capsys, schedule, code, digest):
+        # every maximum, maximizer list and verdict of the report, byte for byte
+        args = ["certify"]
+        if schedule is not None:
+            args += ["--fp", instance("fp.txt", schedule)]
+        assert main(args) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_schedule_past_size_cap_is_usage_error(self, instance, tmp_path, capsys):
         fp = instance("fp.txt", "1\n1/2\n1/3\n1/4\n1/5\n1/6\n1/7\n")
         out = tmp_path / "cert.json"
@@ -290,6 +313,27 @@ class TestOracleAndCount:
         assert main(["oracle", "--graph", g, "--k", "3", "--mode", mode]) == 1
         out, err = capsys.readouterr()
         assert out == "" and one_error_line(err)
+
+    @pytest.mark.parametrize("eps, mode", [("0", "float"), ("1", "float"),
+                                           ("-1", "rational")])
+    def test_eps_outside_unit_interval_is_usage_error(self, instance, tmp_path,
+                                                      capsys, eps, mode):
+        # the mixing sweep would never stop below eps = 0 (it ran to the
+        # 10^5-step cap in float mode, unbounded in rational mode)
+        g = instance("two.txt", TWO_EDGES)
+        out = tmp_path / "rep.json"
+        assert main(["oracle", "--graph", g, "--k", "3", "--eps", eps,
+                     "--mode", mode, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert one_error_line(err) and "eps" in err
+        assert not out.exists()
+
+    def test_count_cap_below_one_is_usage_error(self, instance, capsys):
+        g = instance("two.txt", TWO_EDGES)
+        with pytest.raises(SystemExit) as ei:
+            main(["count", "--graph", g, "--k", "3", "--cap", "-5"])
+        assert ei.value.code == 1
+        assert "--cap" in capsys.readouterr().err
 
     def test_count_on_no_edges_is_one(self, instance, capsys):
         g = instance("empty.txt", NO_EDGES)

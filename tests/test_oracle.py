@@ -86,6 +86,16 @@ class TestTransitionMatrix:
         tmix, curve = tv_mixing_time(P, 0.25)
         assert tmix == 1
 
+    @pytest.mark.parametrize("eps", [0, 1, -1, 1.5, float("nan")])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        G = build_union_line_graph(pair(2, [(1, 2)]))
+        for mode in ("float", "rational"):
+            P = build_transition_matrix(G, 2, kind="glauber", mode=mode)
+            with pytest.raises(ValueError, match="eps"):
+                tv_mixing_time(P, eps)
+        with pytest.raises(ValueError, match="eps"):
+            oracle_report(G, 2, eps=eps)
+
     def test_hand_built_pair_of_edges_kernel(self):
         # two adjacent union-line-graph vertices, k = 3; written out from
         # the definition without touching the builder internals
