@@ -194,7 +194,8 @@ def cmd_drift(args) -> int:
             "max_drift": str(summary.max_drift),
             "mean_drift": float(summary.mean_drift),
             "beta": float(summary.beta),
-            "bound_margin": str(summary.bound_margin),
+            "bound_margin": (None if summary.bound_margin is None
+                             else str(summary.bound_margin)),
             "dc_over_2": summary.dc_over_2,
             "clamp_events": summary.clamp_events,
             "all_bounds_hold": summary.all_bounds_hold,

@@ -10,6 +10,16 @@ matching in `matching`, which prices them from their sizes; components
 the chains agree on ride together unchanged, and the leftover proposal
 mass is jointly null.
 
+Drift and tables take separate routes.  `flip_exact_drift` builds only
+the per-color matched moves and proves the marginals from the proposals
+near the disagreement: x and y differ only at vstar, so a proposal whose
+outcome differs has, on one side, an alternating component through
+vstar, which the matching already builds; every other move rides as a
+shared identity entry with delta 0.  Its cost does not grow with m.
+`build_flip_coupling_table` assembles the whole table against both full
+single-chain laws (`flip_move_law`, all m*k proposals), the oracle the
+local route is tested against.
+
 Everything downstream of a table is exact.  Move laws, entry masses,
 the marginal ledger and the per-color drift shares are integer
 numerators over m*k*D, D = `FlipParams.units.den` (the single-site
@@ -143,6 +153,18 @@ class DriftReport:
     clamp_events: int = 0
 
 
+def _as_move(assign, v: int, c: int, members: list[int] | None, acc) -> Move | None:
+    """The move proposal (v, c) makes, or None if it has no mass.
+
+    members is the proposal's `alternating_component` capped at the
+    locality: None past it, and a size the schedule never accepts is
+    None too.
+    """
+    if members is None or acc[len(members)] == 0:
+        return None
+    return Move(frozenset(members), frozenset((assign[v], c)))
+
+
 def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams) -> dict[Move, int]:
     """Exact move distribution of one flip proposal, over m*k*D.
 
@@ -155,14 +177,10 @@ def flip_move_law(G: UnionLineGraph, sigma: Coloring, fp: FlipParams) -> dict[Mo
     law: dict[Move, int] = {}
     for v in range(G.m):
         for c in range(1, sigma.k + 1):
-            members = alternating_component(assign, nbrs, v, c, cap)
-            if members is None:
-                continue
-            q = acc[len(members)]
-            if q == 0:
-                continue
-            mv = Move(frozenset(members), frozenset((assign[v], c)))
-            law[mv] = law.get(mv, 0) + q
+            mv = _as_move(assign, v, c, alternating_component(assign, nbrs, v, c, cap),
+                          acc)
+            if mv is not None:
+                law[mv] = law.get(mv, 0) + acc[mv.size]
     return law
 
 
@@ -182,43 +200,26 @@ def _coupled_delta(G: UnionLineGraph, pair: AdjacentPair,
     return d
 
 
-def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
-                         fp: FlipParams):
-    """Build the coupled table and the per-color drift terms together.
+def _color_moves(pair: AdjacentPair, G: UnionLineGraph, k: int, fp: FlipParams):
+    """The per-color matched moves around the disagreement.
 
-    Returns (table, alphas), both in integer numerators over m*k*D:
-    alphas[c] is (color c's share of the drift, its neighbor weight, dc).
-
-    Construction doubles as a proof of marginal correctness: every move
-    of either single-chain law must be consumed exactly, either by the
-    per-color matching around the disagreement or as a shared identity
-    entry, and the leftover asserts below fail loudly otherwise.
+    Returns (rows, alphas, clamp_events, dc_max).  rows are (mass,
+    move_x, move_y, delta) in integer numerators over m*k*D; alphas[c] is
+    (color c's share of the drift, its neighbor weight, dc).  Every move
+    in rows lies inside a component through vstar.
     """
     x, y, vs = pair.x, pair.y, pair.vstar
     if x.k != k or y.k != k:
         raise ValueError("pair and k disagree")
-    if not is_proper(G, x) or not is_proper(G, y):
-        raise ValueError("coupled tables are defined for proper states")
     xstar, ystar = pair.xstar, pair.ystar
+    # y equals x off vstar: it is proper iff x is and no neighbor holds ystar
+    if not is_proper(G, x) or any(x.assign[w] == ystar for w in G.nbrs[vs]):
+        raise ValueError("coupled tables are defined for proper states")
     D = fp.units.den
-    law_x = flip_move_law(G, x, fp)
-    law_y = flip_move_law(G, y, fp)
-
-    rows: list[tuple] = []
+    rows: list[tuple[int, Move | None, Move | None, int]] = []
     alphas: dict[int, tuple[int, int, int]] = {}
-    used_x: dict[Move, int] = {}
-    used_y: dict[Move, int] = {}
     clamp_events = 0
     dc_max = 0
-
-    def consume(mass: int, move_x: Move | None, move_y: Move | None,
-                delta: int) -> None:
-        rows.append((mass, move_x, move_y, delta))
-        if move_x is not None:
-            used_x[move_x] = used_x.get(move_x, 0) + mass
-        if move_y is not None:
-            used_y[move_y] = used_y.get(move_y, 0) + mass
-
     for c in range(1, k + 1):
         nbrs_c = [w for w in G.nbrs[vs] if x.assign[w] == c]
         dc = len(nbrs_c)
@@ -230,7 +231,7 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
             mv_y = Move(frozenset((vs,)), frozenset((ystar, c)))
             delta = _coupled_delta(G, pair, mv_x, mv_y)
             assert delta == -G.weight[vs]
-            consume(D, mv_x, mv_y, delta)
+            rows.append((D, mv_x, mv_y, delta))
             alphas[c] = (D * delta, 0, 0)
             continue
 
@@ -251,10 +252,41 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         alpha = 0
         for p in matched:
             delta = _coupled_delta(G, pair, p.x, p.y)
-            consume(p.mass, p.x, p.y, delta)
+            rows.append((p.mass, p.x, p.y, delta))
             alpha += p.mass * delta
         alphas[c] = (alpha, sum(weights), dc)
+    return rows, alphas, clamp_events, dc_max
 
+
+def _consumed(rows) -> tuple[dict[Move, int], dict[Move, int]]:
+    """Mass each side's moves receive from the rows."""
+    used_x: dict[Move, int] = {}
+    used_y: dict[Move, int] = {}
+    for q, mx, my, _ in rows:
+        if mx is not None:
+            used_x[mx] = used_x.get(mx, 0) + q
+        if my is not None:
+            used_y[my] = used_y.get(my, 0) + q
+    return used_x, used_y
+
+
+def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
+                         fp: FlipParams):
+    """Build the coupled table and the per-color drift terms together.
+
+    Returns (table, alphas), both in integer numerators over m*k*D:
+    alphas[c] is (color c's share of the drift, its neighbor weight, dc).
+
+    Construction doubles as a proof of marginal correctness against both
+    full single-chain laws: every move of either law must be consumed
+    exactly, either by the per-color matching around the disagreement or
+    as a shared identity entry, and the leftover asserts below fail
+    loudly otherwise.
+    """
+    rows, alphas, clamp_events, dc_max = _color_moves(pair, G, k, fp)
+    law_x = flip_move_law(G, pair.x, fp)
+    law_y = flip_move_law(G, pair.y, fp)
+    used_x, used_y = _consumed(rows)
     for mv, q in used_x.items():
         assert law_x.get(mv) == q, f"X marginal off at {mv}: used {q}, law {law_x.get(mv)}"
     for mv, q in used_y.items():
@@ -262,11 +294,13 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
     for mv, q in law_x.items():
         if mv in used_x:
             continue
-        assert vs not in mv.members and law_y.get(mv) == q, f"unshared leftover {mv}"
-        consume(q, mv, mv, 0)
+        assert pair.vstar not in mv.members and mv not in used_y and law_y.get(mv) == q, \
+            f"unshared leftover {mv}"
+        rows.append((q, mv, mv, 0))
+        used_y[mv] = q
     leftover_y = [mv for mv in law_y if mv not in used_y]
     assert not leftover_y, f"Y moves never consumed: {leftover_y}"
-    den = G.m * k * D
+    den = G.m * k * fp.units.den
     assert 0 <= sum(r[0] for r in rows) <= den
     return _IntTable(rows, den, clamp_events, dc_max), alphas
 
@@ -282,21 +316,77 @@ def build_flip_coupling_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
         clamp_events=table.clamp_events, dc_max=table.dc_max)
 
 
+def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams,
+                           used_x: dict[Move, int], used_y: dict[Move, int]) -> None:
+    """Prove the matched rows extend to a coupling, from proposals near vstar.
+
+    (a) Each consumed move's mass equals its law mass, recomputed from
+    the proposals that seed it: one per member, proposing the move's
+    other color there.
+    (b) Every proposal seeded in the closed neighborhood of the touched
+    set (the members of all consumed moves, that is of every component
+    through vstar) either has the same outcome on both sides and is
+    consumed on neither, so it rides as a shared identity entry, or has
+    each of its outcomes consumed on its side.
+    """
+    acc, cap, nbrs = fp.units.accept, fp.locality, G.nbrs
+    xa, ya = pair.x.assign, pair.y.assign
+    for side, assign, used in (("X", xa, used_x), ("Y", ya, used_y)):
+        for mv, q in used.items():
+            law = 0
+            for u in mv.members:
+                rest = mv.colors - {assign[u]}
+                c = next(iter(rest)) if len(rest) == 1 else assign[u]
+                if _as_move(assign, u, c, alternating_component(assign, nbrs, u, c, cap),
+                            acc) == mv:
+                    law += acc[mv.size]
+            assert law == q, f"{side} marginal off at {mv}: consumed {q}, law {law}"
+    touched = set().union(*(mv.members for mv in (*used_x, *used_y)))
+    region = touched.union(*(nbrs[u] for u in touched))
+    for v in region:
+        for c in range(1, pair.x.k + 1):
+            mx = alternating_component(xa, nbrs, v, c, cap)
+            my = alternating_component(ya, nbrs, v, c, cap)
+            if mx == my and v not in touched:
+                continue  # one move on both sides, and no consumed move holds v
+            ox, oy = _as_move(xa, v, c, mx, acc), _as_move(ya, v, c, my, acc)
+            if ox == oy and ox not in used_x and oy not in used_y:
+                continue
+            assert (ox is None or ox in used_x) and (oy is None or oy in used_y), \
+                f"proposal ({v}, {c}) not consumed: X {ox}, Y {oy}"
+
+
 def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
                      fp: FlipParams) -> DriftReport:
-    """Exact one-step expectation of the metric change under the table."""
-    table, alphas = _assemble_flip_table(pair, G, k, fp)
-    den = table.den
-    num = sum(q * d for q, _, _, d in table.entries)
-    assert num == sum(a for a, _, _ in alphas.values())
-    drift = Fraction(num, den)
+    """Exact one-step expectation of the metric change under the table.
+
+    Computed from the per-color matched moves alone, never from the full
+    laws, so the cost does not grow with m.  This is path coupling's
+    locality (Bubley-Dyer; Vigoda for the flip chain): a proposal (v, c)
+    whose capped outcome differs between x and y has, on one side, an
+    uncapped alternating component containing vstar, because x and y
+    differ only there and a walk that never meets vstar reads the same
+    colors on both sides.  That component is vstar's own between its
+    color and the other color of (v, c), which is {vstar} or a
+    `compute_cluster` through vstar that the per-color matching already
+    builds, so v lies in the touched set.  Every other move has the same
+    mass on both sides and rides as a shared identity entry with delta 0:
+    the drift is the sum of the per-color alphas, and
+    `_check_local_marginals` proves the marginals over the closed
+    neighborhood of the touched set.  `build_flip_coupling_table` keeps
+    the full-law proof of the same table.
+    """
+    rows, alphas, clamp_events, dc_max = _color_moves(pair, G, k, fp)
+    _check_local_marginals(pair, G, fp, *_consumed(rows))
+    den = G.m * k * fp.units.den
+    drift = Fraction(sum(a for a, _, _ in alphas.values()), den)
     wstar = G.weight[pair.vstar]
     bound = Fraction(wstar, G.m * k) * (threshold_ratio(fp) * G.delta - k)
     per_color = {c: ColorTerm(alpha=Fraction(a, den), weight=w, dc=dc)
                  for c, (a, w, dc) in alphas.items()}
     return DriftReport(exact_drift=drift, per_color=per_color, bound=bound,
-                       beta=1 + drift / wstar, dc_max=table.dc_max,
-                       clamp_events=table.clamp_events)
+                       beta=1 + drift / wstar, dc_max=dc_max,
+                       clamp_events=clamp_events)
 
 
 def coupled_flip_step(pair: AdjacentPair, G: UnionLineGraph, k: int,

@@ -372,6 +372,20 @@ class TestDrift:
         assert [r["pair_id"] for r in rep["pairs"]] == list(range(6))
         assert float(rep["beta"]) < 1
 
+    def test_bound_margin_null_when_no_pair_in_scope(self, tmp_path):
+        # the one sampled pair has three same-colored neighbors at the
+        # disagreement, so no pair is judged and there is no margin
+        g = tmp_path / "inst.txt"
+        main(["gen", "--n", "10", "--delta", "4", "--overlap", "0.6",
+              "--seed", "78", "--out", str(g)])
+        out = tmp_path / "drift.json"
+        assert main(["drift", "--graph", str(g), "--k", "24", "--pairs", "1",
+                     "--seed", "78", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["dc_over_2"] == 1 and rep["pairs"][0]["dc_max"] == 3
+        assert rep["bound_margin"] is None
+        assert rep["all_bounds_hold"] is True
+
     def test_csv_header(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"
         main(["gen", "--n", "9", "--delta", "3", "--seed", "8", "--out", str(g)])

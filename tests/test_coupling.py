@@ -1,11 +1,15 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import simcol.coupling as coupling
 from helpers import apply_move, brute_flip_law
 from simcol.certify import rate_maxima
-from simcol.coupling import (AdjacentPair, build_flip_coupling_table,
+from simcol.coupling import (AdjacentPair, _assemble_flip_table,
+                             build_flip_coupling_table,
                              coupled_flip_step, coupled_glauber_step,
                              estimate_contraction, flip_exact_drift,
                              flip_move_law, glauber_exact_drift,
@@ -35,6 +39,56 @@ def random_pairs(n, delta, k, seed, count):
     G = build_union_line_graph(gp)
     pairs = sample_adjacent_pairs(G, k, DEFAULT, count, random.Random(seed + 1))
     return G, pairs
+
+
+SCHEDULES = (
+    DEFAULT,
+    FlipParams.glauber(),
+    FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2))),
+    FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))),
+)
+
+
+def doubled_path_pair():
+    # every edge of the 7-edge path is carried by both graphs, so all
+    # weights are 2; color 3 sits on both neighbors of vstar = (4, 5)
+    E = {(i, i + 1) for i in range(1, 8)}
+    G = build_union_line_graph(GraphPair(8, E, E))
+    vstar = G.verts.index((4, 5))
+    x = Coloring(assign=[3, 1, 3, 1, 3, 1, 3], k=6)
+    y = Coloring(assign=[3, 1, 3, 2, 3, 1, 3], k=6)
+    return G, AdjacentPair(x=x, y=y, vstar=vstar)
+
+
+def extremal_pair(delta, k):
+    """A shared edge with delta - 1 pendant edges of each graph at each end.
+
+    The disagreement sits on the shared edge (weight 2); its 4(delta - 1)
+    neighbors, all weight 1, hold the distinct colors 1..4(delta - 1), and
+    x, y put the next two colors on it.
+    """
+    n, e1, e2 = 2, {(1, 2)}, {(1, 2)}
+    for end in (1, 2):
+        for edges in (e1, e2):
+            for _ in range(delta - 1):
+                n += 1
+                edges.add((end, n))
+    G = build_union_line_graph(GraphPair(n, frozenset(e1), frozenset(e2)))
+    vstar = G.verts.index((1, 2))
+    assign = [0] * G.m
+    for c, w in enumerate(G.nbrs[vstar], start=1):
+        assign[w] = c
+    assign[vstar] = 4 * (delta - 1) + 1
+    x = Coloring(assign=list(assign), k=k)
+    assign[vstar] += 1
+    return G, AdjacentPair(x=x, y=Coloring(assign=assign, k=k), vstar=vstar)
+
+
+def full_table_drift(pair, G, k, fp):
+    """Drift, per-color numerators, dc_max and clamps from the full table."""
+    table, alphas = _assemble_flip_table(pair, G, k, fp)
+    num = sum(q * d for q, _, _, d in table.entries)
+    return Fraction(num, table.den), alphas, table
 
 
 class TestBasics:
@@ -255,19 +309,13 @@ class TestFlipCouplingDrift:
         assert checked > 30
 
     def test_doubled_path_reaches_weight2_double_disagreement_maximum(self):
-        # every edge of the 7-edge path is carried by both graphs, so all
-        # weights are 2; color 3 sits on both neighbors of vstar = (4, 5),
-        # and its branches through them have size 3 in the {1, 3}
-        # component of x and size 1 in the {2, 3} component of y
-        E = {(i, i + 1) for i in range(1, 8)}
-        G = build_union_line_graph(GraphPair(8, E, E))
-        vstar = G.verts.index((4, 5))
-        x = Coloring(assign=[3, 1, 3, 1, 3, 1, 3], k=6)
-        y = Coloring(assign=[3, 1, 3, 2, 3, 1, 3], k=6)
-        rep = flip_exact_drift(AdjacentPair(x=x, y=y, vstar=vstar), G, 6,
-                               DEFAULT)
+        # color 3's branches through the two neighbors of vstar have size
+        # 3 in the {1, 3} component of x and size 1 in the {2, 3}
+        # component of y
+        G, pr = doubled_path_pair()
+        rep = flip_exact_drift(pr, G, 6, DEFAULT)
         term = rep.per_color[3]
-        wstar = G.weight[vstar]
+        wstar = G.weight[pr.vstar]
         assert term.dc == 2 and wstar == 2
         rate = (term.alpha * G.m * 6 - (term.dc - 1) * wstar) / term.weight
         assert rate == rate_maxima(DEFAULT)["w2dc2"].enumerated == Fraction(479, 650)
@@ -289,6 +337,158 @@ class TestFlipCouplingDrift:
         assert a[0].assign == b[0].assign and a[1].assign == b[1].assign
         for x, y in (a, b):
             assert is_proper(G, x) and is_proper(G, y)
+
+
+class TestLocalDrift:
+    """flip_exact_drift reads only the moves near vstar; the table reads all."""
+
+    def assert_local_equals_full(self, pair, G, k, fp):
+        rep = flip_exact_drift(pair, G, k, fp)
+        drift, alphas, table = full_table_drift(pair, G, k, fp)
+        assert rep.exact_drift == drift
+        assert {c: (t.alpha * table.den, t.weight, t.dc)
+                for c, t in rep.per_color.items()} == alphas
+        assert rep.dc_max == table.dc_max
+        assert rep.clamp_events == table.clamp_events
+        return rep
+
+    def test_equals_full_table_on_sampled_pairs(self):
+        checked = over_2 = 0
+        for fp in SCHEDULES:
+            for delta in (2, 3, 4):
+                gp = random_graph_pair(n=10, delta=delta, overlap=0.6, seed=78 + delta)
+                G = build_union_line_graph(gp)
+                for k in (4 * G.delta - 2, 6 * G.delta):
+                    pairs = sample_adjacent_pairs(G, k, fp, 9, random.Random(delta + k))
+                    for pr in pairs:
+                        rep = self.assert_local_equals_full(pr, G, k, fp)
+                        over_2 += rep.dc_max > 2
+                        checked += 1
+        assert checked >= 200 and over_2 >= 2
+
+    def test_equals_full_table_on_constructed_pairs(self):
+        G, pr = doubled_path_pair()
+        for fp in SCHEDULES:
+            assert self.assert_local_equals_full(pr, G, 6, fp).dc_max == 2
+        for delta in (2, 3):
+            k = 4 * (delta - 1) + 2
+            G, pr = extremal_pair(delta, k)
+            for fp in SCHEDULES:
+                self.assert_local_equals_full(pr, G, k, fp)
+
+    def test_equals_full_table_on_three_conflict_pair(self):
+        # the pair `simcol drift --k 24 --pairs 1 --seed 78` samples on
+        # `simcol gen --n 10 --delta 4 --overlap 0.6 --seed 78`
+        G = build_union_line_graph(random_graph_pair(n=10, delta=4, overlap=0.6, seed=78))
+        pr = sample_adjacent_pairs(G, 24, DEFAULT, 1, random.Random(78))[0]
+        assert self.assert_local_equals_full(pr, G, 24, DEFAULT).dc_max == 3
+
+    def test_improper_pairs_rejected(self):
+        # x improper away from vstar, and y improper at vstar only
+        pairs = [AdjacentPair(x=Coloring(assign=[1, 3, 3, 4], k=6),
+                              y=Coloring(assign=[2, 3, 3, 4], k=6), vstar=0),
+                 AdjacentPair(x=Coloring(assign=[1, 3, 1, 3], k=6),
+                              y=Coloring(assign=[3, 3, 1, 3], k=6), vstar=0)]
+        for pr in pairs:
+            for route in (flip_exact_drift, build_flip_coupling_table):
+                with pytest.raises(ValueError, match="proper states"):
+                    route(pr, WORKED_G, 6, DEFAULT)
+
+    def test_does_not_build_the_laws(self, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("flip_move_law called")
+
+        monkeypatch.setattr(coupling, "flip_move_law", refuse)
+        G, pairs = random_pairs(n=9, delta=3, k=12, seed=5, count=3)
+        for pr in pairs:
+            flip_exact_drift(pr, G, 12, DEFAULT)
+        with pytest.raises(RuntimeError, match="flip_move_law"):
+            build_flip_coupling_table(pairs[0], G, 12, DEFAULT)
+
+    def test_shifted_matched_mass_fails_the_mass_check(self, monkeypatch):
+        shifted = []
+        original = coupling.match_color_moves
+
+        def shift_first(*args):
+            matched, clamped = original(*args)
+            if not shifted:
+                first = matched[0]
+                shifted.append(first)
+                matched = [first._replace(mass=first.mass + 1), *matched[1:]]
+            return matched, clamped
+
+        monkeypatch.setattr(coupling, "match_color_moves", shift_first)
+        with pytest.raises(AssertionError, match="marginal off at") as ei:
+            flip_exact_drift(worked_pair(), WORKED_G, 6, DEFAULT)
+        assert str(shifted[0].x) in str(ei.value)
+
+    def test_dropped_pair_fails_the_neighborhood_check(self, monkeypatch):
+        # drop a matched pair whose moves no other pair consumes: each of
+        # its moves then differs between the chains and is consumed nowhere
+        dropped = []
+        original = coupling.match_color_moves
+
+        def drop_exclusive(*args):
+            matched, clamped = original(*args)
+            for i, p in enumerate(matched):
+                others = matched[:i] + matched[i + 1:]
+                shared = any((p.x is not None and o.x == p.x)
+                             or (p.y is not None and o.y == p.y) for o in others)
+                if dropped or shared:
+                    continue
+                dropped.append(p)
+                matched = others
+                break
+            return matched, clamped
+
+        monkeypatch.setattr(coupling, "match_color_moves", drop_exclusive)
+        G, pairs = random_pairs(n=9, delta=3, k=12, seed=5, count=6)
+        msg = None
+        for pr in pairs:
+            dropped.clear()
+            try:
+                flip_exact_drift(pr, G, 12, DEFAULT)
+            except AssertionError as exc:
+                msg = str(exc)
+                break
+            assert not dropped, "a dropped pair went unnoticed"
+        assert msg is not None and dropped, "no pair had a matched pair to drop"
+        seed = re.match(r"proposal \((\d+), (\d+)\) not consumed: ", msg)
+        assert seed, msg
+        members = set().union(*(mv.members for mv in (dropped[0].x, dropped[0].y)
+                                 if mv is not None))
+        assert int(seed.group(1)) in members
+        assert "Move(members=" in msg
+
+
+class TestMetricComparison:
+    """The paper's metric claim on the extremal family, Glauber coupling.
+
+    Plain Hamming needs k > 8(delta - 1) here and the weighted metric only
+    k > 6(delta - 1): drift*m*k is 12(delta - 1) - 2k weighted and
+    8(delta - 1) - k under unit weights.
+    """
+
+    @pytest.mark.parametrize("delta", [2, 3, 4, 5])
+    def test_drift_closed_forms_and_crossovers(self, delta):
+        first = 4 * (delta - 1) + 2  # the neighbors and x*, y* all distinct
+        negative = {"weighted": [], "unit": []}
+        for k in range(first, 8 * (delta - 1) + 3):
+            G, pr = extremal_pair(delta, k)
+            assert G.delta == delta and G.m == 4 * delta - 3
+            assert G.weight[pr.vstar] == 2
+            unit = dataclasses.replace(G, weight=(1,) * G.m)
+            mk = G.m * k
+            weighted = glauber_exact_drift(pr, G, k).exact_drift * mk
+            plain = glauber_exact_drift(pr, unit, k).exact_drift * mk
+            assert weighted == 12 * (delta - 1) - 2 * k
+            assert plain == 8 * (delta - 1) - k
+            negative["weighted"].append(weighted < 0)
+            negative["unit"].append(plain < 0)
+        for name, crossover in (("weighted", 6 * (delta - 1) + 1),
+                                ("unit", 8 * (delta - 1) + 1)):
+            assert negative[name].index(True) + first == crossover
+            assert all(negative[name][crossover - first:])
 
 
 class TestSampling:
