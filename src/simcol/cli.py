@@ -23,7 +23,7 @@ from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chai
 from .graphs import (GraphPair, ParseError, build_union_line_graph,
                      canonical_edge, random_graph_pair, read_instance,
                      write_instance)
-from .oracle import CapExceeded, count_proper, oracle_report
+from .oracle import DEFAULT_COUNT_CAP, CapExceeded, count_proper, oracle_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,11 +69,13 @@ def _load_fp(path: str | None) -> FlipParams:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _coloring_payload(gp: GraphPair, G, sigma: Coloring, seed: int,
@@ -118,6 +120,8 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
             raise ParseError(None, f"{where}: edge {e} not in instance")
         if not 1 <= color <= k:
             raise ParseError(None, f"{where}: color {color} outside 1..{k}")
+        if assign[G.index[e]]:
+            raise ParseError(None, f"{where}: edge {e} listed twice")
         assign[G.index[e]] = color
     if 0 in assign:
         raise ParseError(None, f"{path}: no color for edge {G.verts[assign.index(0)]}")
@@ -125,9 +129,6 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
 
 
 def cmd_gen(args) -> int:
-    if args.delta >= args.n:
-        sys.stderr.write(f"error: delta {args.delta} must be below n {args.n}\n")
-        return EXIT_USAGE
     gp = random_graph_pair(args.n, args.delta, args.overlap, args.seed)
     G = build_union_line_graph(gp)
     text = write_instance(gp)
@@ -237,61 +238,49 @@ def build_parser() -> _Parser:
                                  "certified contraction checks")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    # options several subcommands share, each defined once in a parent parser
+    graph, fp, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    graph.add_argument("--graph", required=True)
+    graph.add_argument("--k", type=_at_least(1), required=True)
+    fp.add_argument("--fp", help="flip probabilities, one num/den per line")
+    seed.add_argument("--seed", type=int, required=True)
+    out.add_argument("--out")
 
-    p = sub.add_parser("gen", help="generate a random bounded-degree instance")
+    p = sub.add_parser("gen", parents=[seed, out],
+                       help="generate a random bounded-degree instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sample", help="run a chain and emit the final coloring")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chain", choices=("glauber", "flip"),
-                   default="flip")
-    p.add_argument("--fp", help="flip probabilities, one num/den per line")
+    p = sub.add_parser("sample", parents=[graph, fp, seed, out],
+                       help="run a chain and emit the final coloring")
+    p.add_argument("--chain", choices=("glauber", "flip"), default="flip")
     p.add_argument("--steps", type=_at_least(0), default=0)
     p.add_argument("--start", help="initial coloring JSON (default: greedy)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("drift", help="exact coupled drift on sampled "
-                                     "adjacent pairs")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--fp")
+    p = sub.add_parser("drift", parents=[graph, fp, seed, out],
+                       help="exact coupled drift on sampled adjacent pairs")
     p.add_argument("--pairs", type=_at_least(1), default=100)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_drift)
 
-    p = sub.add_parser("certify", help="verify flip-parameter properties and "
-                                       "per-branch contraction maxima")
-    p.add_argument("--fp")
-    p.add_argument("--out")
+    p = sub.add_parser("certify", parents=[fp, out],
+                       help="verify flip-parameter properties and "
+                            "per-branch contraction maxima")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("oracle", help="exact kernel diagnostics on a small "
-                                      "instance")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--chain", choices=("glauber", "flip"),
-                   default="glauber")
-    p.add_argument("--fp")
+    p = sub.add_parser("oracle", parents=[graph, fp, out],
+                       help="exact kernel diagnostics on a small instance")
+    p.add_argument("--chain", choices=("glauber", "flip"), default="glauber")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--mode", choices=("float", "rational"), default="float")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("count", help="count proper colorings by backtracking")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=_at_least(1), default=10 ** 7)
-    p.add_argument("--out")
+    p = sub.add_parser("count", parents=[graph, out],
+                       help="count proper colorings by backtracking")
+    p.add_argument("--cap", type=_at_least(1), default=DEFAULT_COUNT_CAP)
     p.set_defaults(func=cmd_count)
 
     return parser

@@ -129,6 +129,16 @@ class FlipParams:
         return cls((Fraction(1),))
 
     @classmethod
+    def for_chain(cls, kind: str, fp: "FlipParams | None" = None) -> "FlipParams":
+        """The schedule chain `kind` runs at: "glauber" is the flip chain at
+        p = (1,), and "flip" runs fp, the default schedule when fp is None."""
+        if kind == "glauber":
+            return cls.glauber()
+        if kind != "flip":
+            raise ValueError(f"unknown chain kind {kind!r}")
+        return cls.default() if fp is None else fp
+
+    @classmethod
     def from_text(cls, text: str) -> "FlipParams":
         """Parse one probability per line, each written as "num/den" or "num"."""
         probs = []
@@ -276,19 +286,15 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
               kind: str = "glauber", fp: FlipParams | None = None) -> ChainStats:
     """Advance sigma in place for `steps` proposals, tallying their outcomes.
 
-    kind "glauber" runs the flip chain at `FlipParams.glauber()`, p = (1,);
-    kind "flip" runs it at fp.  Same walk, tallies and final RNG state as
-    `steps` calls of `flip_step` (or `glauber_step`), written as one loop:
-    v and c come from `getrandbits` redrawn while out of range, which is
-    how `random.Random.randrange` draws them, so rng must draw its
-    integers that way (TypeError otherwise).
+    The schedule is `FlipParams.for_chain(kind, fp)`: kind "glauber" runs
+    the flip chain at p = (1,), kind "flip" runs it at fp, or at the
+    default schedule when fp is None.  Same walk, tallies and final RNG
+    state as `steps` calls of `flip_step` (or `glauber_step`), written as
+    one loop: v and c come from `getrandbits` redrawn while out of range,
+    which is how `random.Random.randrange` draws them, so rng must draw
+    its integers that way (TypeError otherwise).
     """
-    if kind == "glauber":
-        fp = FlipParams.glauber()
-    elif kind != "flip":
-        raise ValueError(f"unknown chain kind {kind!r}")
-    elif fp is None:
-        raise ValueError("flip chain needs flip parameters")
+    fp = FlipParams.for_chain(kind, fp)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if getattr(type(rng), "_randbelow", None) is not random.Random._randbelow_with_getrandbits:

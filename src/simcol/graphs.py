@@ -215,13 +215,13 @@ def read_instance(text: str) -> GraphPair:
         raise ParseError(no, "malformed header, expected 'simcol 1'")
 
     no, toks = next_line("'n <N>'")
-    if len(toks) != 2 or toks[0] != "n" or not toks[1].isdigit() or int(toks[1]) < 1:
+    if len(toks) != 2 or toks[0] != "n" or not toks[1].isdecimal() or int(toks[1]) < 1:
         raise ParseError(no, "malformed vertex count, expected 'n <N>'")
     n = int(toks[1])
 
     def read_block(tag: str) -> frozenset[Edge]:
         no, toks = next_line(f"'{tag} <count>'")
-        if len(toks) != 2 or toks[0] != tag or not toks[1].isdigit():
+        if len(toks) != 2 or toks[0] != tag or not toks[1].isdecimal():
             raise ParseError(no, f"malformed block header, expected '{tag} <count>'")
         count = int(toks[1])
         edges: set[Edge] = set()

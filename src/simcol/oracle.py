@@ -83,22 +83,33 @@ def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int
     """Proper colorings with k colors, by backtracking in vertex-id order."""
     if k ** G.m > cap:
         raise CapExceeded(f"k^m = {k ** G.m} exceeds the counting cap {cap}")
+    if G.m < 2:
+        return k ** G.m  # no edge: every assignment is proper
     earlier = [tuple(w for w in G.nbrs[v] if w < v) for v in range(G.m)]
+    colors = range(1, k + 1)
     assign = [0] * G.m
+    last = G.m - 1
+
+    def free(v: int) -> list[int]:
+        used = {assign[w] for w in earlier[v]}
+        return [c for c in colors if c not in used]
+
+    # the colors still to try at vertices 0..len(stack)-1, held on an
+    # explicit stack so that no recursion limit bounds m; the last vertex's
+    # free colors are counted rather than tried
     count = 0
-
-    def rec(v: int) -> None:
-        nonlocal count
-        if v == G.m:
-            count += 1
-            return
-        for c in range(1, k + 1):
-            if all(assign[w] != c for w in earlier[v]):
-                assign[v] = c
-                rec(v + 1)
-        assign[v] = 0
-
-    rec(0)
+    stack = [iter(colors)]
+    while stack:
+        v = len(stack) - 1
+        c = next(stack[v], 0)
+        if not c:
+            stack.pop()
+            continue
+        assign[v] = c
+        if v + 1 == last:
+            count += len(free(last))
+        else:
+            stack.append(iter(free(v + 1)))
     return count
 
 
@@ -150,12 +161,12 @@ def _state_transitions(G: UnionLineGraph, k: int, assign, powers,
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
                             fp: FlipParams | None = None,
                             mode: str = "float") -> TransitionMatrix:
-    if kind == "glauber":
-        fp = FlipParams.glauber()
-    elif kind != "flip":
-        raise ValueError(f"unknown chain kind {kind!r}")
-    elif fp is None:
-        fp = FlipParams.default()
+    """The exact one-step kernel of chain `kind` over all k^m assignments.
+
+    The schedule is `FlipParams.for_chain(kind, fp)`: "glauber" is the flip
+    chain at p = (1,), and "flip" without fp runs the default schedule.
+    """
+    fp = FlipParams.for_chain(kind, fp)
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     if not G.m:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from simcol.cli import main
+from simcol.cli import build_parser, main
 from simcol.graphs import read_instance
 
 SHARED_EDGE = "simcol 1\nn 2\ng1 1\n1 2\ng2 1\n1 2\n"
@@ -108,6 +108,20 @@ class TestSample:
         err = capsys.readouterr().err
         assert "colors[1]" in err and reason in err
         assert "line 0" not in err
+
+    def test_start_file_edge_listed_twice_is_parse_error(self, instance, tmp_path,
+                                                        capsys):
+        g = instance("inst.txt", TWO_EDGES)
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"k": 6, "colors": [
+            {"u": 1, "v": 2, "color": 1}, {"u": 2, "v": 3, "color": 2},
+            {"u": 3, "v": 2, "color": 3}]}))
+        out = tmp_path / "c.json"
+        assert main(["sample", "--graph", g, "--k", "6", "--steps", "0",
+                     "--seed", "1", "--start", str(start), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "colors[2]" in err and "edge (2, 3) listed twice" in err
+        assert not out.exists()
 
     def test_low_k_warns_but_proceeds(self, instance, tmp_path, capsys):
         g = instance("inst.txt", TWO_EDGES)
@@ -351,6 +365,16 @@ class TestOracleAndCount:
         g = instance("two.txt", TWO_EDGES)
         assert main(["count", "--graph", g, "--k", "100", "--cap", "10"]) == 4
 
+    def test_count_without_recursion_limit(self, tmp_path, capsys):
+        # 2 400 disjoint edges: at k = 1 the k^m cap is 1, so only the
+        # backtracking itself bounds its depth
+        g = str(tmp_path / "matching.txt")
+        assert main(["gen", "--n", "2400", "--delta", "1", "--overlap", "0",
+                     "--seed", "3", "--out", g]) == 0
+        capsys.readouterr()
+        assert main(["count", "--graph", g, "--k", "1"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_parse_error_exit_code(self, instance):
         g = instance("bad.txt", "not an instance\n")
         assert main(["count", "--graph", g, "--k", "3"]) == 2
@@ -441,3 +465,35 @@ def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "drift", "oracle", "count"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_one_is_usage_error(instance, capsys, command, k):
+    args = [command, "--graph", instance("two.txt", TWO_EDGES), "--k", k]
+    if command in ("sample", "drift"):
+        args += ["--seed", "1"]
+    with pytest.raises(SystemExit) as ei:
+        main(args)
+    assert ei.value.code == 1
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert out == "" and len(errors) == 1
+    assert errors[0].startswith(f"simcol {command}: error: argument --k: ")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen", "--n", "4", "--delta", "2", "--seed", "1"],
+     {"delta", "n", "out", "overlap", "seed"}),
+    (["sample", "--graph", "g", "--k", "3", "--seed", "1"],
+     {"chain", "fp", "graph", "k", "out", "seed", "start", "steps"}),
+    (["drift", "--graph", "g", "--k", "3", "--seed", "1"],
+     {"format", "fp", "graph", "k", "out", "pairs", "seed"}),
+    (["certify"], {"fp", "out"}),
+    (["oracle", "--graph", "g", "--k", "3"],
+     {"chain", "eps", "fp", "graph", "k", "mode", "out"}),
+    (["count", "--graph", "g", "--k", "3"], {"cap", "graph", "k", "out"}),
+], ids=lambda a: a[0] if isinstance(a, list) else None)
+def test_each_subcommand_parses_exactly_its_options(argv, keys):
+    args = build_parser().parse_args(argv)
+    assert set(vars(args)) == keys | {"command", "func"}

@@ -37,6 +37,15 @@ class TestFlipParams:
         fp = FlipParams((Fraction(1), Fraction(1, 3), Fraction(0), Fraction(0)))
         assert fp.locality == 2
 
+    def test_for_chain(self):
+        nondyadic = FlipParams((1, Fraction(1, 3)))
+        assert FlipParams.for_chain("glauber") == FlipParams.glauber()
+        assert FlipParams.for_chain("glauber", nondyadic) == FlipParams.glauber()
+        assert FlipParams.for_chain("flip") == FlipParams.default()
+        assert FlipParams.for_chain("flip", nondyadic) is nondyadic
+        with pytest.raises(ValueError, match="unknown chain kind"):
+            FlipParams.for_chain("metropolis")
+
     def test_p1_must_be_one(self):
         with pytest.raises(ValueError):
             FlipParams((Fraction(1, 2),))
@@ -402,6 +411,13 @@ class TestRunChain:
         # OwnUniform's randrange draws through random(), off run_chain's stream
         with pytest.raises(TypeError):
             run_chain(PATH4, a, 1, OwnUniform(3))
+
+    def test_flip_without_fp_runs_default_schedule(self):
+        a, b = greedy_coloring(PATH4, 5), greedy_coloring(PATH4, 5)
+        assert (run_chain(PATH4, a, 300, random.Random(2), kind="flip")
+                == run_chain(PATH4, b, 300, random.Random(2), kind="flip",
+                             fp=FlipParams.default()))
+        assert a.assign == b.assign
 
     def test_negative_steps_and_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="steps"):

@@ -132,6 +132,16 @@ class TestInstanceFormat:
             read_instance("nope\n")
         assert ei.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("simcol 1\nn \u00b2\ng1 0\ng2 0\n", 2),
+        ("simcol 1\nn 3\ng1 \u00b2\ng2 0\n", 3),
+    ], ids=["n", "g1"])
+    def test_superscript_count_is_parse_error(self, text, line):
+        # str.isdigit accepts a superscript two, which int() then rejects
+        with pytest.raises(ParseError) as ei:
+            read_instance(text)
+        assert ei.value.line == line
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_roundtrip_random(self, seed):
