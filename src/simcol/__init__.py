@@ -10,9 +10,8 @@ verification.
 """
 
 from .certify import certify_report, rate_maxima, threshold_ratio, verify_flip_properties
-from .coupling import (AdjacentPair, build_flip_coupling_table, coupled_flip_step,
-                       coupled_glauber_step, estimate_contraction, flip_exact_drift,
-                       glauber_exact_drift, sample_adjacent_pairs, weighted_hamming)
+from .coupling import (AdjacentPair, build_flip_coupling_table, estimate_contraction,
+                       flip_exact_drift, sample_adjacent_pairs, weighted_hamming)
 from .dynamics import (Coloring, FlipParams, flip_step, glauber_step,
                        greedy_coloring, is_proper, run_chain)
 from .graphs import (GraphPair, ParseError, UnionLineGraph,
@@ -29,9 +28,8 @@ __all__ = [
     "ParseError", "StateIndex", "UnionLineGraph",
     "build_flip_coupling_table", "build_transition_matrix",
     "build_union_line_graph", "certify_report", "count_proper",
-    "coupled_flip_step", "coupled_glauber_step",
     "estimate_contraction", "flip_exact_drift", "flip_step",
-    "glauber_exact_drift", "glauber_step", "greedy_coloring", "is_proper",
+    "glauber_step", "greedy_coloring", "is_proper",
     "oracle_report", "random_graph_pair", "rate_maxima",
     "read_instance", "run_chain", "sample_adjacent_pairs",
     "stationary_check", "threshold_ratio",

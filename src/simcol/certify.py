@@ -229,24 +229,18 @@ def _dual_check(xs, ys, weights, wstar: int, units: FlipUnits, ids,
     return value
 
 
-def color_rate(cfg: ClusterConfig, fp: FlipParams,
-               units: FlipUnits | None = None) -> Fraction | int:
+def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
     """Normalized expected metric change charged to one color, times m*k.
 
     Computed through the mass matching; cross-checked against the closed
-    form (a 1x1 grid) wherever no clamp is possible.  Returns the exact
-    Fraction, or, given units = fp.units, the integer numerator over
-    cfg.color_weight * units.den.
+    form (a 1x1 grid) wherever no clamp is possible.
     """
-    scale = fp.units if units is None else units
     xs, ys = cfg.x_branch_sizes, cfg.y_branch_sizes
-    num, clampable = _closed_form_grid(scale, cfg.vstar_weight, cfg.neighbor_weights,
+    num, clampable = _closed_form_grid(fp.units, cfg.vstar_weight, cfg.neighbor_weights,
                                        np.array([xs]), np.array([ys]))
-    value = _dual_check(xs, ys, cfg.neighbor_weights, cfg.vstar_weight, scale,
+    value = _dual_check(xs, ys, cfg.neighbor_weights, cfg.vstar_weight, fp.units,
                         _matcher_ids(cfg.d), int(num[0, 0]), bool(clampable[0, 0]))
-    if units is not None:
-        return value
-    return Fraction(value, cfg.color_weight * scale.den)
+    return Fraction(value, cfg.color_weight * fp.units.den)
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,13 @@ def _coloring_payload(gp: GraphPair, G, sigma: Coloring, seed: int,
     return {"k": sigma.k, "colors": colors, "seed": seed, "steps": steps}
 
 
+def _json_int(value) -> int:
+    """value if it is a JSON integer; floats, strings and booleans are not."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _read_coloring(path: str, G, k: int) -> Coloring:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -97,8 +104,8 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"{path}: {exc.msg}") from exc
     try:
-        file_k, entries = int(data["k"]), data["colors"]
-    except (KeyError, TypeError, ValueError) as exc:
+        file_k, entries = _json_int(data["k"]), data["colors"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(None, f"{path}: malformed coloring file, needs "
                                f"an integer 'k' and a 'colors' list") from exc
     if file_k != k:
@@ -109,11 +116,11 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
     for i, entry in enumerate(entries):
         where = f"{path}: colors[{i}]"
         try:
-            e = canonical_edge(int(entry["u"]), int(entry["v"]))
-            color = int(entry["color"])
+            e = canonical_edge(_json_int(entry["u"]), _json_int(entry["v"]))
+            color = _json_int(entry["color"])
         except KeyError as exc:
             raise ParseError(None, f"{where}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ParseError(None, f"{where}: needs integer 'u', 'v' "
                                    f"and 'color'") from exc
         if e not in G.index:

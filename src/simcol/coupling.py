@@ -1,14 +1,15 @@
 """Coupled moves for pairs of colorings that differ at one vertex.
 
-Two couplings live here.  The single-site chain couples through a color
-relabeling: both chains draw the same vertex, and the proposed color is
-passed through a transposition of the two disagreement colors when the
-vertex neighbors the disagreement.  The component-swap chain couples
-through an explicit table: per proposed color, the components that behave
-differently in the two chains are paired up mass-for-mass by the greedy
-matching in `matching`, which prices them from their sizes; components
-the chains agree on ride together unchanged, and the leftover proposal
-mass is jointly null.
+One coupling lives here, and it serves both chains.  It is an explicit
+table: per proposed color, the components that behave differently in
+the two chains are paired up mass-for-mass by the greedy matching in
+`matching`, which prices them from their sizes; components the chains
+agree on ride together unchanged, and the leftover proposal mass is
+jointly null.  Glauber is the flip chain at `FlipParams.glauber()`
+(p = (1,)), so its drift is `flip_exact_drift` at that schedule, and
+its bound is the certified w*(6*delta - k)/(m*k).  Only single
+vertices recolor there, and the drift equals that of Jerrum's coupling,
+which swaps the proposals x* and y* at the neighbors of vstar.
 
 Drift and tables take separate routes.  `flip_exact_drift` builds only
 the per-color matched moves and proves the marginals from the proposals
@@ -22,10 +23,10 @@ local route is tested against.
 
 Everything downstream of a table is exact.  Move laws, entry masses,
 the marginal ledger and the per-color drift shares are integer
-numerators over m*k*D, D = `FlipParams.units.den` (the single-site
-drift's over m*k); Fractions are built only for what a report exposes,
-and the one-step expected change of the weighted disagreement metric is
-compared against the certified threshold without tolerance.
+numerators over m*k*D, D = `FlipParams.units.den`; Fractions are
+built only for what a report exposes, and the one-step expected change
+of the weighted disagreement metric is compared against the certified
+threshold without tolerance.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import NamedTuple
 
 from .certify import threshold_ratio
 from .dynamics import (Coloring, FlipParams, alternating_component,
-                       compute_cluster, flip_step, greedy_coloring, is_proper,
-                       swap_colors)
+                       compute_cluster, flip_step, greedy_coloring, is_proper)
 from .graphs import UnionLineGraph
 from .matching import match_color_moves
 
@@ -96,10 +96,6 @@ class Move(NamedTuple):
             return b if current == a else a
         return current
 
-    def apply(self, sigma: Coloring) -> None:
-        if len(self.colors) == 2:
-            swap_colors(sigma.assign, self.members, *self.colors)
-
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -150,7 +146,7 @@ class DriftReport:
     bound: Fraction
     beta: Fraction
     dc_max: int
-    clamp_events: int = 0
+    clamp_events: int
 
 
 def _as_move(assign, v: int, c: int, members: list[int] | None, acc) -> Move | None:
@@ -387,94 +383,6 @@ def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
     return DriftReport(exact_drift=drift, per_color=per_color, bound=bound,
                        beta=1 + drift / wstar, dc_max=dc_max,
                        clamp_events=clamp_events)
-
-
-def coupled_flip_step(pair: AdjacentPair, G: UnionLineGraph, k: int,
-                      fp: FlipParams, rng: random.Random,
-                      table: CouplingTable | None = None):
-    """Sample one entry (or the null residual) and apply it to copies."""
-    if table is None:
-        table = build_flip_coupling_table(pair, G, k, fp)
-    u = rng.random()
-    acc = Fraction(0)
-    x2, y2 = pair.x.copy(), pair.y.copy()
-    for e in table.entries:
-        acc += e.mass
-        if u < acc:
-            if e.move_x is not None:
-                e.move_x.apply(x2)
-            if e.move_y is not None:
-                e.move_y.apply(y2)
-            break
-    return x2, y2
-
-
-def glauber_partner_color(pair: AdjacentPair, G: UnionLineGraph, v: int,
-                          c: int) -> int:
-    """Color the mirror chain attempts when the first draws (v, c).
-
-    The transposition of the two disagreement colors on the neighbors of
-    vstar, the identity everywhere else; a bijection on colors for every
-    vertex, which is what makes the coupling valid.
-    """
-    if v != pair.vstar and v in G.nbrs[pair.vstar]:
-        if c == pair.xstar:
-            return pair.ystar
-        if c == pair.ystar:
-            return pair.xstar
-    return c
-
-
-def coupled_glauber_step(pair: AdjacentPair, G: UnionLineGraph, k: int,
-                         rng: random.Random):
-    v = rng.randrange(G.m)
-    c = rng.randrange(k) + 1
-    cp = glauber_partner_color(pair, G, v, c)
-    x2, y2 = pair.x.copy(), pair.y.copy()
-    if all(x2.assign[w] != c for w in G.nbrs[v]):
-        x2.assign[v] = c
-    if all(y2.assign[w] != cp for w in G.nbrs[v]):
-        y2.assign[v] = cp
-    return x2, y2
-
-
-def glauber_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int) -> DriftReport:
-    """Exact drift of the coupled single-site step, by direct accounting.
-
-    Proposals at vstar coalesce when the color is free in the common
-    neighborhood; proposals at a neighbor can create a new disagreement
-    only when the drawn color is the Y-side disagreement color and at
-    least one chain accepts; everything else leaves the metric alone.
-    """
-    if pair.x.k != k or pair.y.k != k:
-        raise ValueError("pair and k disagree")
-    if not is_proper(G, pair.x) or not is_proper(G, pair.y):
-        raise ValueError("drift accounting assumes proper states")
-    vs = pair.vstar
-    xstar, ystar = pair.xstar, pair.ystar
-    mk = G.m * k
-    nbr_colors = {pair.x.assign[w] for w in G.nbrs[vs]}
-    alphas: dict[int, tuple[int, int, int]] = {}
-    for c in range(1, k + 1):
-        alpha = 0  # over m*k
-        nbrs_c = [w for w in G.nbrs[vs] if pair.x.assign[w] == c]
-        if c not in nbr_colors:
-            alpha -= G.weight[vs]
-        if c == ystar:
-            for w in G.nbrs[vs]:
-                others = {pair.x.assign[u] for u in G.nbrs[w] if u != vs}
-                if ystar not in others or xstar not in others:
-                    alpha += G.weight[w]
-        alphas[c] = (alpha, sum(G.weight[w] for w in nbrs_c), len(nbrs_c))
-    drift = Fraction(sum(a for a, _, _ in alphas.values()), mk)
-    per_color = {c: ColorTerm(alpha=Fraction(a, mk), weight=w, dc=dc)
-                 for c, (a, w, dc) in alphas.items()}
-    dc_max = max(dc for _, _, dc in alphas.values())
-    wstar = G.weight[vs]
-    deg = len(G.nbrs[vs])
-    bound = Fraction(-wstar * (k - deg) + sum(G.weight[w] for w in G.nbrs[vs]), mk)
-    return DriftReport(exact_drift=drift, per_color=per_color, bound=bound,
-                       beta=1 + drift / wstar, dc_max=dc_max)
 
 
 def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,

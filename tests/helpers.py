@@ -77,3 +77,40 @@ def apply_move(assign, members, colors):
         elif out[u] == b:
             out[u] = a
     return out
+
+
+def jerrum_partner_color(G, pair, v, c):
+    """Color Y proposes at v when X proposes c, in Jerrum's coupling.
+
+    The transposition of the two disagreement colors on the neighbors of
+    vstar, the identity everywhere else; a bijection on colors for every
+    vertex, which is what makes the coupling valid.
+    """
+    if v != pair.vstar and v in G.nbrs[pair.vstar]:
+        if c == pair.xstar:
+            return pair.ystar
+        if c == pair.ystar:
+            return pair.xstar
+    return c
+
+
+def brute_glauber_drift(G, pair, k):
+    """Exact one-step drift of Jerrum's coupling for the single-site chain.
+
+    Enumerates all m*k proposals: X draws (v, c), Y draws (v, c') with
+    c' from `jerrum_partner_color`, each recolors v when no neighbor
+    holds its color, and the weighted disagreement is recounted.
+    """
+    xa0, ya0 = pair.x.assign, pair.y.assign
+    before = sum(G.weight[u] for u in range(G.m) if xa0[u] != ya0[u])
+    total = 0
+    for v in range(G.m):
+        for c in range(1, k + 1):
+            cp = jerrum_partner_color(G, pair, v, c)
+            xa, ya = list(xa0), list(ya0)
+            if all(xa[w] != c for w in G.nbrs[v]):
+                xa[v] = c
+            if all(ya[w] != cp for w in G.nbrs[v]):
+                ya[v] = cp
+            total += sum(G.weight[u] for u in range(G.m) if xa[u] != ya[u]) - before
+    return Fraction(total, G.m * k)

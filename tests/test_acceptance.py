@@ -25,7 +25,6 @@ from simcol.certify import (
 from simcol.coupling import (
     build_flip_coupling_table,
     flip_exact_drift,
-    glauber_exact_drift,
     sample_adjacent_pairs,
 )
 from simcol.dynamics import FlipParams
@@ -191,7 +190,7 @@ def test_criterion_06_contraction_at_the_certified_ratio():
         seed, G = _instances_with_degree(delta, count=1, n=10)[0]
         pairs = sample_adjacent_pairs(G, k, DEFAULT, 40, random.Random(seed))
         for pair in pairs:
-            rep = glauber_exact_drift(pair, G, k)
+            rep = flip_exact_drift(pair, G, k, GLAUBER)
             wstar = G.weight[pair.vstar]
             assert rep.exact_drift <= Fraction(-wstar, G.m * k)
 

@@ -156,7 +156,9 @@ class TestClampPath:
         matched, clamped = certify._matcher_rate((2,), (1,), (1,), 1, CLAMPING.units,
                                                  certify._matcher_ids(1))
         assert clamped == 1
-        assert color_rate(cfg, CLAMPING, CLAMPING.units) == matched != num[0, 0]
+        den = cfg.color_weight * CLAMPING.units.den
+        closed = Fraction(int(num[0, 0]), den)
+        assert color_rate(cfg, CLAMPING) == Fraction(matched, den) != closed
 
 
 class TestDualCheckCoverage:
@@ -219,7 +221,8 @@ class TestGridWidth:
         for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
             cfg = ClusterConfig(vstar_weight=2, neighbor_weights=weights,
                                 x_branch_sizes=x, y_branch_sizes=y)
-            assert num[i, j] == color_rate(cfg, MIXED, units)
+            den = cfg.color_weight * units.den
+            assert Fraction(int(num[i, j]), den) == color_rate(cfg, MIXED)
 
 
 class TestThreshold:

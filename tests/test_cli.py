@@ -109,6 +109,30 @@ class TestSample:
         assert "colors[1]" in err and reason in err
         assert "line 0" not in err
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("k", 6.9, "'k'"),
+        ("k", "6", "'k'"),
+        ("u", 1.4, "colors[0]"),
+        ("color", True, "colors[0]"),
+    ])
+    def test_start_file_non_integer_is_parse_error(self, instance, tmp_path, capsys,
+                                                   field, value, where):
+        g = instance("inst.txt", TWO_EDGES)
+        data = {"k": 6, "colors": [{"u": 1, "v": 2, "color": 1},
+                                   {"u": 2, "v": 3, "color": 2}]}
+        if field == "k":
+            data["k"] = value
+        else:
+            data["colors"][0][field] = value
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(data))
+        out = tmp_path / "c.json"
+        assert main(["sample", "--graph", g, "--k", "6", "--steps", "0",
+                     "--seed", "1", "--start", str(start), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and where in err and "integer" in err
+        assert not out.exists()
+
     def test_start_file_edge_listed_twice_is_parse_error(self, instance, tmp_path,
                                                         capsys):
         g = instance("inst.txt", TWO_EDGES)

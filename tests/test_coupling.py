@@ -6,19 +6,17 @@ from fractions import Fraction
 import pytest
 
 import simcol.coupling as coupling
-from helpers import apply_move, brute_flip_law
+from helpers import apply_move, brute_flip_law, brute_glauber_drift, jerrum_partner_color
 from simcol.certify import rate_maxima
 from simcol.coupling import (AdjacentPair, _assemble_flip_table,
-                             build_flip_coupling_table,
-                             coupled_flip_step, coupled_glauber_step,
-                             estimate_contraction, flip_exact_drift,
-                             flip_move_law, glauber_exact_drift,
-                             glauber_partner_color, records_to_csv,
+                             build_flip_coupling_table, estimate_contraction,
+                             flip_exact_drift, flip_move_law, records_to_csv,
                              sample_adjacent_pairs, weighted_hamming)
 from simcol.dynamics import Coloring, FlipParams, is_proper
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 
 DEFAULT = FlipParams.default()
+GLAUBER = FlipParams.glauber()
 
 # Worked instance: a 4-edge path whose last two edges repeat in the
 # second graph, so the union line graph is a weighted 4-path with
@@ -47,6 +45,14 @@ SCHEDULES = (
     FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2))),
     FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11))),
 )
+
+
+def three_conflict_pair():
+    # the pair `simcol drift --k 24 --pairs 1 --seed 78` samples on
+    # `simcol gen --n 10 --delta 4 --overlap 0.6 --seed 78`; one color
+    # has three neighbors of vstar
+    G = build_union_line_graph(random_graph_pair(n=10, delta=4, overlap=0.6, seed=78))
+    return G, sample_adjacent_pairs(G, 24, DEFAULT, 1, random.Random(78))[0]
 
 
 def doubled_path_pair():
@@ -205,76 +211,60 @@ class TestWorkedInstance:
 
 
 class TestGlauberCoupling:
+    """Glauber's drift is the flip coupling at p = (1,); the reference is
+    Jerrum's transposition coupling, enumerated over all m*k proposals."""
+
     def test_partner_map_is_identity_off_neighborhood(self):
         pr = worked_pair()
         for c in range(1, 7):
-            assert glauber_partner_color(pr, WORKED_G, 2, c) == c
-            assert glauber_partner_color(pr, WORKED_G, 0, c) == c
+            assert jerrum_partner_color(WORKED_G, pr, 2, c) == c
+            assert jerrum_partner_color(WORKED_G, pr, 0, c) == c
 
     def test_partner_map_transposes_on_neighborhood(self):
         pr = worked_pair()
         v = 1  # the only neighbor of vstar = 0
-        assert glauber_partner_color(pr, WORKED_G, v, 1) == 2
-        assert glauber_partner_color(pr, WORKED_G, v, 2) == 1
-        assert glauber_partner_color(pr, WORKED_G, v, 5) == 5
+        assert jerrum_partner_color(WORKED_G, pr, v, 1) == 2
+        assert jerrum_partner_color(WORKED_G, pr, v, 2) == 1
+        assert jerrum_partner_color(WORKED_G, pr, v, 5) == 5
 
     def test_partner_map_is_bijection_everywhere(self):
         G, pairs = random_pairs(n=9, delta=3, k=11, seed=5, count=3)
         for pr in pairs:
             for v in range(G.m):
-                image = {glauber_partner_color(pr, G, v, c)
+                image = {jerrum_partner_color(G, pr, v, c)
                          for c in range(1, 12)}
                 assert image == set(range(1, 12))
 
-    def brute_glauber_drift(self, pr, G, k):
-        # enumerate all mk proposals; exact, no structure assumed
-        mk = G.m * k
-        total = Fraction(0)
-        before = weighted_hamming(pr.x, pr.y, G)
-        for v in range(G.m):
-            for c in range(1, k + 1):
-                cp = glauber_partner_color(pr, G, v, c)
-                xa = list(pr.x.assign)
-                ya = list(pr.y.assign)
-                if all(xa[w] != c for w in G.nbrs[v]):
-                    xa[v] = c
-                if all(ya[w] != cp for w in G.nbrs[v]):
-                    ya[v] = cp
-                after = sum(G.weight[u] for u in range(G.m) if xa[u] != ya[u])
-                total += Fraction(after - before, mk)
-        return total
-
-    def test_exact_drift_matches_brute_enumeration(self):
+    @pytest.mark.parametrize("metric", ["weighted", "unit"])
+    def test_exact_drift_matches_brute_enumeration(self, metric):
+        cases = []
         for seed in range(8):
             G, pairs = random_pairs(n=8, delta=3, k=12, seed=seed, count=2)
-            for pr in pairs:
-                rep = glauber_exact_drift(pr, G, 12)
-                assert rep.exact_drift == self.brute_glauber_drift(pr, G, 12)
+            cases += [(G, pr, 12) for pr in pairs]
+        cases.append((*three_conflict_pair(), 24))
+        over_2 = 0
+        for G, pr, k in cases:
+            if metric == "unit":
+                G = dataclasses.replace(G, weight=(1,) * G.m)
+            rep = flip_exact_drift(pr, G, k, GLAUBER)
+            assert rep.exact_drift == brute_glauber_drift(G, pr, k)
+            over_2 += rep.dc_max > 2
+        assert over_2 >= 1
 
     def test_structured_bound_holds(self):
         for seed in range(6):
             G, pairs = random_pairs(n=8, delta=3, k=6 * 3 + 1, seed=seed, count=3)
+            mk = G.m * 19
             for pr in pairs:
-                rep = glauber_exact_drift(pr, G, 19)
-                assert rep.exact_drift <= rep.bound
-                assert rep.bound <= Fraction(-G.weight[pr.vstar], G.m * 19)
-
-    def test_coupled_step_preserves_properness_and_stays_local(self):
-        # both chains move at the single proposed vertex, so one step
-        # leaves at most two disagreements: vstar and the proposal site
-        G, pairs = random_pairs(n=8, delta=3, k=12, seed=9, count=1)
-        pr = pairs[0]
-        rng = random.Random(42)
-        outcomes = set()
-        for _ in range(300):
-            x, y = coupled_glauber_step(pr, G, 12, rng)
-            assert is_proper(G, x) and is_proper(G, y)
-            diffs = {v for v in range(G.m) if x.assign[v] != y.assign[v]}
-            assert len(diffs) <= 2
-            assert diffs <= {pr.vstar} or pr.vstar not in diffs or len(diffs) == 2
-            outcomes.add(frozenset(diffs))
-        # coalescence must actually occur at this k
-        assert frozenset() in outcomes
+                rep = flip_exact_drift(pr, G, 19, GLAUBER)
+                wstar = G.weight[pr.vstar]
+                nbrs = G.nbrs[pr.vstar]
+                # Jerrum's per-pair bound: vstar coalesces on every color
+                # free at it, each neighbor can disagree anew
+                bound = Fraction(-wstar * (19 - len(nbrs))
+                                 + sum(G.weight[w] for w in nbrs), mk)
+                assert rep.exact_drift <= bound
+                assert bound <= Fraction(-wstar, mk)
 
 
 class TestFlipCouplingDrift:
@@ -282,9 +272,8 @@ class TestFlipCouplingDrift:
         for seed in range(6):
             G, pairs = random_pairs(n=8, delta=3, k=12, seed=seed + 20, count=2)
             for pr in pairs:
-                fg = flip_exact_drift(pr, G, 12, FlipParams.glauber())
-                gl = glauber_exact_drift(pr, G, 12)
-                assert fg.exact_drift == gl.exact_drift
+                fg = flip_exact_drift(pr, G, 12, FlipParams((Fraction(1),)))
+                assert fg.exact_drift == brute_glauber_drift(G, pr, 12)
 
     def test_per_color_terms_respect_certified_branch_maxima(self):
         maxima = rate_maxima(DEFAULT)
@@ -328,16 +317,6 @@ class TestFlipCouplingDrift:
             for e in table.entries:
                 assert -cap <= e.delta <= cap
 
-    def test_coupled_step_reproducible_and_proper(self):
-        G, pairs = random_pairs(n=8, delta=3, k=12, seed=13, count=1)
-        pr = pairs[0]
-        table = build_flip_coupling_table(pr, G, 12, DEFAULT)
-        a = coupled_flip_step(pr, G, 12, DEFAULT, random.Random(5), table=table)
-        b = coupled_flip_step(pr, G, 12, DEFAULT, random.Random(5), table=table)
-        assert a[0].assign == b[0].assign and a[1].assign == b[1].assign
-        for x, y in (a, b):
-            assert is_proper(G, x) and is_proper(G, y)
-
 
 class TestLocalDrift:
     """flip_exact_drift reads only the moves near vstar; the table reads all."""
@@ -377,10 +356,7 @@ class TestLocalDrift:
                 self.assert_local_equals_full(pr, G, k, fp)
 
     def test_equals_full_table_on_three_conflict_pair(self):
-        # the pair `simcol drift --k 24 --pairs 1 --seed 78` samples on
-        # `simcol gen --n 10 --delta 4 --overlap 0.6 --seed 78`
-        G = build_union_line_graph(random_graph_pair(n=10, delta=4, overlap=0.6, seed=78))
-        pr = sample_adjacent_pairs(G, 24, DEFAULT, 1, random.Random(78))[0]
+        G, pr = three_conflict_pair()
         assert self.assert_local_equals_full(pr, G, 24, DEFAULT).dc_max == 3
 
     def test_improper_pairs_rejected(self):
@@ -462,7 +438,7 @@ class TestLocalDrift:
 
 
 class TestMetricComparison:
-    """The paper's metric claim on the extremal family, Glauber coupling.
+    """The paper's metric claim on the extremal family, Glauber chain.
 
     Plain Hamming needs k > 8(delta - 1) here and the weighted metric only
     k > 6(delta - 1): drift*m*k is 12(delta - 1) - 2k weighted and
@@ -479,8 +455,8 @@ class TestMetricComparison:
             assert G.weight[pr.vstar] == 2
             unit = dataclasses.replace(G, weight=(1,) * G.m)
             mk = G.m * k
-            weighted = glauber_exact_drift(pr, G, k).exact_drift * mk
-            plain = glauber_exact_drift(pr, unit, k).exact_drift * mk
+            weighted = flip_exact_drift(pr, G, k, GLAUBER).exact_drift * mk
+            plain = flip_exact_drift(pr, unit, k, GLAUBER).exact_drift * mk
             assert weighted == 12 * (delta - 1) - 2 * k
             assert plain == 8 * (delta - 1) - k
             negative["weighted"].append(weighted < 0)
