@@ -24,18 +24,25 @@ argmax of size*4 + weight, `pick_anchor`'s rule) and its leftovers are
 computed once per row or column, and the per-neighbor max terms pair
 them up.  The same broadcast marks where a clamp is possible: a big
 component heavier than its anchor branch on either side.  The matcher
-still prices every shape, one call each on plain tuples; the two routes
-must agree wherever no clamp is possible, must see the same clamps, and
-a clamped shape takes the matcher's value.  `color_rate` prices its one
-shape through the same grid at 1x1.  The grid holds int64 when D times
+still prices every shape, one call each on plain tuples, into a grid of
+the same shape and dtype; the two grids must agree wherever no clamp is
+possible, must see the same clamps, and a clamped shape takes the
+matcher's value.  The matcher never sees v*'s weight, which enters only
+as the (d-1) * wstar * D offset, so one matcher pass per d = 2 shape
+serves both v* weights.  `color_rate` prices its one shape through the
+same two grids at 1x1.  The grid holds int64 when D times
 the bound of `_grid_dtype` fits, and exact Python ints (dtype=object)
 otherwise, so no value ever wraps.
 
-Component sizes are capped at 8: under a 6-local chain any size past the
-locality carries zero flip mass, and sizes only enter the formulas
-through flip probabilities and through (size-1) factors multiplied by
-probability differences that vanish past the cap, so larger shapes are
-equivalence-classed by the cap.
+Branch sizes are enumerated up to cap = L + 1, L the locality, and
+nothing is lost by the cap.  A branch size s enters a shape's value only
+through three terms, and each carries a flip mass that is 0 once s > L:
+the branch's own mass(s), the big component's mass(1 + sum of sizes),
+which is past L too, and the (s-1) * mass(s) term.  The matcher never
+pairs a component of zero mass, and the anchor choice then moves only a
+big mass of 0.  So a shape's value and clamp mask are unchanged when
+every size s is replaced by min(s, L + 1), on both routes; the tests
+clip sizes up to L + 3 and check exactly that.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ import numpy as np
 from .dynamics import FlipParams, FlipUnits
 from .matching import match_color_moves
 
+# the largest branch size a ClusterConfig holds; a 6-local schedule's
+# cap, locality + 1, is at most 7
 SIZE_CAP = 8
 TARGET_RATIO = Fraction(5948, 1000)
 # maximizer shapes listed per branch in certify_report
@@ -179,7 +188,9 @@ def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
     """Evaluate one shape through the coupling's own mass matching.
 
     xs, ys: branch size tuples; ids: `_matcher_ids(d)`.  Returns
-    (numerator over color_weight * D, clamp count).
+    (numerator over color_weight * D, clamp count).  wstar only sets the
+    closing (d-1) * wstar * D offset; at wstar = 0 the numerator is the
+    matching's own, shared by both v* weights.
     """
     d = len(weights)
     x_ids, y_ids = ids
@@ -210,23 +221,42 @@ def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
     return raw - (d - 1) * wstar * units.den, clamped
 
 
-def _dual_check(xs, ys, weights, wstar: int, units: FlipUnits, ids,
-                closed: int, clampable: bool) -> int:
-    """The matcher's numerator for one shape, checked against the closed form.
+def _matcher_grid(units: FlipUnits, weights, xs: list, ys: list,
+                  dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The matching's own numerators (wstar = 0) and clamp flags for every
+    (x, y) shape; xs (rows) and ys (columns) are lists of size tuples."""
+    ids = _matcher_ids(len(weights))
+    raw = np.empty((len(xs), len(ys)), dtype=dtype)
+    clamped = np.empty((len(xs), len(ys)), dtype=bool)
+    for i, x in enumerate(xs):
+        row = [_matcher_rate(x, y, weights, 0, units, ids) for y in ys]
+        raw[i] = [num for num, _ in row]
+        clamped[i] = [c > 0 for _, c in row]
+    return raw, clamped
+
+
+def _dual_check(units: FlipUnits, wstar: int, weights, xs: list, ys: list,
+                closed: np.ndarray, clampable: np.ndarray, raw: np.ndarray,
+                clamped: np.ndarray) -> np.ndarray:
+    """Every shape's value, checked between the closed form and the matcher.
 
     Where no clamp is possible the two routes must agree; where one is,
     the closed form's leftover expressions go negative and only the
-    matching is meaningful.  Both routes must see the same clamps.
+    matching is meaningful, so the shape takes the matcher's value.  Both
+    routes must see the same clamps.  closed is overwritten and returned.
     """
-    value, clamped = _matcher_rate(xs, ys, weights, wstar, units, ids)
-    if (clamped > 0) != clampable or (not clampable and value != closed):
+    matched = raw - (len(weights) - 1) * wstar * units.den
+    bad = (clamped != clampable) | (~clampable & (matched != closed))
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
         cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
-                            x_branch_sizes=xs, y_branch_sizes=ys)
+                            x_branch_sizes=xs[i], y_branch_sizes=ys[j])
         raise AssertionError(
-            f"evaluation mismatch on {cfg}: matching {value} (clamped "
-            f"{clamped}) vs closed form {closed} (clampable {clampable}), "
-            f"over {cfg.color_weight * units.den}")
-    return value
+            f"evaluation mismatch on {cfg}: matching {matched[i, j]} (clamped "
+            f"{bool(clamped[i, j])}) vs closed form {closed[i, j]} (clampable "
+            f"{bool(clampable[i, j])}), over {cfg.color_weight * units.den}")
+    closed[clampable] = matched[clampable]
+    return closed
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
@@ -235,12 +265,14 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
     Computed through the mass matching; cross-checked against the closed
     form (a 1x1 grid) wherever no clamp is possible.
     """
-    xs, ys = cfg.x_branch_sizes, cfg.y_branch_sizes
-    num, clampable = _closed_form_grid(fp.units, cfg.vstar_weight, cfg.neighbor_weights,
-                                       np.array([xs]), np.array([ys]))
-    value = _dual_check(xs, ys, cfg.neighbor_weights, cfg.vstar_weight, fp.units,
-                        _matcher_ids(cfg.d), int(num[0, 0]), bool(clampable[0, 0]))
-    return Fraction(value, cfg.color_weight * fp.units.den)
+    xs, ys = [cfg.x_branch_sizes], [cfg.y_branch_sizes]
+    weights, units = cfg.neighbor_weights, fp.units
+    num, clampable = _closed_form_grid(units, cfg.vstar_weight, weights,
+                                       np.array(xs), np.array(ys))
+    raw, clamped = _matcher_grid(units, weights, xs, ys, num.dtype)
+    value = _dual_check(units, cfg.vstar_weight, weights, xs, ys, num, clampable,
+                        raw, clamped)
+    return Fraction(int(value[0, 0]), cfg.color_weight * units.den)
 
 
 @dataclass(frozen=True)
@@ -252,28 +284,34 @@ class BranchMaximum:
     attained: bool
 
 
-def _enumerate_branch(units: FlipUnits, wstar: int, d: int,
-                      lemma_value: Fraction) -> BranchMaximum:
-    """Every shape of one branch, priced by both routes and ranked in numpy.
+def _enumerate_branches(units: FlipUnits, d: int, cap: int,
+                        lemma_values: dict[int, Fraction]) -> dict[int, BranchMaximum]:
+    """Every d-neighbor shape with sizes in 1..cap, for each v* weight in
+    lemma_values, priced by both routes and ranked in numpy.
 
+    The matcher runs once per shape and its grid serves every v* weight.
     A shape's value is num / (color_weight * D) with D shared by all
     shapes, so values compare by cross-multiplying num with color_weight.
     """
-    grid = _size_grid(d, SIZE_CAP)
+    grid = _size_grid(d, cap)
     tuples = [tuple(row) for row in grid.tolist()]
-    ids = _matcher_ids(d)
-    groups = []
+    dtype = _grid_dtype(units.den, d, cap)
+    groups = {wstar: [] for wstar in lemma_values}
     for weights in product((1, 2), repeat=d):
-        num, clampable = _closed_form_grid(units, wstar, weights, grid, grid)
-        for i, xs in enumerate(tuples):
-            closed, clamp_row = num[i].tolist(), clampable[i].tolist()
-            for j, ys in enumerate(tuples):
-                value = _dual_check(xs, ys, weights, wstar, units, ids,
-                                    closed[j], clamp_row[j])
-                if clamp_row[j]:
-                    num[i, j] = value
-        groups.append((weights, sum(weights), num))
+        raw, clamped = _matcher_grid(units, weights, tuples, tuples, dtype)
+        for wstar, found in groups.items():
+            num, clampable = _closed_form_grid(units, wstar, weights, grid, grid)
+            num = _dual_check(units, wstar, weights, tuples, tuples, num, clampable,
+                              raw, clamped)
+            found.append((weights, sum(weights), num))
+    return {wstar: _branch_maximum(units, wstar, tuples, found, lemma_values[wstar])
+            for wstar, found in groups.items()}
 
+
+def _branch_maximum(units: FlipUnits, wstar: int, tuples: list, groups: list,
+                    lemma_value: Fraction) -> BranchMaximum:
+    """The largest value over (weights, color_weight, num grid) groups, and
+    every shape attaining it."""
     best_num, best_cw = None, 1
     for _, cw, num in groups:
         top = int(num.max())
@@ -292,27 +330,32 @@ def _enumerate_branch(units: FlipUnits, wstar: int, d: int,
                          attained=best == lemma_value)
 
 
+def _maxima_at_cap(fp: FlipParams, cap: int) -> dict[str, BranchMaximum]:
+    """`rate_maxima` with branch sizes enumerated up to cap."""
+    p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
+    units = fp.units
+    dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3})
+    dc2 = _enumerate_branches(units, 2, cap, {1: Fraction(3, 4) + 2 * p3,
+                                              2: 8 * p3})
+    return {"dc1": dc1[1], "w1dc2": dc2[1], "w2dc2": dc2[2]}
+
+
 @lru_cache(maxsize=None)
 def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     """Exhaustive per-branch maxima of color_rate over abstract shapes.
 
     Branch keys: "dc1" (one neighbor, any weights), "w1dc2" and "w2dc2"
     (two neighbors at a weight-1 resp. weight-2 disagreement vertex).
-    The lemma_value fields are the closed-form bounds the threshold
-    identities quote; bound_holds records whether enumeration stayed
-    under them, attained whether it reached them.
+    Branch sizes run up to the locality + 1, which the module docstring's
+    lemma shows loses nothing.  The lemma_value fields are the
+    closed-form bounds the threshold identities quote; bound_holds
+    records whether enumeration stayed under them, attained whether it
+    reached them.
     """
     if fp.locality > 6:
-        raise ValueError(f"size cap {SIZE_CAP} is tuned to 6-local chains")
-    p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
-    units = fp.units
-    return {
-        "dc1": _enumerate_branch(units, wstar=1, d=1,
-                                 lemma_value=p1 + p2 - 2 * p3),
-        "w1dc2": _enumerate_branch(units, wstar=1, d=2,
-                                   lemma_value=Fraction(3, 4) + 2 * p3),
-        "w2dc2": _enumerate_branch(units, wstar=2, d=2, lemma_value=8 * p3),
-    }
+        raise ValueError(f"size cap {fp.locality + 1} (the locality + 1) is "
+                         f"past 7: certification covers 6-local chains")
+    return _maxima_at_cap(fp, fp.locality + 1)
 
 
 def branch_thresholds(fp: FlipParams) -> dict[str, Fraction]:

@@ -1,15 +1,16 @@
 """Ground truth on small instances.
 
-Proper colorings are counted by backtracking; chains become explicit
-transition matrices over the full product state space (all assignments,
-proper or not), through the flip rule of `dynamics`: Glauber's kernel
-is the flip chain's at p = (1,).  Each is built once as integers: an int64 sparse matrix
-of numerators over one row denominator.  It has two views, a
-double-precision sparse matrix (each entry correctly rounded) and exact
-rationals; the mode picks which one a caller reads.  On top of the
-integers: exact uniform-stationarity verification, reachability checks,
-and worst-start total-variation mixing curves (exact in rational mode,
-by integer propagation over powers of the denominator).
+Proper colorings are counted by backtracking, one connected component
+at a time; chains become explicit transition matrices over the full
+product state space (all assignments, proper or not), through the flip
+rule of `dynamics`: Glauber's kernel is the flip chain's at p = (1,).
+Each is built once as integers: an int64 sparse matrix of numerators
+over one row denominator.  It has two views, a double-precision sparse
+matrix (each entry correctly rounded) and exact rationals; the mode
+picks which one a caller reads.  On top of the integers: exact
+uniform-stationarity verification, reachability checks, and worst-start
+total-variation mixing curves (exact in rational mode, by integer
+propagation over powers of the denominator).
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import FlipParams, alternating_component
-from .graphs import UnionLineGraph
+from .graphs import CapExceeded, UnionLineGraph
 
 DEFAULT_COUNT_CAP = 10 ** 7
 FLOAT_STATE_CAP = 2 * 10 ** 4
@@ -36,10 +37,6 @@ RATIONAL_STATE_CAP = 1300
 TMIX_STATE_CAP = 3 * 10 ** 3
 # the longest mixing sweep, in steps of the chain
 TMIX_MAX_STEPS = 10 ** 5
-
-
-class CapExceeded(Exception):
-    """The requested computation is past the configured desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -80,36 +77,61 @@ class StateIndex:
 
 
 def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Proper colorings with k colors, by backtracking in vertex-id order."""
+    """Proper colorings with k colors: the product over the connected
+    components of G of each component's count by backtracking."""
     if k ** G.m > cap:
         raise CapExceeded(f"k^m = {k ** G.m} exceeds the counting cap {cap}")
-    if G.m < 2:
-        return k ** G.m  # no edge: every assignment is proper
-    earlier = [tuple(w for w in G.nbrs[v] if w < v) for v in range(G.m)]
-    colors = range(1, k + 1)
-    assign = [0] * G.m
-    last = G.m - 1
+    count = 1
+    seen = [False] * G.m
+    for root in range(G.m):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in G.nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        count *= _backtrack_count(G, sorted(comp), k)
+    return count
 
-    def free(v: int) -> list[int]:
-        used = {assign[w] for w in earlier[v]}
+
+def _backtrack_count(G: UnionLineGraph, verts, k: int) -> int:
+    """Proper colorings of G restricted to verts, ascending vertex ids
+    closed under neighbors (a union of components, or all of G), by
+    backtracking in that order."""
+    m = len(verts)
+    if m < 2:
+        return k ** m  # no edge: every assignment is proper
+    pos = {v: i for i, v in enumerate(verts)}
+    earlier = [tuple(pos[w] for w in G.nbrs[v] if w < v) for v in verts]
+    colors = range(1, k + 1)
+    assign = [0] * m
+    last = m - 1
+
+    def free(i: int) -> list[int]:
+        used = {assign[j] for j in earlier[i]}
         return [c for c in colors if c not in used]
 
-    # the colors still to try at vertices 0..len(stack)-1, held on an
-    # explicit stack so that no recursion limit bounds m; the last vertex's
-    # free colors are counted rather than tried
+    # the colors still to try at positions 0..len(stack)-1, held on an
+    # explicit stack so that no recursion limit bounds m; the last
+    # position's free colors are counted rather than tried
     count = 0
     stack = [iter(colors)]
     while stack:
-        v = len(stack) - 1
-        c = next(stack[v], 0)
+        i = len(stack) - 1
+        c = next(stack[i], 0)
         if not c:
             stack.pop()
             continue
-        assign[v] = c
-        if v + 1 == last:
+        assign[i] = c
+        if i + 1 == last:
             count += len(free(last))
         else:
-            stack.append(iter(free(v + 1)))
+            stack.append(iter(free(i + 1)))
     return count
 
 

@@ -13,7 +13,7 @@ from simcol.certify import (ClusterConfig, TARGET_RATIO, branch_thresholds,
                             certify_report, color_rate, frac_str, rate_maxima,
                             threshold_identities, threshold_ratio,
                             verify_flip_properties)
-from simcol.dynamics import FlipParams
+from simcol.dynamics import FlipParams, FlipUnits
 
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()
@@ -87,22 +87,40 @@ class TestRateMaxima:
         assert res["w1dc2"].enumerated == Fraction(3, 4)
         assert res["w2dc2"].enumerated == Fraction(1, 2)
 
-    def test_size_cap_does_not_move_the_maxima(self, monkeypatch):
-        # the module docstring's claim: sizes past the cap are
-        # equivalence-classed by it, so caps on either side of 8 find the
-        # same branch maxima and the same bound verdicts
+    def test_size_cap_does_not_move_the_maxima(self):
+        # the module docstring's lemma: sizes past the locality + 1 add
+        # nothing, so caps L + 1, 8 and 9 find the same branch maxima and
+        # the same bound verdicts
         at_cap = {name: (bm.enumerated, bm.bound_holds)
                   for name, bm in rate_maxima(DEFAULT).items()}
+        for cap in (DEFAULT.locality + 1, 8, 9):
+            got = {name: (bm.enumerated, bm.bound_holds)
+                   for name, bm in certify._maxima_at_cap(DEFAULT, cap).items()}
+            assert got == at_cap, cap
+
+    @pytest.mark.parametrize("fp, calls", [
+        (DEFAULT, 2 * 7 ** 2 + 4 * 7 ** 4),
+        (GLAUBER, 2 * 2 ** 2 + 4 * 2 ** 4),
+    ], ids=["default", "glauber"])
+    def test_one_matcher_call_per_shape(self, monkeypatch, fp, calls):
+        # sizes up to the locality + 1, and one matcher pass per d = 2
+        # shape for both v* weights: 2 weight vectors times cap^2 shapes
+        # at d = 1, 4 times cap^4 at d = 2
+        seen = []
+        matcher = certify.match_color_moves
+
+        def counted(*args):
+            seen.append(args)
+            return matcher(*args)
+
+        monkeypatch.setattr(certify, "match_color_moves", counted)
+        rate_maxima.cache_clear()
         try:
-            for cap in (7, 9):
-                monkeypatch.setattr(certify, "SIZE_CAP", cap)
-                rate_maxima.cache_clear()
-                got = {name: (bm.enumerated, bm.bound_holds)
-                       for name, bm in rate_maxima(DEFAULT).items()}
-                assert got == at_cap, cap
+            rate_maxima(fp)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
+        assert len(seen) == calls
 
     def test_locality_cap(self):
         fp = FlipParams(tuple([Fraction(1)] + [Fraction(1, 100)] * 6))
@@ -138,9 +156,11 @@ class TestClampPath:
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        assert grid_clamps == {(1, 1): 30, (1, 2): 1008, (2, 2): 1008}
-        assert sum(matcher_clamps) == 30 + 1008 + 1008
-        assert len(matcher_clamps) == 2 * 8 ** 2 + 2 * 4 * 8 ** 4
+        # sizes run to the locality + 1 = 5, and the matcher prices each
+        # d = 2 shape once for both v* weights
+        assert grid_clamps == {(1, 1): 18, (1, 2): 384, (2, 2): 384}
+        assert sum(matcher_clamps) == 18 + 384
+        assert len(matcher_clamps) == 2 * 5 ** 2 + 4 * 5 ** 4
         assert {name: bm.enumerated for name, bm in mx.items()} == {
             "dc1": Fraction(13, 2), "w1dc2": Fraction(6), "w2dc2": Fraction(11, 2)}
         assert ratio == 28
@@ -159,6 +179,71 @@ class TestClampPath:
         den = cfg.color_weight * CLAMPING.units.den
         closed = Fraction(int(num[0, 0]), den)
         assert color_rate(cfg, CLAMPING) == Fraction(matched, den) != closed
+
+
+class TestSizeCapLemma:
+    """The module docstring's lemma: clipping every branch size s to
+    min(s, L + 1) moves no shape's value or clamp verdict on either route,
+    so an enumeration capped at L + 1 loses nothing."""
+
+    SCHEDULES = {"default": DEFAULT, "glauber": GLAUBER, "clamping": CLAMPING,
+                 "mixed": MIXED}
+
+    @staticmethod
+    def size_rows(fp, d):
+        """Size tuples in 1..L+3: every one for d <= 2, 200 seeded draws past."""
+        top = fp.locality + 3
+        if d <= 2:
+            return certify._size_grid(d, top)
+        return np.random.default_rng(d).integers(1, top + 1, size=(200, d))
+
+    @classmethod
+    def check_grid(cls, fp, d):
+        rows = cls.size_rows(fp, d)
+        clipped = np.minimum(rows, fp.locality + 1)
+        for wstar, weights in product((1, 2), product((1, 2), repeat=d)):
+            num, clamp = certify._closed_form_grid(fp.units, wstar, weights, rows, rows)
+            cnum, cclamp = certify._closed_form_grid(fp.units, wstar, weights,
+                                                     clipped, clipped)
+            moved = np.argwhere((num != cnum) | (clamp != cclamp))
+            assert not len(moved), (
+                f"grid moves under clipping: wstar {wstar}, weights {weights}, "
+                f"x {rows[moved[0][0]]}, y {rows[moved[0][1]]}")
+
+    @classmethod
+    def check_matcher(cls, fp, d):
+        rows = [tuple(row) for row in cls.size_rows(fp, d).tolist()]
+        cap = fp.locality + 1
+        ids = certify._matcher_ids(d)
+        rng = random.Random(d)
+        for weights in product((1, 2), repeat=d):
+            for _ in range(100):
+                x, y = rng.choice(rows), rng.choice(rows)
+                got = certify._matcher_rate(x, y, weights, 2, fp.units, ids)
+                clipped = certify._matcher_rate(
+                    tuple(min(s, cap) for s in x), tuple(min(s, cap) for s in y),
+                    weights, 2, fp.units, ids)
+                assert got == clipped, (
+                    f"matcher moves under clipping: weights {weights}, x {x}, "
+                    f"y {y}: (numerator, clamps) {got} vs {clipped}")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(SCHEDULES))
+    def test_clipping_moves_nothing(self, name, d):
+        fp = self.SCHEDULES[name]
+        self.check_grid(fp, d)
+        self.check_matcher(fp, d)
+
+    @pytest.mark.parametrize("route", ["grid", "matcher"])
+    def test_mass_past_the_locality_is_caught(self, monkeypatch, route):
+        # a flip mass that does not vanish past L: then a size past L + 1
+        # moves its shape's value, and the clipping check must say so
+        def leaky(units, size):
+            return units.p[size] if size < len(units.p) else size - len(units.p) + 1
+
+        monkeypatch.setattr(FlipUnits, "mass", leaky)
+        with pytest.raises(AssertionError, match=f"{route} moves"):
+            getattr(self, f"check_{route}")(DEFAULT, 2)
 
 
 class TestDualCheckCoverage:
@@ -198,6 +283,30 @@ class TestDualCheckCoverage:
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
+
+
+def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
+    # the matcher route's mirror of TestDualCheckCoverage: one d = 2 shape
+    # priced wrong by the matcher, whose grid both v* weights share, stops
+    # the enumeration at the first branch that sees it
+    rate = certify._matcher_rate
+    t = TestDualCheckCoverage.TARGET
+
+    def mutated(xs, ys, weights, wstar, units, ids):
+        num, clamped = rate(xs, ys, weights, wstar, units, ids)
+        if (tuple(weights), xs, ys) == (t.neighbor_weights, t.x_branch_sizes,
+                                        t.y_branch_sizes):
+            num += 1
+        return num, clamped
+
+    monkeypatch.setattr(certify, "_matcher_rate", mutated)
+    rate_maxima.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=re.escape(repr(t))):
+            rate_maxima(DEFAULT)
+    finally:
+        monkeypatch.undo()
+        rate_maxima.cache_clear()
 
 
 class TestGridWidth:

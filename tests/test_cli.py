@@ -1,10 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from simcol.cli import build_parser, main
-from simcol.graphs import read_instance
+from simcol.graphs import GEN_MAX_N, read_instance
 
 SHARED_EDGE = "simcol 1\nn 2\ng1 1\n1 2\ng2 1\n1 2\n"
 TWO_EDGES = "simcol 1\nn 3\ng1 2\n1 2\n2 3\ng2 0\n"
@@ -45,6 +46,23 @@ class TestGen:
     def test_delta_at_least_n_rejected(self, tmp_path):
         assert main(["gen", "--n", "4", "--delta", "4", "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 1
+
+    def test_n_past_the_cap_exits_before_building_candidates(self, tmp_path, capsys):
+        # the candidate list at GEN_MAX_N + 1 would hold 4.5 million tuples;
+        # the refusal must come before any of them exists
+        out = tmp_path / "x.txt"
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--n", str(GEN_MAX_N + 1), "--delta", "3",
+                         "--seed", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2 ** 20
+        err = capsys.readouterr().err
+        assert len(err.strip().split("\n")) == 1 and err.startswith("cap exceeded: ")
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path):
         with pytest.raises(SystemExit) as ei:
@@ -277,12 +295,12 @@ class TestCertify:
 
     @pytest.mark.parametrize("schedule, code, digest", [
         (None, 0, "bd186531263d62358797bbaceb156667f14320ba18182aa87f67e5c48acf7f71"),
-        ("1\n", 3, "2513861381c80e6d277f326609eabc1a47a6c60fd0fcf96eee4514af72e2b8e1"),
+        ("1\n", 3, "720b97527961894ffbb915366034256e2205f063efa6030ea6731bc2c16ef5cd"),
         ("1\n1/2\n1/2\n", 3,
          "e7876f9d360a6cd81567a776c6dbd40502e616d3214d4b4733eb84b5ef3f81ca"),
         ("1\n1/3\n1/7\n1/11\n", 3,
          "dc0df98ac60733efaf704d86a5afca9db1bafae73412690a191e0e0442149c3f"),
-        # p_2 < p_3: the matcher clamps on 2 046 shapes
+        # p_2 < p_3: the matcher clamps on 402 shapes
         ("1\n1/10\n1/2\n1/2\n", 3,
          "a2f4bd392397b09631dc7a52807ff17aa2c206b43a82a4fc5bf8c761e3f05f22"),
         # D is about 6.0e18, past what an int64 grid holds
@@ -398,6 +416,14 @@ class TestOracleAndCount:
         capsys.readouterr()
         assert main(["count", "--graph", g, "--k", "1"]) == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_count_multiplies_components(self, instance, capsys):
+        # 2 400 disjoint edges are 2 400 components of one vertex each:
+        # their product is 2^2400, where leaf-by-leaf counting never ends
+        edges = "".join(f"{2 * i - 1} {2 * i}\n" for i in range(1, 2401))
+        g = instance("matching.txt", f"simcol 1\nn 4800\ng1 2400\n{edges}g2 0\n")
+        assert main(["count", "--graph", g, "--k", "2", "--cap", str(10 ** 800)]) == 0
+        assert capsys.readouterr().out == f"{2 ** 2400}\n"
 
     def test_parse_error_exit_code(self, instance):
         g = instance("bad.txt", "not an instance\n")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
-                           build_transition_matrix, count_proper,
-                           oracle_report, stationary_check, tv_mixing_time)
+                           _backtrack_count, build_transition_matrix,
+                           count_proper, oracle_report, stationary_check,
+                           tv_mixing_time)
 
 from helpers import numpy_brute_count
 
@@ -48,6 +49,16 @@ class TestCounting:
             got = count_proper(G, k)
             assert got == numpy_brute_count(G, k, perm_seed=seed)
             assert got == numpy_brute_count(G, k, perm_seed=seed + 100)
+
+    def test_components_against_whole_graph_backtracking(self):
+        # with no shared edge the two graphs' line graphs stay apart, so
+        # each pair has 2 to 4 components; their product must equal one
+        # backtracking pass over every vertex
+        for seed in range(8):
+            gp = random_graph_pair(n=6, delta=2, overlap=0.0, seed=seed)
+            G = build_union_line_graph(gp)
+            for k in (2, 3):
+                assert count_proper(G, k) == _backtrack_count(G, range(G.m), k)
 
     def test_cap_enforced(self):
         G = build_union_line_graph(pair(3, [(1, 2), (2, 3)]))
