@@ -294,8 +294,8 @@ def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
 
     def mutated(xs, ys, weights, wstar, units, ids):
         num, clamped = rate(xs, ys, weights, wstar, units, ids)
-        if (tuple(weights), xs, ys) == (t.neighbor_weights, t.x_branch_sizes,
-                                        t.y_branch_sizes):
+        if (weights, xs, ys) == (t.neighbor_weights, t.x_branch_sizes,
+                                 t.y_branch_sizes):
             num += 1
         return num, clamped
 
