@@ -23,14 +23,22 @@ The closed form is one numpy broadcast per weight vector over the whole
 argmax of size*4 + weight, `pick_anchor`'s rule) and its leftovers are
 computed once per row or column, and the per-neighbor max terms pair
 them up.  The same broadcast marks where a clamp is possible: a big
-component heavier than its anchor branch on either side.  The matcher
-still prices every shape, one call each on plain tuples, into a grid of
-the same shape and dtype; the two grids must agree wherever no clamp is
-possible, must see the same clamps, and a clamped shape takes the
-matcher's value.  The matcher never sees v*'s weight, which enters only
-as the (d-1) * wstar * D offset, so one matcher pass per d = 2 shape
-serves both v* weights.  `color_rate` prices its one shape through the
-same two grids at 1x1.  The grid holds int64 when D times
+component heavier than its anchor branch on either side.
+
+The closed form ranks; the matcher re-prices, one call per shape on
+plain tuples, where the two routes can differ or the answer is decided.
+`rate_maxima`, and so `threshold_ratio`, has it price every clampable
+shape, which takes the matcher's value, and every shape attaining a
+branch maximum, whose closed form it must confirm; both routes must see
+the same clamps there.  That is 12 matcher calls for the default
+schedule and 15 for Glauber.  `certify_report` (`simcol certify`) also
+runs the uncached every-shape pass, the same ranking with the matcher
+on every shape (9 702 calls for the default schedule, 72 for Glauber),
+so a shape priced differently by the two routes fails the report
+wherever it lies.  The matcher never sees v*'s weight, which enters
+only as the (d-1) * wstar * D offset, so one matcher pass per d = 2
+shape serves both v* weights.  `color_rate` prices its one shape
+through the same two routes at 1x1.  The grid holds int64 when D times
 the bound of `_grid_dtype` fits, and exact Python ints (dtype=object)
 otherwise, so no value ever wraps.
 
@@ -221,42 +229,51 @@ def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
     return raw - (d - 1) * wstar * units.den, clamped
 
 
-def _matcher_grid(units: FlipUnits, weights, xs: list, ys: list,
-                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The matching's own numerators (wstar = 0) and clamp flags for every
-    (x, y) shape; xs (rows) and ys (columns) are lists of size tuples."""
+def _matcher_grid(units: FlipUnits, weights, xs: list, ys: list, dtype,
+                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matching's own numerators (wstar = 0) and clamp flags for the
+    (x, y) shapes where mask holds, 0 and False elsewhere; xs (rows) and
+    ys (columns) are lists of size tuples."""
     ids = _matcher_ids(len(weights))
-    raw = np.empty((len(xs), len(ys)), dtype=dtype)
-    clamped = np.empty((len(xs), len(ys)), dtype=bool)
-    for i, x in enumerate(xs):
-        row = [_matcher_rate(x, y, weights, 0, units, ids) for y in ys]
+    raw = np.zeros(mask.shape, dtype=dtype)
+    clamped = np.zeros(mask.shape, dtype=bool)
+    for i in np.flatnonzero(mask.any(axis=1)).tolist():
+        row = [_matcher_rate(xs[i], y, weights, 0, units, ids) if m else (0, 0)
+               for y, m in zip(ys, mask[i].tolist())]
         raw[i] = [num for num, _ in row]
         clamped[i] = [c > 0 for _, c in row]
     return raw, clamped
 
 
-def _dual_check(units: FlipUnits, wstar: int, weights, xs: list, ys: list,
-                closed: np.ndarray, clampable: np.ndarray, raw: np.ndarray,
-                clamped: np.ndarray) -> np.ndarray:
-    """Every shape's value, checked between the closed form and the matcher.
+def _dual_check(units: FlipUnits, weights, xs: list, ys: list,
+                nums: dict[int, np.ndarray], clampable: np.ndarray,
+                mask: np.ndarray) -> None:
+    """Price the shapes where mask holds by the matcher and check them
+    against the closed form, for every v* weight in nums.
 
     Where no clamp is possible the two routes must agree; where one is,
     the closed form's leftover expressions go negative and only the
     matching is meaningful, so the shape takes the matcher's value.  Both
-    routes must see the same clamps.  closed is overwritten and returned.
+    routes must see the same clamps.  One matcher pass serves every v*
+    weight; each grid in nums is updated in place.
     """
-    matched = raw - (len(weights) - 1) * wstar * units.den
-    bad = (clamped != clampable) | (~clampable & (matched != closed))
-    if bad.any():
-        i, j = (int(k) for k in np.argwhere(bad)[0])
-        cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
-                            x_branch_sizes=xs[i], y_branch_sizes=ys[j])
-        raise AssertionError(
-            f"evaluation mismatch on {cfg}: matching {matched[i, j]} (clamped "
-            f"{bool(clamped[i, j])}) vs closed form {closed[i, j]} (clampable "
-            f"{bool(clampable[i, j])}), over {cfg.color_weight * units.den}")
-    closed[clampable] = matched[clampable]
-    return closed
+    if not mask.any():
+        return
+    raw, clamped = _matcher_grid(units, weights, xs, ys,
+                                 next(iter(nums.values())).dtype, mask)
+    take = mask & clampable
+    for wstar, closed in nums.items():
+        matched = raw - (len(weights) - 1) * wstar * units.den
+        bad = mask & ((clamped != clampable) | (~clampable & (matched != closed)))
+        if bad.any():
+            i, j = (int(k) for k in np.argwhere(bad)[0])
+            cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
+                                x_branch_sizes=xs[i], y_branch_sizes=ys[j])
+            raise AssertionError(
+                f"evaluation mismatch on {cfg}: matching {matched[i, j]} (clamped "
+                f"{bool(clamped[i, j])}) vs closed form {closed[i, j]} (clampable "
+                f"{bool(clampable[i, j])}), over {cfg.color_weight * units.den}")
+        closed[take] = matched[take]
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
@@ -266,13 +283,12 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
     form (a 1x1 grid) wherever no clamp is possible.
     """
     xs, ys = [cfg.x_branch_sizes], [cfg.y_branch_sizes]
-    weights, units = cfg.neighbor_weights, fp.units
-    num, clampable = _closed_form_grid(units, cfg.vstar_weight, weights,
+    weights, units, wstar = cfg.neighbor_weights, fp.units, cfg.vstar_weight
+    num, clampable = _closed_form_grid(units, wstar, weights,
                                        np.array(xs), np.array(ys))
-    raw, clamped = _matcher_grid(units, weights, xs, ys, num.dtype)
-    value = _dual_check(units, cfg.vstar_weight, weights, xs, ys, num, clampable,
-                        raw, clamped)
-    return Fraction(int(value[0, 0]), cfg.color_weight * units.den)
+    _dual_check(units, weights, xs, ys, {wstar: num}, clampable,
+                np.ones_like(clampable))
+    return Fraction(int(num[0, 0]), cfg.color_weight * units.den)
 
 
 @dataclass(frozen=True)
@@ -285,58 +301,67 @@ class BranchMaximum:
 
 
 def _enumerate_branches(units: FlipUnits, d: int, cap: int,
-                        lemma_values: dict[int, Fraction]) -> dict[int, BranchMaximum]:
-    """Every d-neighbor shape with sizes in 1..cap, for each v* weight in
-    lemma_values, priced by both routes and ranked in numpy.
+                        lemma_values: dict[int, Fraction],
+                        every_shape: bool) -> dict[int, BranchMaximum]:
+    """The branch maxima over every d-neighbor shape with sizes in 1..cap,
+    for each v* weight in lemma_values, ranked by the closed form.
 
-    The matcher runs once per shape and its grid serves every v* weight.
-    A shape's value is num / (color_weight * D) with D shared by all
-    shapes, so values compare by cross-multiplying num with color_weight.
+    The closed form prices every shape.  The matcher then prices every
+    clampable shape (all shapes with every_shape), which takes the
+    matcher's value, and afterwards every maximizer not priced yet, whose
+    closed form it must confirm, so no maximum moves.  One matcher pass
+    serves every v* weight.  A shape's value is num / (color_weight * D)
+    with D shared by all shapes, so a maximizer is a shape whose num
+    times the best color_weight equals the best num times its own.
     """
     grid = _size_grid(d, cap)
     tuples = [tuple(row) for row in grid.tolist()]
-    dtype = _grid_dtype(units.den, d, cap)
-    groups = {wstar: [] for wstar in lemma_values}
+    groups = []
     for weights in product((1, 2), repeat=d):
-        raw, clamped = _matcher_grid(units, weights, tuples, tuples, dtype)
-        for wstar, found in groups.items():
-            num, clampable = _closed_form_grid(units, wstar, weights, grid, grid)
-            num = _dual_check(units, wstar, weights, tuples, tuples, num, clampable,
-                              raw, clamped)
-            found.append((weights, sum(weights), num))
-    return {wstar: _branch_maximum(units, wstar, tuples, found, lemma_values[wstar])
-            for wstar, found in groups.items()}
+        nums = {}
+        for wstar in lemma_values:
+            nums[wstar], clampable = _closed_form_grid(units, wstar, weights,
+                                                       grid, grid)
+        priced = np.ones_like(clampable) if every_shape else clampable
+        _dual_check(units, weights, tuples, tuples, nums, clampable, priced)
+        groups.append((weights, nums, clampable, priced))
+
+    # per v* weight: the largest value, and each group's maximizer mask
+    best, tops = {}, {}
+    for wstar in lemma_values:
+        num, cw = max(((int(nums[wstar].max()), sum(weights))
+                       for weights, nums, _, _ in groups),
+                      key=lambda top: Fraction(*top))
+        best[wstar] = Fraction(num, cw * units.den)
+        tops[wstar] = [nums[wstar] * cw == num * sum(weights)
+                       for weights, nums, _, _ in groups]
+    for g, (weights, nums, clampable, priced) in enumerate(groups):
+        maximal = np.logical_or.reduce([top[g] for top in tops.values()])
+        _dual_check(units, weights, tuples, tuples, nums, clampable,
+                    maximal & ~priced)
+
+    return {wstar: BranchMaximum(
+        lemma_value=lemma_value, enumerated=best[wstar],
+        maximizers=tuple(
+            ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
+                          x_branch_sizes=tuples[i], y_branch_sizes=tuples[j])
+            for (weights, *_), top in zip(groups, tops[wstar])
+            for i, j in zip(*np.nonzero(top))),
+        bound_holds=best[wstar] <= lemma_value,
+        attained=best[wstar] == lemma_value)
+        for wstar, lemma_value in lemma_values.items()}
 
 
-def _branch_maximum(units: FlipUnits, wstar: int, tuples: list, groups: list,
-                    lemma_value: Fraction) -> BranchMaximum:
-    """The largest value over (weights, color_weight, num grid) groups, and
-    every shape attaining it."""
-    best_num, best_cw = None, 1
-    for _, cw, num in groups:
-        top = int(num.max())
-        if best_num is None or top * best_cw > best_num * cw:
-            best_num, best_cw = top, cw
-    argmax = [
-        ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
-                      x_branch_sizes=tuples[i], y_branch_sizes=tuples[j])
-        for weights, cw, num in groups
-        for i, j in zip(*np.nonzero(num * best_cw == best_num * cw))
-    ]
-    best = Fraction(best_num, best_cw * units.den)
-    return BranchMaximum(lemma_value=lemma_value, enumerated=best,
-                         maximizers=tuple(argmax),
-                         bound_holds=best <= lemma_value,
-                         attained=best == lemma_value)
-
-
-def _maxima_at_cap(fp: FlipParams, cap: int) -> dict[str, BranchMaximum]:
-    """`rate_maxima` with branch sizes enumerated up to cap."""
+def _maxima_at_cap(fp: FlipParams, cap: int,
+                   every_shape: bool = False) -> dict[str, BranchMaximum]:
+    """`rate_maxima` with branch sizes enumerated up to cap; every_shape
+    has the matcher price every shape, not only clampable ones and
+    maximizers."""
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
     units = fp.units
-    dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3})
+    dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3}, every_shape)
     dc2 = _enumerate_branches(units, 2, cap, {1: Fraction(3, 4) + 2 * p3,
-                                              2: 8 * p3})
+                                              2: 8 * p3}, every_shape)
     return {"dc1": dc1[1], "w1dc2": dc2[1], "w2dc2": dc2[2]}
 
 
@@ -347,10 +372,12 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     Branch keys: "dc1" (one neighbor, any weights), "w1dc2" and "w2dc2"
     (two neighbors at a weight-1 resp. weight-2 disagreement vertex).
     Branch sizes run up to the locality + 1, which the module docstring's
-    lemma shows loses nothing.  The lemma_value fields are the
-    closed-form bounds the threshold identities quote; bound_holds
-    records whether enumeration stayed under them, attained whether it
-    reached them.
+    lemma shows loses nothing.  The closed form ranks every shape and the
+    matcher re-prices only clampable shapes and maximizers;
+    `certify_report` adds the pass that re-prices every shape.  The
+    lemma_value fields are the closed-form bounds the threshold
+    identities quote; bound_holds records whether enumeration stayed
+    under them, attained whether it reached them.
     """
     if fp.locality > 6:
         raise ValueError(f"size cap {fp.locality + 1} (the locality + 1) is "
@@ -412,8 +439,15 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
 
 
 def certify_report(fp: FlipParams) -> dict:
-    """JSON-ready certification summary; rationals as "num/den" strings."""
+    """JSON-ready certification summary; rationals as "num/den" strings.
+
+    Besides the ranked `rate_maxima`, this runs the uncached every-shape
+    pass, so a shape the two routes price differently fails the report
+    wherever it lies.
+    """
     mx = rate_maxima(fp)
+    if _maxima_at_cap(fp, fp.locality + 1, every_shape=True) != mx:
+        raise AssertionError("the every-shape pass moves the ranked maxima")
     branches = branch_thresholds(fp)
     ratio = threshold_ratio(fp)
     identities = threshold_identities(fp)

@@ -26,7 +26,10 @@ the marginal ledger and the per-color drift shares are integer
 numerators over m*k*D, D = `FlipParams.units.den`; Fractions are
 built only for what a report exposes, and the one-step expected change
 of the weighted disagreement metric is compared against the certified
-threshold without tolerance.
+threshold without tolerance.  That threshold is `threshold_ratio`, read
+from the ranked certificate (`certify.rate_maxima`), in which the
+matcher re-prices only maximizers and clampable shapes; `simcol
+certify` and the test suite dual-check its every shape.
 """
 
 from __future__ import annotations
@@ -454,6 +457,8 @@ def estimate_contraction(G: UnionLineGraph, k: int, fp: FlipParams,
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
+    # a schedule the certificate cannot cover fails here, before burn-in
+    threshold_ratio(fp)
     rng = random.Random(seed)
     sampled = sample_adjacent_pairs(G, k, fp, pairs, rng)
     records = []

@@ -13,6 +13,7 @@ from simcol.certify import (ClusterConfig, TARGET_RATIO, branch_thresholds,
                             certify_report, color_rate, frac_str, rate_maxima,
                             threshold_identities, threshold_ratio,
                             verify_flip_properties)
+from simcol.cli import main
 from simcol.dynamics import FlipParams, FlipUnits
 
 DEFAULT = FlipParams.default()
@@ -98,14 +99,16 @@ class TestRateMaxima:
                    for name, bm in certify._maxima_at_cap(DEFAULT, cap).items()}
             assert got == at_cap, cap
 
-    @pytest.mark.parametrize("fp, calls", [
-        (DEFAULT, 2 * 7 ** 2 + 4 * 7 ** 4),
-        (GLAUBER, 2 * 2 ** 2 + 4 * 2 ** 4),
+    @pytest.mark.parametrize("fp, ranked, every_shape", [
+        (DEFAULT, 12, 2 * 7 ** 2 + 4 * 7 ** 4),
+        (GLAUBER, 15, 2 * 2 ** 2 + 4 * 2 ** 4),
     ], ids=["default", "glauber"])
-    def test_one_matcher_call_per_shape(self, monkeypatch, fp, calls):
-        # sizes up to the locality + 1, and one matcher pass per d = 2
-        # shape for both v* weights: 2 weight vectors times cap^2 shapes
-        # at d = 1, 4 times cap^4 at d = 2
+    def test_one_matcher_call_per_shape(self, monkeypatch, fp, ranked, every_shape):
+        # the ranked certificate prices only maximizers (no default or
+        # Glauber shape is clampable); certify_report's every-shape pass
+        # prices each shape once, sizes up to the locality + 1 and one
+        # matcher pass per d = 2 shape for both v* weights: 2 weight
+        # vectors times cap^2 shapes at d = 1, 4 times cap^4 at d = 2
         seen = []
         matcher = certify.match_color_moves
 
@@ -116,11 +119,32 @@ class TestRateMaxima:
         monkeypatch.setattr(certify, "match_color_moves", counted)
         rate_maxima.cache_clear()
         try:
-            rate_maxima(fp)
+            threshold_ratio(fp)
+            assert len(seen) == ranked
+            seen.clear()
+            certify_report(fp)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        assert len(seen) == calls
+        assert len(seen) == every_shape
+
+    @pytest.mark.parametrize("fp", [
+        DEFAULT, GLAUBER, CLAMPING, VIOLATION, MIXED,
+        # every dc1 maximizer clamps, so the ranking needs the matcher's values
+        FlipParams((Fraction(1), Fraction(0), Fraction(1, 4), Fraction(1, 10))),
+    ], ids=["default", "glauber", "clamping", "violation", "mixed", "clamped_max"])
+    def test_ranked_maxima_equal_the_every_shape_pass(self, fp):
+        full = certify._maxima_at_cap(fp, fp.locality + 1, every_shape=True)
+        assert rate_maxima(fp) == full
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.fractions(0, 1, max_denominator=60), max_size=2))
+    def test_ranked_maxima_equal_the_every_shape_pass_drawn(self, tail):
+        # schedules of locality <= 3, clamping ones among them
+        fp = FlipParams((Fraction(1), *tail))
+        cap = fp.locality + 1
+        assert (certify._maxima_at_cap(fp, cap)
+                == certify._maxima_at_cap(fp, cap, every_shape=True))
 
     def test_locality_cap(self):
         fp = FlipParams(tuple([Fraction(1)] + [Fraction(1, 100)] * 6))
@@ -131,8 +155,9 @@ class TestRateMaxima:
 
 class TestClampPath:
     def test_clamping_schedule_maxima(self, monkeypatch):
-        # count the shapes where each route sees a clamp, on a cold
-        # enumeration; rate_maxima asserts the two counts agree shape by shape
+        # count the shapes where each route sees a clamp, on a cold ranked
+        # certificate and then on certify_report's every-shape pass; both
+        # assert the two counts agree shape by shape
         grid_clamps, matcher_clamps = {}, []
         grid, matcher = certify._closed_form_grid, certify.match_color_moves
 
@@ -153,11 +178,19 @@ class TestClampPath:
         try:
             mx = rate_maxima(CLAMPING)
             ratio = threshold_ratio(CLAMPING)
+            # sizes run to the locality + 1 = 5, and the matcher prices each
+            # clampable shape, plus the two unclamped maximizers, once for
+            # both v* weights
+            assert grid_clamps == {(1, 1): 18, (1, 2): 384, (2, 2): 384}
+            assert sum(matcher_clamps) == 18 + 384
+            assert len(matcher_clamps) == 18 + 384 + 2
+            grid_clamps.clear()
+            matcher_clamps.clear()
+            certify_report(CLAMPING)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        # sizes run to the locality + 1 = 5, and the matcher prices each
-        # d = 2 shape once for both v* weights
+        # the every-shape pass prices each d = 2 shape once for both v* weights
         assert grid_clamps == {(1, 1): 18, (1, 2): 384, (2, 2): 384}
         assert sum(matcher_clamps) == 18 + 384
         assert len(matcher_clamps) == 2 * 5 ** 2 + 4 * 5 ** 4
@@ -248,7 +281,9 @@ class TestSizeCapLemma:
 
 class TestDualCheckCoverage:
     """The closed form stays a second route on every shape, not only on
-    the maximizers: a wrong value anywhere must stop the enumeration."""
+    the maximizers: a wrong value anywhere must stop `certify_report` and
+    `simcol certify`, and one lifted to a maximum must stop the ranked
+    certificate too."""
 
     # unclamped under the default schedule (no shape clamps there) and far
     # below the w1dc2 maximum
@@ -261,25 +296,45 @@ class TestDualCheckCoverage:
             DEFAULT.units, 1, (1, 2), np.array([(2, 1)]), np.array([(1, 4)]))
         assert not clampable.any()
 
-    @pytest.mark.parametrize("entry", [rate_maxima, threshold_ratio],
-                             ids=["rate_maxima", "threshold_ratio"])
-    def test_one_mispriced_shape_is_caught(self, monkeypatch, entry):
+    @classmethod
+    def mispriced(cls, monkeypatch, price):
+        """Patch the closed form to give TARGET price(num, units) instead."""
         grid = certify._closed_form_grid
-        t = self.TARGET
+        t = cls.TARGET
 
         def mutated(units, wstar, weights, xs, ys):
             num, clampable = grid(units, wstar, weights, xs, ys)
             if wstar == t.vstar_weight and tuple(weights) == t.neighbor_weights:
                 rows = np.nonzero((xs == t.x_branch_sizes).all(axis=1))[0]
                 cols = np.nonzero((ys == t.y_branch_sizes).all(axis=1))[0]
-                num[np.ix_(rows, cols)] += 1
+                at = np.ix_(rows, cols)
+                num[at] = price(num[at], units)
             return num, clampable
 
         monkeypatch.setattr(certify, "_closed_form_grid", mutated)
+
+    @pytest.mark.parametrize("entry", [lambda: certify_report(DEFAULT),
+                                       lambda: main(["certify"])],
+                             ids=["certify_report", "simcol_certify"])
+    def test_one_mispriced_shape_is_caught(self, monkeypatch, entry):
+        self.mispriced(monkeypatch, lambda num, units: num + 1)
         rate_maxima.cache_clear()
         try:
-            with pytest.raises(AssertionError, match=re.escape(repr(t))):
-                entry(DEFAULT)
+            with pytest.raises(AssertionError, match=re.escape(repr(self.TARGET))):
+                entry()
+        finally:
+            monkeypatch.undo()
+            rate_maxima.cache_clear()
+
+    def test_shape_lifted_to_the_maximum_is_caught_by_the_ranking(self, monkeypatch):
+        # value 2 over the w1dc2 maximum 1283/1300: TARGET becomes the one
+        # maximizer, and the matcher's re-pricing of it must disagree
+        cw = self.TARGET.color_weight
+        self.mispriced(monkeypatch, lambda num, units: 2 * cw * units.den)
+        rate_maxima.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=re.escape(repr(self.TARGET))):
+                threshold_ratio(DEFAULT)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
@@ -288,7 +343,7 @@ class TestDualCheckCoverage:
 def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     # the matcher route's mirror of TestDualCheckCoverage: one d = 2 shape
     # priced wrong by the matcher, whose grid both v* weights share, stops
-    # the enumeration at the first branch that sees it
+    # the every-shape pass at the first branch that sees it
     rate = certify._matcher_rate
     t = TestDualCheckCoverage.TARGET
 
@@ -303,7 +358,7 @@ def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     rate_maxima.cache_clear()
     try:
         with pytest.raises(AssertionError, match=re.escape(repr(t))):
-            rate_maxima(DEFAULT)
+            certify_report(DEFAULT)
     finally:
         monkeypatch.undo()
         rate_maxima.cache_clear()

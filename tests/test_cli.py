@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from simcol import coupling
 from simcol.cli import build_parser, main
 from simcol.graphs import GEN_MAX_N, read_instance
 
@@ -407,15 +408,14 @@ class TestOracleAndCount:
         g = instance("two.txt", TWO_EDGES)
         assert main(["count", "--graph", g, "--k", "100", "--cap", "10"]) == 4
 
-    def test_count_without_recursion_limit(self, tmp_path, capsys):
-        # 2 400 disjoint edges: at k = 1 the k^m cap is 1, so only the
-        # backtracking itself bounds its depth
-        g = str(tmp_path / "matching.txt")
-        assert main(["gen", "--n", "2400", "--delta", "1", "--overlap", "0",
-                     "--seed", "3", "--out", g]) == 0
-        capsys.readouterr()
-        assert main(["count", "--graph", g, "--k", "1"]) == 0
-        assert capsys.readouterr().out == "1\n"
+    def test_count_without_recursion_limit(self, instance, capsys):
+        # a 2 400-edge path is one component, a path of 2 400 vertices in
+        # the union line graph: the backtracking goes 2 400 deep, past
+        # Python's default recursion limit, to its 2 proper 2-colorings
+        edges = "".join(f"{i} {i + 1}\n" for i in range(1, 2401))
+        g = instance("path.txt", f"simcol 1\nn 2401\ng1 2400\n{edges}g2 0\n")
+        assert main(["count", "--graph", g, "--k", "2", "--cap", str(10 ** 800)]) == 0
+        assert capsys.readouterr().out == "2\n"
 
     def test_count_multiplies_components(self, instance, capsys):
         # 2 400 disjoint edges are 2 400 components of one vertex each:
@@ -503,6 +503,23 @@ class TestDrift:
                      "--seed", "2"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and one_error_line(err)
+
+    def test_schedule_past_size_cap_exits_before_burn_in(self, tmp_path, capsys,
+                                                         monkeypatch):
+        g = tmp_path / "inst.txt"
+        main(["gen", "--n", "9", "--delta", "3", "--seed", "8", "--out", str(g)])
+        fp = tmp_path / "fp.txt"
+        fp.write_text("1\n1/2\n1/3\n1/4\n1/5\n1/6\n1/7\n")
+        capsys.readouterr()
+
+        def no_burn_in(*args):
+            raise AssertionError("pairs sampled for a schedule past the size cap")
+
+        monkeypatch.setattr(coupling, "sample_adjacent_pairs", no_burn_in)
+        assert main(["drift", "--graph", str(g), "--k", "18", "--pairs", "2",
+                     "--seed", "2", "--fp", str(fp)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err) and "size cap 8" in err
 
     def test_too_few_colors_is_usage_error(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"
