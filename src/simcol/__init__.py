@@ -12,8 +12,7 @@ verification.
 from .certify import certify_report, rate_maxima, threshold_ratio, verify_flip_properties
 from .coupling import (AdjacentPair, build_flip_coupling_table, estimate_contraction,
                        flip_exact_drift, sample_adjacent_pairs, weighted_hamming)
-from .dynamics import (Coloring, FlipParams, flip_step, glauber_step,
-                       greedy_coloring, is_proper, run_chain)
+from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chain
 from .graphs import (GraphPair, ParseError, UnionLineGraph,
                      build_union_line_graph, random_graph_pair, read_instance,
                      write_instance)
@@ -28,8 +27,7 @@ __all__ = [
     "ParseError", "StateIndex", "UnionLineGraph",
     "build_flip_coupling_table", "build_transition_matrix",
     "build_union_line_graph", "certify_report", "count_proper",
-    "estimate_contraction", "flip_exact_drift", "flip_step",
-    "glauber_step", "greedy_coloring", "is_proper",
+    "estimate_contraction", "flip_exact_drift", "greedy_coloring", "is_proper",
     "oracle_report", "random_graph_pair", "rate_maxima",
     "read_instance", "run_chain", "sample_adjacent_pairs",
     "stationary_check", "threshold_ratio",

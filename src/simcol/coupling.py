@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 from .certify import threshold_ratio
 from .dynamics import (Coloring, FlipParams, alternating_component,
-                       compute_cluster, flip_step, greedy_coloring, is_proper)
+                       compute_cluster, greedy_coloring, is_proper, run_chain)
+from .dynamics import flip_step  # noqa: F401  perfbench/tracing.py patches it here by name
 from .graphs import UnionLineGraph
 from .matching import match_color_moves
 
@@ -392,19 +393,20 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
                           count: int, rng: random.Random) -> list[AdjacentPair]:
     """Proper adjacent pairs from a warmed-up chain plus one perturbation.
 
-    Burn-in is 20*m*k proposals from the greedy start, with m*k more
-    between consecutive pairs; the perturbed vertex and its new color are
-    drawn uniformly among the proper choices.
+    The walk is `run_chain`'s flip chain at fp: burn-in is 20*m*k
+    proposals from the greedy start, with m*k more before each pair; the
+    perturbed vertex and its new color are drawn uniformly among the
+    proper choices.  rng must draw its integers through `getrandbits`, as
+    `random.Random` does (`run_chain`'s contract); any other raises
+    TypeError before the first proposal.
     """
     if k < 4 * G.delta - 2:
         raise ValueError("pair sampling expects k >= 4*delta - 2")
     sigma = greedy_coloring(G, k)
-    for _ in range(20 * G.m * k):
-        flip_step(G, sigma, fp, rng)
+    run_chain(G, sigma, 20 * G.m * k, rng, kind="flip", fp=fp)
     pairs: list[AdjacentPair] = []
     while len(pairs) < count:
-        for _ in range(G.m * k):
-            flip_step(G, sigma, fp, rng)
+        run_chain(G, sigma, G.m * k, rng, kind="flip", fp=fp)
         order = list(range(G.m))
         rng.shuffle(order)
         for v in order:

@@ -14,18 +14,19 @@ compares u < p_s / s exactly.  Exact flip masses are integers over one
 common denominator, owned by `FlipParams.units`; the coupling, the
 certifier and the exact kernel all count in that unit.
 
-Colors are 1-based.  The RNG contract, which the trajectory-equivalence
-tests rely on, is exactly: one `randrange(m)` for the vertex, one
-`randrange(k)` for the color, then one `random()` for acceptance drawn
-only when the acceptance probability lies strictly between 0 and 1.  A
-flip chain with probabilities (1, 0, ...) therefore consumes the same
-draw sequence as Glauber and realizes the same walk.  The single-step
-functions `glauber_step` (Glauber written on its own, as a reference)
-and `flip_step` make exactly these calls.  `run_chain` draws the same
-32-bit words through `getrandbits`: v is `getrandbits(m.bit_length())`
-redrawn while >= m, which is how `random.Random.randrange(m)` draws it,
-and c likewise.  So for `random.Random` its stream, walk and final RNG
-state equal theirs.
+Colors are 1-based.  `run_chain` is the one chain loop; every walk in
+the package, the pair sampler's burn-in included, goes through it.  Its
+RNG contract, which the trajectory-equivalence tests rely on, is
+exactly: one `randrange(m)` for the vertex, one `randrange(k)` for the
+color, then one `random()` for acceptance drawn only when the acceptance
+probability lies strictly between 0 and 1.  A flip chain with
+probabilities (1, 0, ...) therefore consumes the same draw sequence as
+Glauber and realizes the same walk.  `run_chain` draws v as
+`getrandbits(m.bit_length())` redrawn while >= m, which is how
+`random.Random.randrange(m)` draws it, and c likewise.  `flip_step`, one
+proposal making exactly these calls, is the reference the tests compare
+`run_chain` against: for `random.Random` the stream, walk and final RNG
+state of `steps` calls of it equal those of one `run_chain` call.
 """
 
 from __future__ import annotations
@@ -212,17 +213,6 @@ def swap_colors(assign: list[int], members, a: int, b: int) -> None:
             assign[u] = a
 
 
-def glauber_step(G: UnionLineGraph, sigma: Coloring, rng: random.Random) -> int:
-    """One proposal; returns 1 if v now holds c (its own color counts), else 0."""
-    v = rng.randrange(G.m)
-    c = rng.randrange(sigma.k) + 1
-    assign = sigma.assign
-    if assign[v] != c and any(assign[w] == c for w in G.nbrs[v]):
-        return 0
-    assign[v] = c
-    return 1
-
-
 def flip_step(G: UnionLineGraph, sigma: Coloring, fp: FlipParams,
               rng: random.Random) -> int:
     """One proposal; returns the flipped component size, 0 on a null move."""
@@ -289,8 +279,8 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
     The schedule is `FlipParams.for_chain(kind, fp)`: kind "glauber" runs
     the flip chain at p = (1,), kind "flip" runs it at fp, or at the
     default schedule when fp is None.  Same walk, tallies and final RNG
-    state as `steps` calls of `flip_step` (or `glauber_step`), written as
-    one loop: v and c come from `getrandbits` redrawn while out of range,
+    state as `steps` calls of `flip_step` at that schedule, written as one
+    loop: v and c come from `getrandbits` redrawn while out of range,
     which is how `random.Random.randrange` draws them, so rng must draw
     its integers that way (TypeError otherwise).
     """

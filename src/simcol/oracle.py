@@ -360,9 +360,12 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     else:
         QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
         dt = np.eye(n)
+        buf = np.empty_like(dt)  # |dt - 1/n|, in place each step
         prev = None
         for t in range(TMIX_MAX_STEPS + 1):
-            d = float(0.5 * np.abs(dt - 1.0 / n).sum(axis=0).max())
+            np.subtract(dt, 1.0 / n, out=buf)
+            np.abs(buf, out=buf)
+            d = float(0.5 * buf.sum(axis=0).max())
             curve.append([t, d])
             assert prev is None or d <= prev + 1e-12
             prev = d

@@ -3,13 +3,57 @@
 Nothing here imports the move-law or table code under test; component
 growth is a plain two-color BFS, which provably coincides with the
 chains' alternating closure on proper colorings (the only states the
-couplings ever see).
+couplings ever see).  The single-step walks are the references that
+`run_chain` and the pair sampler built on it are compared against.
 """
 
 import random
 from fractions import Fraction
 
 import numpy as np
+
+from simcol.coupling import AdjacentPair
+from simcol.dynamics import flip_step, greedy_coloring
+
+
+def glauber_step(G, sigma, rng):
+    """One proposal; returns 1 if v now holds c (its own color counts), else 0."""
+    v = rng.randrange(G.m)
+    c = rng.randrange(sigma.k) + 1
+    assign = sigma.assign
+    if assign[v] != c and any(assign[w] == c for w in G.nbrs[v]):
+        return 0
+    assign[v] = c
+    return 1
+
+
+def reference_adjacent_pairs(G, k, fp, count, rng):
+    """`sample_adjacent_pairs` walked one `flip_step` call per proposal."""
+    if k < 4 * G.delta - 2:
+        raise ValueError("pair sampling expects k >= 4*delta - 2")
+    sigma = greedy_coloring(G, k)
+    for _ in range(20 * G.m * k):
+        flip_step(G, sigma, fp, rng)
+    pairs = []
+    while len(pairs) < count:
+        for _ in range(G.m * k):
+            flip_step(G, sigma, fp, rng)
+        order = list(range(G.m))
+        rng.shuffle(order)
+        for v in order:
+            taken = {sigma.assign[w] for w in G.nbrs[v]}
+            free = [c for c in range(1, k + 1)
+                    if c != sigma.assign[v] and c not in taken]
+            if not free:
+                continue
+            c = free[rng.randrange(len(free))]
+            y = sigma.copy()
+            y.assign[v] = c
+            pairs.append(AdjacentPair(x=sigma.copy(), y=y, vstar=v))
+            break
+        else:
+            raise ValueError("no proper single-vertex perturbation exists")
+    return pairs
 
 
 def numpy_brute_count(G, k, perm_seed=0):

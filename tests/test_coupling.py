@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import simcol.coupling as coupling
-from helpers import apply_move, brute_flip_law, brute_glauber_drift, jerrum_partner_color
+from helpers import (apply_move, brute_flip_law, brute_glauber_drift, jerrum_partner_color,
+                     reference_adjacent_pairs)
 from simcol.certify import rate_maxima
 from simcol.coupling import (AdjacentPair, _assemble_flip_table,
                              build_flip_coupling_table, estimate_contraction,
@@ -486,6 +487,34 @@ class TestSampling:
         _, pairs_b = random_pairs(n=9, delta=3, k=11, seed=6, count=4)
         for a, b in zip(pairs_a, pairs_b):
             assert a.x.assign == b.x.assign and a.vstar == b.vstar
+
+    @pytest.mark.parametrize("fp", [SCHEDULES[0], SCHEDULES[1], SCHEDULES[3]],
+                             ids=["default", "glauber", "nondyadic"])
+    def test_equals_single_step_reference(self, fp):
+        # the burn-in walks through run_chain; one flip_step per proposal
+        # must give the same pairs and leave the RNG in the same state
+        G = build_union_line_graph(random_graph_pair(n=10, delta=3, overlap=0.5, seed=4))
+        assert 2 in G.weight
+        k = 4 * G.delta - 1
+        ra, rb = random.Random(17), random.Random(17)
+        got = sample_adjacent_pairs(G, k, fp, 5, ra)
+        want = reference_adjacent_pairs(G, k, fp, 5, rb)
+        assert [(p.x.assign, p.y.assign, p.vstar) for p in got] == \
+            [(p.x.assign, p.y.assign, p.vstar) for p in want]
+        assert ra.getstate() == rb.getstate()
+
+    def test_rng_must_draw_integers_through_getrandbits(self):
+        # run_chain's contract: an rng whose randrange draws otherwise is
+        # refused before the first burn-in proposal consumes anything
+        class OwnRandbelow(random.Random):
+            def _randbelow(self, n):
+                return int(self.random() * n)
+
+        G = build_union_line_graph(random_graph_pair(n=9, delta=3, overlap=0.5, seed=3))
+        rng = OwnRandbelow(5)
+        with pytest.raises(TypeError, match="getrandbits"):
+            sample_adjacent_pairs(G, 11, DEFAULT, 1, rng)
+        assert rng.getstate() == random.Random(5).getstate()
 
 
 class TestContractionSummary:

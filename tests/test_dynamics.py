@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import glauber_step
 from simcol.dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
-                             glauber_step, greedy_coloring, is_proper,
-                             run_chain, swap_colors)
+                             greedy_coloring, is_proper, run_chain, swap_colors)
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 
 

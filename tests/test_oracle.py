@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,6 +273,27 @@ class TestMixing:
         assert sum(P.proper) == 9 * 8 ** 3 > TMIX_STATE_CAP
         with pytest.raises(CapExceeded):
             tv_mixing_time(P)
+
+    def test_float_curve_equals_the_two_temporary_expression(self):
+        # the sweep takes |dt - 1/n| in one preallocated buffer; the curve
+        # must equal, bit for bit, the distance written as one expression
+        # (the benchmark's 4-cycle instance, 1 302 proper states)
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4), (1, 4)],
+                                        [(1, 2), (2, 3)]))
+        P = build_transition_matrix(G, 7, kind="flip", mode="float")
+        proper = np.flatnonzero(P.proper)
+        Q = P.num[proper][:, proper]
+        Q.eliminate_zeros()
+        n = len(proper)
+        assert n == 1302
+        QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
+        dt, want = np.eye(n), []
+        while not want or want[-1][1] > 0.25:
+            want.append([len(want), float(0.5 * np.abs(dt - 1.0 / n).sum(axis=0).max())])
+            dt = QT.dot(dt)
+        tmix, curve = tv_mixing_time(P)
+        assert tmix == len(want) - 1 > 1
+        assert curve == want
 
     def test_rational_sweep_matches_fraction_propagation(self):
         # reference: propagate each proper start's law as Fraction dicts
