@@ -25,22 +25,17 @@ computed once per row or column, and the per-neighbor max terms pair
 them up.  The same broadcast marks where a clamp is possible: a big
 component heavier than its anchor branch on either side.
 
-The closed form ranks; the matcher re-prices, one call per shape on
-plain tuples, where the two routes can differ or the answer is decided.
-`rate_maxima`, and so `threshold_ratio`, has it price every clampable
-shape, which takes the matcher's value, and every shape attaining a
-branch maximum, whose closed form it must confirm; both routes must see
-the same clamps there.  That is 12 matcher calls for the default
-schedule and 15 for Glauber.  `certify_report` (`simcol certify`) also
-runs the uncached every-shape pass, the same ranking with the matcher
-on every shape (9 702 calls for the default schedule, 72 for Glauber),
-so a shape priced differently by the two routes fails the report
-wherever it lies.  The matcher never sees v*'s weight, which enters
-only as the (d-1) * wstar * D offset, so one matcher pass per d = 2
-shape serves both v* weights.  `color_rate` prices its one shape
-through the same two routes at 1x1.  The grid holds int64 when D times
-the bound of `_grid_dtype` fits, and exact Python ints (dtype=object)
-otherwise, so no value ever wraps.
+Both routes price a shape without v*, whose weight adds the same
+(d-1) * wstar * D to every d-neighbor shape: the offset is taken off
+only where shapes are ranked and in `color_rate`, so one grid per
+weight vector serves both v* weights.  The closed form ranks, and the
+matcher re-prices, one call per shape, where the routes can differ or
+the answer is decided: each clampable shape takes the matcher's value
+before the ranking, and each maximizer's closed form must be confirmed
+after it (12 matcher calls for the default schedule, 15 for Glauber).
+`certify_report` runs the same one enumeration with the matcher on
+every shape (9 702 calls, 72 for Glauber), so a shape the two routes
+price differently fails the report wherever it lies.
 
 Branch sizes are enumerated up to cap = L + 1, L the locality, and
 nothing is lost by the cap.  A branch size s enters a shape's value only
@@ -65,9 +60,6 @@ import numpy as np
 from .dynamics import FlipParams, FlipUnits
 from .matching import match_color_moves
 
-# the largest branch size a ClusterConfig holds; a 6-local schedule's
-# cap, locality + 1, is at most 7
-SIZE_CAP = 8
 TARGET_RATIO = Fraction(5948, 1000)
 # maximizer shapes listed per branch in certify_report
 MAX_ARGMAX = 8
@@ -103,9 +95,8 @@ class ClusterConfig:
             raise ValueError("weights are 1 or 2")
         if self.vstar_weight == 1 and d > 2:
             raise ValueError("a weight-1 vertex meets a color at most twice")
-        for s in (*self.x_branch_sizes, *self.y_branch_sizes):
-            if not (1 <= s <= SIZE_CAP):
-                raise ValueError(f"branch sizes lie in 1..{SIZE_CAP}")
+        if min(self.x_branch_sizes + self.y_branch_sizes) < 1:
+            raise ValueError("branch sizes are at least 1")
 
     @property
     def d(self) -> int:
@@ -131,10 +122,10 @@ def _grid_dtype(den: int, d: int, cap: int):
     Every mass lies in [0, D] and every weighted size w + 2*(s-1) in
     [1, 2*cap].  Per neighbor the closed form adds at most two weighted
     sizes times a big mass (2*cap*D each), a max term (2*D) and two
-    (size-1) terms (2*(cap-1)*D each); with the (d-1)*wstar*D offset,
-    every partial sum stays within 8*d*cap*D in absolute value.  The
-    matcher's numerator, each component's mass times at most twice its
-    weighted sizes, is within it too, and the ranking multiplies a
+    (size-1) terms (2*(cap-1)*D each); every partial sum, and a sum less
+    v*'s (d-1)*wstar*D offset, stays within 8*d*cap*D in absolute value.
+    The matcher's numerator, each component's mass times at most twice
+    its weighted sizes, is within it too, and the ranking multiplies a
     numerator by a color weight of at most 2*d.
     """
     return np.int64 if 16 * d * d * cap * den < 2 ** 63 else object
@@ -145,9 +136,10 @@ def _size_grid(d: int, cap: int) -> np.ndarray:
     return np.indices((cap,) * d).reshape(d, -1).T + 1
 
 
-def _closed_form_grid(units: FlipUnits, wstar: int, weights, xs: np.ndarray,
+def _closed_form_grid(units: FlipUnits, weights, xs: np.ndarray,
                       ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form numerators over color_weight * D for every (x, y) shape.
+    """Closed-form numerators over color_weight * D for every (x, y) shape,
+    without v*'s offset.
 
     xs (rows) and ys (columns) hold one tuple of branch sizes per row.
     Returns (num, clampable), both of shape (len(xs), len(ys)).  Each side
@@ -178,7 +170,7 @@ def _closed_form_grid(units: FlipUnits, wstar: int, weights, xs: np.ndarray,
 
     fixed_a, q, clamp_a = side(xs)
     fixed_b, qp, clamp_b = side(ys)
-    num = fixed_a[:, None] + fixed_b[None, :] - (d - 1) * wstar * units.den
+    num = fixed_a[:, None] + fixed_b[None, :]
     for i in range(d):
         num += w[i] * np.maximum(q[:, None, i], qp[None, :, i])
     return num, clamp_a[:, None] | clamp_b[None, :]
@@ -191,14 +183,11 @@ def _matcher_ids(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
 
 
-def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
-                  ids) -> tuple[int, int]:
+def _matcher_rate(xs, ys, weights, units: FlipUnits, ids) -> tuple[int, int]:
     """Evaluate one shape through the coupling's own mass matching.
 
     xs, ys: branch size tuples; ids: `_matcher_ids(d)`.  Returns
-    (numerator over color_weight * D, clamp count).  wstar only sets the
-    closing (d-1) * wstar * D offset; at wstar = 0 the numerator is the
-    matching's own, shared by both v* weights.
+    (numerator over color_weight * D without v*'s offset, clamp count).
     """
     d = len(weights)
     x_ids, y_ids = ids
@@ -226,54 +215,40 @@ def _matcher_rate(xs, ys, weights, wstar: int, units: FlipUnits,
         else:
             delta = gain[x] + gain[y]
         raw += p.mass * delta
-    return raw - (d - 1) * wstar * units.den, clamped
-
-
-def _matcher_grid(units: FlipUnits, weights, xs: list, ys: list, dtype,
-                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matching's own numerators (wstar = 0) and clamp flags for the
-    (x, y) shapes where mask holds, 0 and False elsewhere; xs (rows) and
-    ys (columns) are lists of size tuples."""
-    ids = _matcher_ids(len(weights))
-    raw = np.zeros(mask.shape, dtype=dtype)
-    clamped = np.zeros(mask.shape, dtype=bool)
-    for i in np.flatnonzero(mask.any(axis=1)).tolist():
-        row = [_matcher_rate(xs[i], y, weights, 0, units, ids) if m else (0, 0)
-               for y, m in zip(ys, mask[i].tolist())]
-        raw[i] = [num for num, _ in row]
-        clamped[i] = [c > 0 for _, c in row]
     return raw, clamped
 
 
-def _dual_check(units: FlipUnits, weights, xs: list, ys: list,
-                nums: dict[int, np.ndarray], clampable: np.ndarray,
-                mask: np.ndarray) -> None:
+def _dual_check(units: FlipUnits, weights, xs: list, ys: list, num: np.ndarray,
+                clampable: np.ndarray, mask: np.ndarray) -> None:
     """Price the shapes where mask holds by the matcher and check them
-    against the closed form, for every v* weight in nums.
+    against the closed form num; xs (rows) and ys (columns) are lists of
+    size tuples.
 
     Where no clamp is possible the two routes must agree; where one is,
     the closed form's leftover expressions go negative and only the
-    matching is meaningful, so the shape takes the matcher's value.  Both
-    routes must see the same clamps.  One matcher pass serves every v*
-    weight; each grid in nums is updated in place.
+    matching is meaningful, so the shape takes the matcher's value in
+    num.  Both routes must see the same clamps.
     """
     if not mask.any():
         return
-    raw, clamped = _matcher_grid(units, weights, xs, ys,
-                                 next(iter(nums.values())).dtype, mask)
+    ids = _matcher_ids(len(weights))
+    matched = np.zeros_like(num)
+    clamped = np.zeros_like(clampable)
+    for i in np.flatnonzero(mask.any(axis=1)).tolist():
+        row = [_matcher_rate(xs[i], y, weights, units, ids) if m else (0, 0)
+               for y, m in zip(ys, mask[i].tolist())]
+        matched[i] = [n for n, _ in row]
+        clamped[i] = [c > 0 for _, c in row]
+    bad = mask & ((clamped != clampable) | (~clampable & (matched != num)))
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        raise AssertionError(
+            f"evaluation mismatch at weights {weights}, x sizes {xs[i]}, y sizes "
+            f"{ys[j]}: matching {matched[i, j]} (clamped {bool(clamped[i, j])}) "
+            f"vs closed form {num[i, j]} (clampable {bool(clampable[i, j])}), "
+            f"over {sum(weights) * units.den}, before v*'s offset")
     take = mask & clampable
-    for wstar, closed in nums.items():
-        matched = raw - (len(weights) - 1) * wstar * units.den
-        bad = mask & ((clamped != clampable) | (~clampable & (matched != closed)))
-        if bad.any():
-            i, j = (int(k) for k in np.argwhere(bad)[0])
-            cfg = ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
-                                x_branch_sizes=xs[i], y_branch_sizes=ys[j])
-            raise AssertionError(
-                f"evaluation mismatch on {cfg}: matching {matched[i, j]} (clamped "
-                f"{bool(clamped[i, j])}) vs closed form {closed[i, j]} (clampable "
-                f"{bool(clampable[i, j])}), over {cfg.color_weight * units.den}")
-        closed[take] = matched[take]
+    num[take] = matched[take]
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
@@ -283,12 +258,11 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
     form (a 1x1 grid) wherever no clamp is possible.
     """
     xs, ys = [cfg.x_branch_sizes], [cfg.y_branch_sizes]
-    weights, units, wstar = cfg.neighbor_weights, fp.units, cfg.vstar_weight
-    num, clampable = _closed_form_grid(units, wstar, weights,
-                                       np.array(xs), np.array(ys))
-    _dual_check(units, weights, xs, ys, {wstar: num}, clampable,
-                np.ones_like(clampable))
-    return Fraction(int(num[0, 0]), cfg.color_weight * units.den)
+    weights, units = cfg.neighbor_weights, fp.units
+    num, clampable = _closed_form_grid(units, weights, np.array(xs), np.array(ys))
+    _dual_check(units, weights, xs, ys, num, clampable, np.ones_like(clampable))
+    offset = (cfg.d - 1) * cfg.vstar_weight * units.den
+    return Fraction(int(num[0, 0]) - offset, cfg.color_weight * units.den)
 
 
 @dataclass(frozen=True)
@@ -306,39 +280,34 @@ def _enumerate_branches(units: FlipUnits, d: int, cap: int,
     """The branch maxima over every d-neighbor shape with sizes in 1..cap,
     for each v* weight in lemma_values, ranked by the closed form.
 
-    The closed form prices every shape.  The matcher then prices every
-    clampable shape (all shapes with every_shape), which takes the
-    matcher's value, and afterwards every maximizer not priced yet, whose
-    closed form it must confirm, so no maximum moves.  One matcher pass
-    serves every v* weight.  A shape's value is num / (color_weight * D)
-    with D shared by all shapes, so a maximizer is a shape whose num
-    times the best color_weight equals the best num times its own.
+    One closed-form grid per weight vector serves every v* weight.  The
+    matcher prices the clampable shapes before the ranking, and the
+    unclamped maximizers (every unclamped shape with every_shape) after
+    it.  A shape's value is (num - offset) / (color_weight * D), offset =
+    (d-1) * wstar * D, so shapes are ranked by cross-multiplication.
     """
     grid = _size_grid(d, cap)
     tuples = [tuple(row) for row in grid.tolist()]
     groups = []
     for weights in product((1, 2), repeat=d):
-        nums = {}
-        for wstar in lemma_values:
-            nums[wstar], clampable = _closed_form_grid(units, wstar, weights,
-                                                       grid, grid)
-        priced = np.ones_like(clampable) if every_shape else clampable
-        _dual_check(units, weights, tuples, tuples, nums, clampable, priced)
-        groups.append((weights, nums, clampable, priced))
+        num, clampable = _closed_form_grid(units, weights, grid, grid)
+        _dual_check(units, weights, tuples, tuples, num, clampable, clampable)
+        groups.append((weights, num, clampable))
 
     # per v* weight: the largest value, and each group's maximizer mask
     best, tops = {}, {}
     for wstar in lemma_values:
-        num, cw = max(((int(nums[wstar].max()), sum(weights))
-                       for weights, nums, _, _ in groups),
+        offset = (d - 1) * wstar * units.den
+        top, cw = max(((int(num.max()) - offset, sum(weights))
+                       for weights, num, _ in groups),
                       key=lambda top: Fraction(*top))
-        best[wstar] = Fraction(num, cw * units.den)
-        tops[wstar] = [nums[wstar] * cw == num * sum(weights)
-                       for weights, nums, _, _ in groups]
-    for g, (weights, nums, clampable, priced) in enumerate(groups):
+        best[wstar] = Fraction(top, cw * units.den)
+        tops[wstar] = [(num - offset) * cw == top * sum(weights)
+                       for weights, num, _ in groups]
+    for g, (weights, num, clampable) in enumerate(groups):
         maximal = np.logical_or.reduce([top[g] for top in tops.values()])
-        _dual_check(units, weights, tuples, tuples, nums, clampable,
-                    maximal & ~priced)
+        _dual_check(units, weights, tuples, tuples, num, clampable,
+                    (maximal | every_shape) & ~clampable)
 
     return {wstar: BranchMaximum(
         lemma_value=lemma_value, enumerated=best[wstar],
@@ -357,6 +326,9 @@ def _maxima_at_cap(fp: FlipParams, cap: int,
     """`rate_maxima` with branch sizes enumerated up to cap; every_shape
     has the matcher price every shape, not only clampable ones and
     maximizers."""
+    if fp.locality > 6:
+        raise ValueError(f"size cap {fp.locality + 1} (the locality + 1) is "
+                         f"past 7: certification covers 6-local chains")
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
     units = fp.units
     dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3}, every_shape)
@@ -372,25 +344,25 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     Branch keys: "dc1" (one neighbor, any weights), "w1dc2" and "w2dc2"
     (two neighbors at a weight-1 resp. weight-2 disagreement vertex).
     Branch sizes run up to the locality + 1, which the module docstring's
-    lemma shows loses nothing.  The closed form ranks every shape and the
-    matcher re-prices only clampable shapes and maximizers;
-    `certify_report` adds the pass that re-prices every shape.  The
-    lemma_value fields are the closed-form bounds the threshold
-    identities quote; bound_holds records whether enumeration stayed
-    under them, attained whether it reached them.
+    lemma shows loses nothing.  One enumeration: the closed form ranks
+    every shape and the matcher re-prices only clampable shapes and
+    maximizers; `certify_report` runs it with the matcher on every
+    shape.  The lemma_value fields are the closed-form bounds the
+    threshold identities quote; bound_holds records whether enumeration
+    stayed under them, attained whether it reached them.
     """
-    if fp.locality > 6:
-        raise ValueError(f"size cap {fp.locality + 1} (the locality + 1) is "
-                         f"past 7: certification covers 6-local chains")
     return _maxima_at_cap(fp, fp.locality + 1)
 
 
-def branch_thresholds(fp: FlipParams) -> dict[str, Fraction]:
-    mx = rate_maxima(fp)
+def _thresholds(mx: dict[str, BranchMaximum]) -> dict[str, Fraction]:
     return {
         "weight1": 2 + 4 * max(mx["w1dc2"].enumerated, mx["dc1"].enumerated),
         "weight2": 4 + 2 * max(mx["w2dc2"].enumerated, mx["dc1"].enumerated),
     }
+
+
+def branch_thresholds(fp: FlipParams) -> dict[str, Fraction]:
+    return _thresholds(rate_maxima(fp))
 
 
 def threshold_ratio(fp: FlipParams) -> Fraction:
@@ -416,13 +388,14 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
     loc = fp.locality
     report: dict[str, dict] = {}
 
-    witnesses = [{"i": i} for i in range(2, 7)
-                 if (i - 1) * fp.diff(i) > fp.diff(2)]
+    # through i = 6 at least: below locality 6 those rows encode p2 >= p3
+    gaps = range(2, max(loc, 6) + 1)
+    witnesses = [{"i": i} for i in gaps if (i - 1) * fp.diff(i) > fp.diff(2)]
     report["scaled_gap_bounded"] = {"holds": not witnesses, "witnesses": witnesses}
 
     witnesses = [
         {"i": i, "W": w, "l": l}
-        for i, w, l in product(range(2, 7), (1, 2), (1, 2))
+        for i, w, l in product(gaps, (1, 2), (1, 2))
         if (w + 2 * l * (i - 1)) * fp.diff(i) > w * fp.diff(1)
     ]
     report["weighted_gap_bounded"] = {"holds": not witnesses, "witnesses": witnesses}
@@ -441,15 +414,13 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
 def certify_report(fp: FlipParams) -> dict:
     """JSON-ready certification summary; rationals as "num/den" strings.
 
-    Besides the ranked `rate_maxima`, this runs the uncached every-shape
-    pass, so a shape the two routes price differently fails the report
-    wherever it lies.
+    The maxima come from one uncached enumeration with the matcher on
+    every shape, so a shape the two routes price differently fails the
+    report wherever it lies.
     """
-    mx = rate_maxima(fp)
-    if _maxima_at_cap(fp, fp.locality + 1, every_shape=True) != mx:
-        raise AssertionError("the every-shape pass moves the ranked maxima")
-    branches = branch_thresholds(fp)
-    ratio = threshold_ratio(fp)
+    mx = _maxima_at_cap(fp, fp.locality + 1, every_shape=True)
+    branches = _thresholds(mx)
+    ratio = max(branches.values())
     identities = threshold_identities(fp)
     properties = verify_flip_properties(fp)
     return {

@@ -25,6 +25,8 @@ MIXED = FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)
 # p_2 < p_3: the big components outweigh their anchors on some shapes, so
 # the matcher clamps there and the closed form does not apply
 CLAMPING = FlipParams((Fraction(1), Fraction(1, 10), Fraction(1, 2), Fraction(1, 2)))
+# every dc1 maximizer clamps, so the ranking needs the matcher's values
+CLAMPED_MAX = FlipParams((Fraction(1), Fraction(0), Fraction(1, 4), Fraction(1, 10)))
 
 
 class TestProperties:
@@ -43,6 +45,17 @@ class TestProperties:
     def test_glauber_satisfies_all_four(self):
         props = verify_flip_properties(GLAUBER)
         assert all(p["holds"] for p in props.values())
+
+    def test_gap_properties_reach_the_locality(self):
+        # 7-local: the gap p_6 - p_7 = 1/10 breaks both gap properties at
+        # i = 7, past the rows i <= 6 every schedule gets
+        fp = FlipParams((Fraction(1),) + (Fraction(1, 10),) * 6)
+        assert fp.locality == 7
+        props = verify_flip_properties(fp)
+        assert props["scaled_gap_bounded"]["witnesses"] == [{"i": 7}]
+        assert props["weighted_gap_bounded"]["witnesses"] == [
+            {"i": 7, "W": 1, "l": 1}, {"i": 7, "W": 1, "l": 2},
+            {"i": 7, "W": 2, "l": 2}]
 
 
 class TestRateMaxima:
@@ -105,33 +118,40 @@ class TestRateMaxima:
     ], ids=["default", "glauber"])
     def test_one_matcher_call_per_shape(self, monkeypatch, fp, ranked, every_shape):
         # the ranked certificate prices only maximizers (no default or
-        # Glauber shape is clampable); certify_report's every-shape pass
-        # prices each shape once, sizes up to the locality + 1 and one
-        # matcher pass per d = 2 shape for both v* weights: 2 weight
-        # vectors times cap^2 shapes at d = 1, 4 times cap^4 at d = 2
-        seen = []
-        matcher = certify.match_color_moves
+        # Glauber shape is clampable); a cold certify_report runs one
+        # enumeration, which prices each shape once, sizes up to the
+        # locality + 1 and one matcher pass per d = 2 shape for both v*
+        # weights: 2 weight vectors times cap^2 shapes at d = 1, 4 times
+        # cap^4 at d = 2.  Either builds one closed-form grid per weight
+        # vector, 2 + 4.
+        seen, grids = [], []
+        matcher, grid = certify.match_color_moves, certify._closed_form_grid
 
         def counted(*args):
             seen.append(args)
             return matcher(*args)
 
+        def counted_grid(*args):
+            grids.append(args)
+            return grid(*args)
+
         monkeypatch.setattr(certify, "match_color_moves", counted)
+        monkeypatch.setattr(certify, "_closed_form_grid", counted_grid)
         rate_maxima.cache_clear()
         try:
             threshold_ratio(fp)
-            assert len(seen) == ranked
+            assert (len(seen), len(grids)) == (ranked, 6)
             seen.clear()
+            grids.clear()
+            rate_maxima.cache_clear()
             certify_report(fp)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        assert len(seen) == every_shape
+        assert (len(seen), len(grids)) == (every_shape, 6)
 
     @pytest.mark.parametrize("fp", [
-        DEFAULT, GLAUBER, CLAMPING, VIOLATION, MIXED,
-        # every dc1 maximizer clamps, so the ranking needs the matcher's values
-        FlipParams((Fraction(1), Fraction(0), Fraction(1, 4), Fraction(1, 10))),
+        DEFAULT, GLAUBER, CLAMPING, VIOLATION, MIXED, CLAMPED_MAX,
     ], ids=["default", "glauber", "clamping", "violation", "mixed", "clamped_max"])
     def test_ranked_maxima_equal_the_every_shape_pass(self, fp):
         full = certify._maxima_at_cap(fp, fp.locality + 1, every_shape=True)
@@ -161,9 +181,9 @@ class TestClampPath:
         grid_clamps, matcher_clamps = {}, []
         grid, matcher = certify._closed_form_grid, certify.match_color_moves
 
-        def counted_grid(units, wstar, weights, xs, ys):
-            num, clampable = grid(units, wstar, weights, xs, ys)
-            key = (wstar, len(weights))
+        def counted_grid(units, weights, xs, ys):
+            num, clampable = grid(units, weights, xs, ys)
+            key = len(weights)
             grid_clamps[key] = grid_clamps.get(key, 0) + int(clampable.sum())
             return num, clampable
 
@@ -181,7 +201,7 @@ class TestClampPath:
             # sizes run to the locality + 1 = 5, and the matcher prices each
             # clampable shape, plus the two unclamped maximizers, once for
             # both v* weights
-            assert grid_clamps == {(1, 1): 18, (1, 2): 384, (2, 2): 384}
+            assert grid_clamps == {1: 18, 2: 384}
             assert sum(matcher_clamps) == 18 + 384
             assert len(matcher_clamps) == 18 + 384 + 2
             grid_clamps.clear()
@@ -191,12 +211,20 @@ class TestClampPath:
             monkeypatch.undo()
             rate_maxima.cache_clear()
         # the every-shape pass prices each d = 2 shape once for both v* weights
-        assert grid_clamps == {(1, 1): 18, (1, 2): 384, (2, 2): 384}
+        assert grid_clamps == {1: 18, 2: 384}
         assert sum(matcher_clamps) == 18 + 384
         assert len(matcher_clamps) == 2 * 5 ** 2 + 4 * 5 ** 4
         assert {name: bm.enumerated for name, bm in mx.items()} == {
             "dc1": Fraction(13, 2), "w1dc2": Fraction(6), "w2dc2": Fraction(11, 2)}
         assert ratio == 28
+
+    def test_clamped_maximizers_take_the_matcher_value(self):
+        # ranked on the closed form alone, dc1 would read 8/5 with 4
+        # maximizers
+        dc1 = rate_maxima(CLAMPED_MAX)["dc1"]
+        assert (dc1.enumerated, len(dc1.maximizers)) == (Fraction(7, 4), 2)
+        assert all(color_rate(cfg, CLAMPED_MAX) == Fraction(7, 4)
+                   for cfg in dc1.maximizers)
 
     def test_clamped_shape_takes_the_matcher_value(self):
         # a big X component of size 3 against its anchor branch of size 2:
@@ -204,9 +232,9 @@ class TestClampPath:
         cfg = ClusterConfig(vstar_weight=1, neighbor_weights=(1,),
                             x_branch_sizes=(2,), y_branch_sizes=(1,))
         num, clampable = certify._closed_form_grid(
-            CLAMPING.units, 1, (1,), np.array([(2,)]), np.array([(1,)]))
+            CLAMPING.units, (1,), np.array([(2,)]), np.array([(1,)]))
         assert clampable[0, 0]
-        matched, clamped = certify._matcher_rate((2,), (1,), (1,), 1, CLAMPING.units,
+        matched, clamped = certify._matcher_rate((2,), (1,), (1,), CLAMPING.units,
                                                  certify._matcher_ids(1))
         assert clamped == 1
         den = cfg.color_weight * CLAMPING.units.den
@@ -234,13 +262,13 @@ class TestSizeCapLemma:
     def check_grid(cls, fp, d):
         rows = cls.size_rows(fp, d)
         clipped = np.minimum(rows, fp.locality + 1)
-        for wstar, weights in product((1, 2), product((1, 2), repeat=d)):
-            num, clamp = certify._closed_form_grid(fp.units, wstar, weights, rows, rows)
-            cnum, cclamp = certify._closed_form_grid(fp.units, wstar, weights,
+        for weights in product((1, 2), repeat=d):
+            num, clamp = certify._closed_form_grid(fp.units, weights, rows, rows)
+            cnum, cclamp = certify._closed_form_grid(fp.units, weights,
                                                      clipped, clipped)
             moved = np.argwhere((num != cnum) | (clamp != cclamp))
             assert not len(moved), (
-                f"grid moves under clipping: wstar {wstar}, weights {weights}, "
+                f"grid moves under clipping: weights {weights}, "
                 f"x {rows[moved[0][0]]}, y {rows[moved[0][1]]}")
 
     @classmethod
@@ -252,10 +280,10 @@ class TestSizeCapLemma:
         for weights in product((1, 2), repeat=d):
             for _ in range(100):
                 x, y = rng.choice(rows), rng.choice(rows)
-                got = certify._matcher_rate(x, y, weights, 2, fp.units, ids)
+                got = certify._matcher_rate(x, y, weights, fp.units, ids)
                 clipped = certify._matcher_rate(
                     tuple(min(s, cap) for s in x), tuple(min(s, cap) for s in y),
-                    weights, 2, fp.units, ids)
+                    weights, fp.units, ids)
                 assert got == clipped, (
                     f"matcher moves under clipping: weights {weights}, x {x}, "
                     f"y {y}: (numerator, clamps) {got} vs {clipped}")
@@ -266,6 +294,18 @@ class TestSizeCapLemma:
         fp = self.SCHEDULES[name]
         self.check_grid(fp, d)
         self.check_matcher(fp, d)
+
+    @pytest.mark.parametrize("wstar, weights, x, y", [
+        (1, (1,), (9,), (1,)), (1, (2, 1), (9, 2), (1, 9)),
+        (2, (1, 2, 2), (3, 9, 1), (9, 9, 2)),
+    ], ids=["d1", "d2", "d3"])
+    def test_color_rate_past_the_cap(self, wstar, weights, x, y):
+        # sizes up to L + 3 = 9 price as the same shape clipped to L + 1
+        cap = DEFAULT.locality + 1
+        got = color_rate(ClusterConfig(wstar, weights, x, y), DEFAULT)
+        clipped = ClusterConfig(wstar, weights, tuple(min(s, cap) for s in x),
+                                tuple(min(s, cap) for s in y))
+        assert got == color_rate(clipped, DEFAULT)
 
     @pytest.mark.parametrize("route", ["grid", "matcher"])
     def test_mass_past_the_locality_is_caught(self, monkeypatch, route):
@@ -289,11 +329,13 @@ class TestDualCheckCoverage:
     # below the w1dc2 maximum
     TARGET = ClusterConfig(vstar_weight=1, neighbor_weights=(1, 2),
                            x_branch_sizes=(2, 1), y_branch_sizes=(1, 4))
+    # how a mismatch names it: the check runs before v*'s offset
+    NAMED = re.escape("weights (1, 2), x sizes (2, 1), y sizes (1, 4)")
 
     def test_target_is_unclamped_and_not_maximal(self):
         assert color_rate(self.TARGET, DEFAULT) < rate_maxima(DEFAULT)["w1dc2"].enumerated
         _, clampable = certify._closed_form_grid(
-            DEFAULT.units, 1, (1, 2), np.array([(2, 1)]), np.array([(1, 4)]))
+            DEFAULT.units, (1, 2), np.array([(2, 1)]), np.array([(1, 4)]))
         assert not clampable.any()
 
     @classmethod
@@ -302,9 +344,9 @@ class TestDualCheckCoverage:
         grid = certify._closed_form_grid
         t = cls.TARGET
 
-        def mutated(units, wstar, weights, xs, ys):
-            num, clampable = grid(units, wstar, weights, xs, ys)
-            if wstar == t.vstar_weight and tuple(weights) == t.neighbor_weights:
+        def mutated(units, weights, xs, ys):
+            num, clampable = grid(units, weights, xs, ys)
+            if tuple(weights) == t.neighbor_weights:
                 rows = np.nonzero((xs == t.x_branch_sizes).all(axis=1))[0]
                 cols = np.nonzero((ys == t.y_branch_sizes).all(axis=1))[0]
                 at = np.ix_(rows, cols)
@@ -320,20 +362,21 @@ class TestDualCheckCoverage:
         self.mispriced(monkeypatch, lambda num, units: num + 1)
         rate_maxima.cache_clear()
         try:
-            with pytest.raises(AssertionError, match=re.escape(repr(self.TARGET))):
+            with pytest.raises(AssertionError, match=self.NAMED):
                 entry()
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
 
     def test_shape_lifted_to_the_maximum_is_caught_by_the_ranking(self, monkeypatch):
-        # value 2 over the w1dc2 maximum 1283/1300: TARGET becomes the one
-        # maximizer, and the matcher's re-pricing of it must disagree
+        # value 2 before v*'s offset, 5/3 after it, over the w1dc2 maximum
+        # 1283/1300: TARGET becomes the one maximizer, and the matcher's
+        # re-pricing of it must disagree
         cw = self.TARGET.color_weight
         self.mispriced(monkeypatch, lambda num, units: 2 * cw * units.den)
         rate_maxima.cache_clear()
         try:
-            with pytest.raises(AssertionError, match=re.escape(repr(self.TARGET))):
+            with pytest.raises(AssertionError, match=self.NAMED):
                 threshold_ratio(DEFAULT)
         finally:
             monkeypatch.undo()
@@ -347,8 +390,8 @@ def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     rate = certify._matcher_rate
     t = TestDualCheckCoverage.TARGET
 
-    def mutated(xs, ys, weights, wstar, units, ids):
-        num, clamped = rate(xs, ys, weights, wstar, units, ids)
+    def mutated(xs, ys, weights, units, ids):
+        num, clamped = rate(xs, ys, weights, units, ids)
         if (weights, xs, ys) == (t.neighbor_weights, t.x_branch_sizes,
                                  t.y_branch_sizes):
             num += 1
@@ -357,7 +400,7 @@ def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     monkeypatch.setattr(certify, "_matcher_rate", mutated)
     rate_maxima.cache_clear()
     try:
-        with pytest.raises(AssertionError, match=re.escape(repr(t))):
+        with pytest.raises(AssertionError, match=TestDualCheckCoverage.NAMED):
             certify_report(DEFAULT)
     finally:
         monkeypatch.undo()
@@ -381,12 +424,13 @@ class TestGridWidth:
         xs = [tuple(data.draw(st.integers(1, 8)) for _ in range(d)) for _ in range(3)]
         ys = [tuple(data.draw(st.integers(1, 8)) for _ in range(d)) for _ in range(2)]
         units = MIXED.units
-        num, _ = certify._closed_form_grid(units, 2, weights, np.array(xs), np.array(ys))
+        num, _ = certify._closed_form_grid(units, weights, np.array(xs), np.array(ys))
+        offset = (d - 1) * 2 * units.den  # v* of weight 2
         for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
             cfg = ClusterConfig(vstar_weight=2, neighbor_weights=weights,
                                 x_branch_sizes=x, y_branch_sizes=y)
             den = cfg.color_weight * units.den
-            assert Fraction(int(num[i, j]), den) == color_rate(cfg, MIXED)
+            assert Fraction(int(num[i, j]) - offset, den) == color_rate(cfg, MIXED)
 
 
 class TestThreshold:
