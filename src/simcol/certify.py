@@ -361,13 +361,9 @@ def _thresholds(mx: dict[str, BranchMaximum]) -> dict[str, Fraction]:
     }
 
 
-def branch_thresholds(fp: FlipParams) -> dict[str, Fraction]:
-    return _thresholds(rate_maxima(fp))
-
-
 def threshold_ratio(fp: FlipParams) -> Fraction:
     """The certified k/Delta ratio above which adjacent pairs contract."""
-    return max(branch_thresholds(fp).values())
+    return max(_thresholds(rate_maxima(fp)).values())
 
 
 def threshold_identities(fp: FlipParams) -> dict[str, Fraction]:

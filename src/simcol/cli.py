@@ -18,7 +18,7 @@ import random
 import sys
 
 from .certify import certify_report
-from .coupling import estimate_contraction, records_to_csv
+from .coupling import estimate_contraction
 from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chain
 from .graphs import (GraphPair, ParseError, build_union_line_graph,
                      canonical_edge, random_graph_pair, read_instance,
@@ -179,18 +179,30 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _drift_csv(records) -> str:
+    """Drift records in the export schema, one row per pair."""
+    lines = ["pair_id,vstar_weight,exact_drift_num,exact_drift_den,"
+             "bound_num,bound_den,beta,dc_max"]
+    for i, r in enumerate(records):
+        lines.append(f"{i},{r.vstar_weight},"
+                     f"{r.exact_drift.numerator},{r.exact_drift.denominator},"
+                     f"{r.bound.numerator},{r.bound.denominator},"
+                     f"{float(r.beta)!r},{r.dc_max}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_drift(args) -> int:
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     fp = _load_fp(args.fp)
     summary = estimate_contraction(G, args.k, fp, args.pairs, args.seed)
     if args.format == "csv":
-        _emit(records_to_csv(summary.records), args.out)
+        _emit(_drift_csv(summary.records), args.out)
     else:
         payload = {
             "k": args.k,
             "pairs": [{
-                "pair_id": r.pair_id,
+                "pair_id": i,
                 "vstar": r.vstar,
                 "vstar_weight": r.vstar_weight,
                 "exact_drift": str(r.exact_drift),
@@ -198,7 +210,7 @@ def cmd_drift(args) -> int:
                 "beta": float(r.beta),
                 "dc_max": r.dc_max,
                 "clamp_events": r.clamp_events,
-            } for r in summary.records],
+            } for i, r in enumerate(summary.records)],
             "max_drift": str(summary.max_drift),
             "mean_drift": float(summary.mean_drift),
             "beta": float(summary.beta),

@@ -16,7 +16,9 @@ the per-color matched moves and proves the marginals from the proposals
 near the disagreement: x and y differ only at vstar, so a proposal whose
 outcome differs has, on one side, an alternating component through
 vstar, which the matching already builds; every other move rides as a
-shared identity entry with delta 0.  Its cost does not grow with m.
+shared identity entry with delta 0.  The matching and the proof read
+only the components through vstar and the proposals next to them; the
+one step that grows with m is the O(m*delta) check that x is proper.
 `build_flip_coupling_table` assembles the whole table against both full
 single-chain laws (`flip_move_law`, all m*k proposals), the oracle the
 local route is tested against.
@@ -145,6 +147,8 @@ class ColorTerm:
 
 @dataclass(frozen=True)
 class DriftReport:
+    vstar: int
+    vstar_weight: int
     exact_drift: Fraction
     per_color: dict[int, ColorTerm]
     bound: Fraction
@@ -320,27 +324,19 @@ def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams
                            used_x: dict[Move, int], used_y: dict[Move, int]) -> None:
     """Prove the matched rows extend to a coupling, from proposals near vstar.
 
-    (a) Each consumed move's mass equals its law mass, recomputed from
-    the proposals that seed it: one per member, proposing the move's
-    other color there.
-    (b) Every proposal seeded in the closed neighborhood of the touched
-    set (the members of all consumed moves, that is of every component
-    through vstar) either has the same outcome on both sides and is
-    consumed on neither, so it rides as a shared identity entry, or has
-    each of its outcomes consumed on its side.
+    One pass over every proposal seeded in the closed neighborhood of the
+    touched set (the members of all consumed moves, that is of every
+    component through vstar).  Each proposal either has the same outcome
+    on both sides and is consumed on neither, so it rides as a shared
+    identity entry, or has each of its outcomes consumed on its side.
+    Along the way each consumed outcome collects its law mass: a move's
+    seeds are its members, all in the touched set, which the pass never
+    skips, so after it every consumed mass must equal the mass collected.
     """
     acc, cap, nbrs = fp.units.accept, fp.locality, G.nbrs
     xa, ya = pair.x.assign, pair.y.assign
-    for side, assign, used in (("X", xa, used_x), ("Y", ya, used_y)):
-        for mv, q in used.items():
-            law = 0
-            for u in mv.members:
-                rest = mv.colors - {assign[u]}
-                c = next(iter(rest)) if len(rest) == 1 else assign[u]
-                if _as_move(assign, u, c, alternating_component(assign, nbrs, u, c, cap),
-                            acc) == mv:
-                    law += acc[mv.size]
-            assert law == q, f"{side} marginal off at {mv}: consumed {q}, law {law}"
+    law_x = dict.fromkeys(used_x, 0)
+    law_y = dict.fromkeys(used_y, 0)
     touched = set().union(*(mv.members for mv in (*used_x, *used_y)))
     region = touched.union(*(nbrs[u] for u in touched))
     for v in region:
@@ -350,10 +346,18 @@ def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams
             if mx == my and v not in touched:
                 continue  # one move on both sides, and no consumed move holds v
             ox, oy = _as_move(xa, v, c, mx, acc), _as_move(ya, v, c, my, acc)
-            if ox == oy and ox not in used_x and oy not in used_y:
+            in_x, in_y = ox in law_x, oy in law_y
+            if in_x:
+                law_x[ox] += acc[ox.size]
+            if in_y:
+                law_y[oy] += acc[oy.size]
+            if ox == oy and not in_x and not in_y:
                 continue
-            assert (ox is None or ox in used_x) and (oy is None or oy in used_y), \
+            assert (ox is None or in_x) and (oy is None or in_y), \
                 f"proposal ({v}, {c}) not consumed: X {ox}, Y {oy}"
+    for side, used, law in (("X", used_x, law_x), ("Y", used_y, law_y)):
+        for mv, q in used.items():
+            assert law[mv] == q, f"{side} marginal off at {mv}: consumed {q}, law {law[mv]}"
 
 
 def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
@@ -361,20 +365,21 @@ def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
     """Exact one-step expectation of the metric change under the table.
 
     Computed from the per-color matched moves alone, never from the full
-    laws, so the cost does not grow with m.  This is path coupling's
-    locality (Bubley-Dyer; Vigoda for the flip chain): a proposal (v, c)
-    whose capped outcome differs between x and y has, on one side, an
-    uncapped alternating component containing vstar, because x and y
-    differ only there and a walk that never meets vstar reads the same
-    colors on both sides.  That component is vstar's own between its
-    color and the other color of (v, c), which is {vstar} or a
-    `compute_cluster` through vstar that the per-color matching already
-    builds, so v lies in the touched set.  Every other move has the same
-    mass on both sides and rides as a shared identity entry with delta 0:
-    the drift is the sum of the per-color alphas, and
-    `_check_local_marginals` proves the marginals over the closed
-    neighborhood of the touched set.  `build_flip_coupling_table` keeps
-    the full-law proof of the same table.
+    laws: past the O(m*delta) properness check of the input, the work is
+    local to vstar.  This is path coupling's locality (Bubley-Dyer;
+    Vigoda for the flip chain): a proposal (v, c) whose capped outcome
+    differs between x and y has, on one side, an uncapped alternating
+    component containing vstar, because x and y differ only there and a
+    walk that never meets vstar reads the same colors on both sides.
+    That component is vstar's own between its color and the other color
+    of (v, c), which is {vstar} or a `compute_cluster` through vstar
+    that the per-color matching already builds, so v lies in the touched
+    set.  Every other move has the same mass on both sides and rides as
+    a shared identity entry with delta 0: the drift is the sum of the
+    per-color alphas, and `_check_local_marginals` proves the marginals
+    in one pass over the closed neighborhood of the touched set.
+    `build_flip_coupling_table` keeps the full-law proof of the same
+    table.
     """
     rows, alphas, clamp_events, dc_max = _color_moves(pair, G, k, fp)
     _check_local_marginals(pair, G, fp, *_consumed(rows))
@@ -384,9 +389,9 @@ def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
     bound = Fraction(wstar, G.m * k) * (threshold_ratio(fp) * G.delta - k)
     per_color = {c: ColorTerm(alpha=Fraction(a, den), weight=w, dc=dc)
                  for c, (a, w, dc) in alphas.items()}
-    return DriftReport(exact_drift=drift, per_color=per_color, bound=bound,
-                       beta=1 + drift / wstar, dc_max=dc_max,
-                       clamp_events=clamp_events)
+    return DriftReport(vstar=pair.vstar, vstar_weight=wstar, exact_drift=drift,
+                       per_color=per_color, bound=bound, beta=1 + drift / wstar,
+                       dc_max=dc_max, clamp_events=clamp_events)
 
 
 def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
@@ -426,20 +431,8 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    pair_id: int
-    vstar: int
-    vstar_weight: int
-    exact_drift: Fraction
-    bound: Fraction
-    beta: Fraction
-    dc_max: int
-    clamp_events: int
-
-
-@dataclass(frozen=True)
 class ContractionSummary:
-    records: tuple[PairRecord, ...]
+    records: tuple[DriftReport, ...]
     max_drift: Fraction
     mean_drift: Fraction
     beta: Fraction
@@ -463,17 +456,11 @@ def estimate_contraction(G: UnionLineGraph, k: int, fp: FlipParams,
     threshold_ratio(fp)
     rng = random.Random(seed)
     sampled = sample_adjacent_pairs(G, k, fp, pairs, rng)
-    records = []
-    for i, pair in enumerate(sampled):
-        rep = flip_exact_drift(pair, G, k, fp)
-        records.append(PairRecord(
-            pair_id=i, vstar=pair.vstar, vstar_weight=G.weight[pair.vstar],
-            exact_drift=rep.exact_drift, bound=rep.bound, beta=rep.beta,
-            dc_max=rep.dc_max, clamp_events=rep.clamp_events))
+    records = tuple(flip_exact_drift(p, G, k, fp) for p in sampled)
     in_scope = [r for r in records if r.dc_max <= 2]
     margins = [r.bound - r.exact_drift for r in in_scope]
     return ContractionSummary(
-        records=tuple(records),
+        records=records,
         max_drift=max(r.exact_drift for r in records),
         mean_drift=sum((r.exact_drift for r in records), Fraction(0)) / len(records),
         beta=max(r.beta for r in records),
@@ -483,14 +470,3 @@ def estimate_contraction(G: UnionLineGraph, k: int, fp: FlipParams,
         all_bounds_hold=all(m >= 0 for m in margins),
     )
 
-
-def records_to_csv(records) -> str:
-    """Drift records in the export schema, one row per pair."""
-    lines = ["pair_id,vstar_weight,exact_drift_num,exact_drift_den,"
-             "bound_num,bound_den,beta,dc_max"]
-    for r in records:
-        lines.append(f"{r.pair_id},{r.vstar_weight},"
-                     f"{r.exact_drift.numerator},{r.exact_drift.denominator},"
-                     f"{r.bound.numerator},{r.bound.denominator},"
-                     f"{float(r.beta)!r},{r.dc_max}")
-    return "\n".join(lines) + "\n"

@@ -132,8 +132,12 @@ class FlipParams:
     @classmethod
     def for_chain(cls, kind: str, fp: "FlipParams | None" = None) -> "FlipParams":
         """The schedule chain `kind` runs at: "glauber" is the flip chain at
-        p = (1,), and "flip" runs fp, the default schedule when fp is None."""
+        p = (1,), and "flip" runs fp, the default schedule when fp is None.
+        A glauber chain refuses any other schedule rather than drop it."""
         if kind == "glauber":
+            if fp is not None and fp != cls.glauber():
+                probs = ", ".join(map(str, fp.probs))
+                raise ValueError(f"chain 'glauber' runs at p = (1,), not at {probs}")
             return cls.glauber()
         if kind != "flip":
             raise ValueError(f"unknown chain kind {kind!r}")

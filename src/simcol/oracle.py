@@ -19,6 +19,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,10 +79,9 @@ class StateIndex:
 
 def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
     """Proper colorings with k colors: the product over the connected
-    components of G of each component's count by backtracking."""
-    if k ** G.m > cap:
-        raise CapExceeded(f"k^m = {k ** G.m} exceeds the counting cap {cap}")
-    count = 1
+    components of G of each component's count by backtracking, refused
+    before any backtracking if their k^m_c leaves sum past cap."""
+    comps = []
     seen = [False] * G.m
     for root in range(G.m):
         if seen[root]:
@@ -95,8 +95,12 @@ def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        count *= _backtrack_count(G, sorted(comp), k)
-    return count
+        comps.append(sorted(comp))
+    leaves = sum(k ** len(comp) for comp in comps)
+    if leaves > cap:
+        raise CapExceeded(f"the components' k^m_c sum to {leaves}, "
+                          f"over the counting cap {cap}")
+    return math.prod(_backtrack_count(G, comp, k) for comp in comps)
 
 
 def _backtrack_count(G: UnionLineGraph, verts, k: int) -> int:
@@ -380,16 +384,16 @@ def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",
                   mode: str = "float") -> dict:
     """The JSON-shaped summary: count, stationarity, mixing curve.
 
-    A reducible chain has no mixing time: tmix is None, the curve empty.
-    eps is checked before any work, as `tv_mixing_time` checks it.
+    The count is the kernel's proper mask summed.  A reducible chain has
+    no mixing time: tmix is None, the curve empty.  eps is checked before
+    any work, as `tv_mixing_time` checks it.
     """
     _check_eps(eps)
-    count = count_proper(G, k)
     P = build_transition_matrix(G, k, kind=kind, fp=fp, mode=mode)
     report = stationary_check(P)
     tmix, curve = tv_mixing_time(P, eps=eps) if report.irreducible else (None, [])
     return {
-        "count": count,
+        "count": sum(P.proper),
         "uniform_ok": bool(report.uniform_ok and report.irreducible
                            and report.proper_closed),
         "tv_curve": curve,

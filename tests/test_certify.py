@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcol import certify
-from simcol.certify import (ClusterConfig, TARGET_RATIO, branch_thresholds,
-                            certify_report, color_rate, frac_str, rate_maxima,
+from simcol.certify import (ClusterConfig, TARGET_RATIO, certify_report,
+                            color_rate, frac_str, rate_maxima,
                             threshold_identities, threshold_ratio,
                             verify_flip_properties)
 from simcol.cli import main
@@ -438,9 +438,8 @@ class TestThreshold:
         assert threshold_ratio(DEFAULT) == Fraction(1933, 325)
 
     def test_both_branch_thresholds_coincide(self):
-        th = branch_thresholds(DEFAULT)
-        assert th["weight1"] == Fraction(1933, 325)
-        assert th["weight2"] == Fraction(1933, 325)
+        th = certify_report(DEFAULT)["branch_thresholds"]
+        assert th == {"weight1": "1933/325", "weight2": "1933/325"}
 
     def test_identities(self):
         p = DEFAULT.p

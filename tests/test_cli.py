@@ -425,6 +425,16 @@ class TestOracleAndCount:
         assert main(["count", "--graph", g, "--k", "2", "--cap", str(10 ** 800)]) == 0
         assert capsys.readouterr().out == f"{2 ** 2400}\n"
 
+    def test_count_caps_the_components_not_the_product(self, instance, capsys):
+        # two perfect matchings on 12 vertices share no endpoint within a
+        # graph: 12 isolated conflict vertices, 6^12 colorings, and 12 * 6
+        # backtracking leaves, far below the default cap
+        g = instance("matchings.txt", "simcol 1\nn 12\n"
+                     "g1 6\n1 2\n3 4\n5 6\n7 8\n9 10\n11 12\n"
+                     "g2 6\n1 3\n2 4\n5 7\n6 8\n9 11\n10 12\n")
+        assert main(["count", "--graph", g, "--k", "6"]) == 0
+        assert capsys.readouterr().out == f"{6 ** 12}\n"
+
     def test_parse_error_exit_code(self, instance):
         g = instance("bad.txt", "not an instance\n")
         assert main(["count", "--graph", g, "--k", "3"]) == 2

@@ -11,7 +11,7 @@ from helpers import (apply_move, brute_flip_law, brute_glauber_drift, jerrum_par
 from simcol.certify import rate_maxima
 from simcol.coupling import (AdjacentPair, _assemble_flip_table,
                              build_flip_coupling_table, estimate_contraction,
-                             flip_exact_drift, flip_move_law, records_to_csv,
+                             flip_exact_drift, flip_move_law,
                              sample_adjacent_pairs, weighted_hamming)
 from simcol.dynamics import Coloring, FlipParams, is_proper
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
@@ -382,6 +382,26 @@ class TestLocalDrift:
         with pytest.raises(RuntimeError, match="flip_move_law"):
             build_flip_coupling_table(pairs[0], G, 12, DEFAULT)
 
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: (WORKED_G, worked_pair()), 2 * 6 * 4),
+        (doubled_path_pair, 2 * 6 * 7),
+    ], ids=["worked", "doubled_path"])
+    def test_one_pass_over_the_region(self, monkeypatch, build, calls):
+        # the proof walks each proposal of the closed neighborhood of the
+        # touched set once per side, 2*k*|region| components; here the
+        # region is the whole path
+        seen = []
+        original = coupling.alternating_component
+
+        def counted(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(coupling, "alternating_component", counted)
+        G, pr = build()
+        flip_exact_drift(pr, G, 6, DEFAULT)
+        assert len(seen) == calls
+
     def test_shifted_matched_mass_fails_the_mass_check(self, monkeypatch):
         shifted = []
         original = coupling.match_color_moves
@@ -518,19 +538,22 @@ class TestSampling:
 
 
 class TestContractionSummary:
-    def test_summary_fields_and_csv(self):
+    def test_summary_fields(self):
         gp = random_graph_pair(n=9, delta=3, overlap=0.5, seed=8)
         G = build_union_line_graph(gp)
         summary = estimate_contraction(G, 18, DEFAULT, pairs=12, seed=4)
         assert len(summary.records) == 12
-        assert [r.pair_id for r in summary.records] == list(range(12))
+        assert all(r.vstar_weight == G.weight[r.vstar] for r in summary.records)
         assert summary.all_bounds_hold
         assert summary.beta < 1
-        csv = records_to_csv(summary.records)
-        head, *rows = csv.strip().split("\n")
-        assert head == ("pair_id,vstar_weight,exact_drift_num,exact_drift_den,"
-                        "bound_num,bound_den,beta,dc_max")
-        assert len(rows) == 12
+
+    def test_records_are_the_pairs_drift_reports(self):
+        # one record per sampled pair, in sampling order, per_color terms kept
+        G = build_union_line_graph(random_graph_pair(n=9, delta=3, overlap=0.5, seed=8))
+        summary = estimate_contraction(G, 18, DEFAULT, pairs=5, seed=4)
+        pairs = sample_adjacent_pairs(G, 18, DEFAULT, 5, random.Random(4))
+        assert list(summary.records) == [flip_exact_drift(p, G, 18, DEFAULT)
+                                         for p in pairs]
 
     def test_zero_pairs_rejected(self):
         G = build_union_line_graph(random_graph_pair(n=9, delta=3, overlap=0.5, seed=8))

@@ -40,7 +40,9 @@ class TestFlipParams:
     def test_for_chain(self):
         nondyadic = FlipParams((1, Fraction(1, 3)))
         assert FlipParams.for_chain("glauber") == FlipParams.glauber()
-        assert FlipParams.for_chain("glauber", nondyadic) == FlipParams.glauber()
+        assert FlipParams.for_chain("glauber", FlipParams.glauber()) == FlipParams.glauber()
+        with pytest.raises(ValueError, match=r"runs at p = \(1,\), not at 1, 1/3"):
+            FlipParams.for_chain("glauber", nondyadic)
         assert FlipParams.for_chain("flip") == FlipParams.default()
         assert FlipParams.for_chain("flip", nondyadic) is nondyadic
         with pytest.raises(ValueError, match="unknown chain kind"):
@@ -456,4 +458,15 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(PATH4, greedy_coloring(PATH4, 3), 1, random.Random(0),
                       kind="metropolis")
+
+    def test_glauber_refuses_another_schedule(self):
+        # the schedule would go unread: refused before any draw or move
+        sigma, rng = greedy_coloring(PATH4, 3), random.Random(0)
+        start = list(sigma.assign)
+        with pytest.raises(ValueError, match="chain 'glauber'"):
+            run_chain(PATH4, sigma, 10, rng, kind="glauber", fp=FlipParams.default())
+        assert sigma.assign == start
+        assert rng.getstate() == random.Random(0).getstate()
+        assert run_chain(PATH4, sigma, 10, rng, kind="glauber",
+                         fp=FlipParams.glauber()).steps == 10
 

@@ -67,6 +67,14 @@ class TestCounting:
         with pytest.raises(CapExceeded):
             count_proper(G, 100, cap=1000)
 
+    def test_cap_is_the_sum_over_components(self):
+        # three disjoint edges are three components of one vertex: the
+        # cap bounds 3 * k leaves, not k^3 assignments
+        G = build_union_line_graph(pair(6, [(1, 2), (3, 4), (5, 6)]))
+        assert count_proper(G, 5, cap=15) == 5 ** 3
+        with pytest.raises(CapExceeded, match="sum to 15"):
+            count_proper(G, 5, cap=14)
+
 
 class TestStateIndex:
     @settings(max_examples=60, deadline=None)
