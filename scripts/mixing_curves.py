@@ -3,9 +3,9 @@
 Builds the full transition kernel for the single-site chain and the
 component-flip chain on one tiny instance and prints the worst-start
 distance to uniform, over proper starts, after each step.  Rational
-mode keeps everything exact and takes about 23 s at k = 6 (1296 states,
-750 proper) on a 2-CPU machine, about 1 s at k = 4; its state cap is
-1300, so use float mode, which reaches ~10^4 states, for larger k.
+mode keeps everything exact and takes about 1 s at k = 6 (1296 states,
+750 proper) on a 2-CPU machine; its state cap is 1300, so use float
+mode, which reaches ~10^4 states, for larger k.
 
 Usage: python3 scripts/mixing_curves.py --k 6 --mode rational
 """

@@ -10,7 +10,8 @@ matrix (each entry correctly rounded) and exact rationals; the mode
 picks which one a caller reads.  On top of the integers: exact
 uniform-stationarity verification, reachability checks, and worst-start
 total-variation mixing curves (exact in rational mode, by integer
-propagation over powers of the denominator).
+propagation over powers of the denominator), swept from one start per
+color orbit once the kernel is checked to commute with renaming colors.
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,10 +33,13 @@ from .graphs import CapExceeded, UnionLineGraph
 
 DEFAULT_COUNT_CAP = 10 ** 7
 FLOAT_STATE_CAP = 2 * 10 ** 4
-# the exact mixing sweep grows with the square of the proper count: 1296
-# states, all proper, take about 30 s and 240 MB on a 2-CPU machine
+# the exact mixing sweep propagates one integer row per color orbit of the
+# proper states; at k = 2 an orbit is at most two states, and 1024 states,
+# all proper in 512 orbits, take about 9 s and 110 MB on a 2-CPU machine
 RATIONAL_STATE_CAP = 1300
-# a float sweep holds a few dense proper-by-proper arrays: 230 MB at 2744
+# a float sweep holds a few dense proper-by-orbit arrays, at worst (k = 2)
+# half the proper-by-proper size: 2048 states, all proper, take the
+# process to a 100 MB peak
 TMIX_STATE_CAP = 3 * 10 ** 3
 # the longest mixing sweep, in steps of the chain
 TMIX_MAX_STEPS = 10 ** 5
@@ -68,13 +73,19 @@ class StateIndex:
             state = state * self.k + (c - 1)
         return state
 
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """The (size, m) table of every state's digits: digits[s, v] is
+        vertex v's color minus one in state s."""
+        return np.arange(self.size)[:, None] // self.k ** np.arange(self.m) % self.k
+
     def proper_mask(self, G: UnionLineGraph) -> tuple[bool, ...]:
-        mask = []
-        for s in range(self.size):
-            a = self.decode(s)
-            mask.append(all(a[v] != a[w]
-                            for v in range(self.m) for w in G.nbrs[v] if w > v))
-        return tuple(mask)
+        ok = np.ones(self.size, dtype=bool)
+        for v in range(self.m):
+            for w in G.nbrs[v]:
+                if w > v:
+                    ok &= self.digits[:, v] != self.digits[:, w]
+        return tuple(ok.tolist())
 
 
 def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
@@ -315,6 +326,36 @@ def _columns(Q: sp.csr_matrix):
             for lo, hi in zip(ptr, ptr[1:])]
 
 
+def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
+    """Positions in proper_states of one start per color orbit, ascending.
+
+    Renaming the colors maps proper states to proper states; when it also
+    maps the kernel to itself, the starts of one orbit have the same
+    distance curve, and the worst over the orbits' least states is the
+    worst over all.  The sweep relies on that only after checking it: the
+    proper mask and num must be invariant, exactly, under the transposition
+    (1 2) and the cycle (1 2 ... k), which generate every renaming.  If
+    either is not, each proper state is its own start.  The orbit of a
+    state is its first-occurrence pattern, its colors relabelled in order
+    of first appearance.
+    """
+    idx = P.index
+    colors = np.arange(idx.k)
+    # the cycle and the transposition; at k = 1 both are the identity
+    generators = (np.roll(colors, -1), np.r_[colors[1::-1], colors[2:]])
+    powers = idx.k ** np.arange(idx.m)
+    proper = np.asarray(P.proper)
+    for g in generators:
+        perm = g[idx.digits] @ powers
+        if (proper[perm] != proper).any() or (P.num[perm][:, perm] != P.num).nnz:
+            return np.arange(len(proper_states))
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(idx.digits[proper_states].tolist()):
+        relabel: dict[int, int] = {}
+        first.setdefault(tuple(relabel.setdefault(c, len(relabel)) for c in row), i)
+    return np.array(list(first.values()), dtype=np.intp)
+
+
 def _check_eps(eps: float) -> None:
     if not 0 < eps < 1:
         raise ValueError(f"eps {eps} outside (0, 1)")
@@ -329,7 +370,8 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     sum_j |n N_ij - den**t| / (2 n den**t) for n proper states; distances
     are reported as floats either way, in rational mode correctly rounded.
     The distance must be non-increasing in t, and the sweep asserts that as
-    it goes.
+    it goes.  It propagates only the starts `_orbit_starts` picks, one per
+    color orbit on a kernel checked to be color-symmetric.
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
@@ -344,12 +386,15 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
         "proper states must stay proper"
     if n > TMIX_STATE_CAP:
         raise CapExceeded(f"{n} proper states exceed the mixing-curve cap")
+    reps = _orbit_starts(P, proper_states)
+    r = len(reps)
 
     curve: list[list[float]] = []
     if P.mode == "rational":
         e = Fraction(eps).limit_denominator(10 ** 9)
         cols = _columns(Q)
-        N = np.identity(n, dtype=object)
+        N = np.zeros((r, n), dtype=object)
+        N[np.arange(r), reps] = 1
         scale = 1  # den**t
         prev = None
         for t in range(TMIX_MAX_STEPS + 1):
@@ -363,7 +408,8 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             scale *= P.den
     else:
         QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
-        dt = np.eye(n)
+        dt = np.zeros((n, r))
+        dt[reps, np.arange(r)] = 1.0
         buf = np.empty_like(dt)  # |dt - 1/n|, in place each step
         prev = None
         for t in range(TMIX_MAX_STEPS + 1):

@@ -364,6 +364,22 @@ class TestOracleAndCount:
         rep = json.loads(out.read_text())
         assert rep == {"count": 12, "uniform_ok": False, "tv_curve": [], "tmix": None}
 
+    def test_readme_instance_at_k6(self, tmp_path):
+        # the README's example: 600 of 6^4 = 1 296 states proper, swept
+        # exactly from one start per color orbit, and in doubles
+        tiny = str(tmp_path / "tiny.txt")
+        assert main(["gen", "--n", "4", "--delta", "2", "--overlap", "0.5",
+                     "--seed", "5", "--out", tiny]) == 0
+        rep = {}
+        for mode in ("rational", "float"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["oracle", "--graph", tiny, "--k", "6", "--mode", mode,
+                         "--out", str(out)]) == 0
+            rep[mode] = json.loads(out.read_text())
+        assert rep["rational"]["count"] == 600
+        assert rep["rational"]["uniform_ok"] is True
+        assert rep["rational"]["tmix"] == rep["float"]["tmix"] == 14
+
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_oracle_on_no_edges_is_usage_error(self, instance, capsys, mode):
         g = instance("empty.txt", NO_EDGES)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
-                           _backtrack_count, build_transition_matrix,
-                           count_proper, oracle_report, stationary_check,
-                           tv_mixing_time)
+                           _backtrack_count, _orbit_starts,
+                           build_transition_matrix, count_proper,
+                           oracle_report, stationary_check, tv_mixing_time)
 
 from helpers import numpy_brute_count
 
@@ -23,6 +23,45 @@ def pair(n, e1, e2=()):
 
 
 NONDYADIC = FlipParams((1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
+
+
+def first_occurrence_starts(P, proper):
+    """Positions in proper of the least state of each color pattern, a
+    state's pattern being where each vertex's color first occurs."""
+    starts, seen = [], set()
+    for i, s in enumerate(proper):
+        a = P.index.decode(int(s))
+        pattern = tuple(a.index(c) for c in a)
+        if pattern not in seen:
+            seen.add(pattern)
+            starts.append(i)
+    return starts
+
+
+def fraction_curve(P, starts, eps=Fraction(1, 4)):
+    """(tmix, curve) over the given starts (positions among the proper
+    states), each start's law propagated as Fraction dicts through num."""
+    proper = np.flatnonzero(P.proper).tolist()
+    pos = {s: i for i, s in enumerate(proper)}
+    Q = [{pos[t]: Fraction(int(q), P.den) for t, q in zip(row.indices, row.data)}
+         for row in P.num[proper]]
+    n = len(proper)
+    dist = [{i: Fraction(1)} for i in starts]
+    curve = []
+    while True:
+        d = max(sum(abs(row.get(j, 0) - Fraction(1, n)) for j in range(n)) / 2
+                for row in dist)
+        curve.append([len(curve), float(d)])
+        if d <= eps:
+            return len(curve) - 1, curve
+        nxt = []
+        for row in dist:
+            out = {}
+            for i, mass in row.items():
+                for j, q in Q[i].items():
+                    out[j] = out.get(j, 0) + mass * q
+            nxt.append(out)
+        dist = nxt
 
 
 class TestCounting:
@@ -89,6 +128,21 @@ class TestStateIndex:
         assert idx.decode(0) == [1, 1, 1]
         assert idx.decode(1) == [2, 1, 1]  # vertex 0 is the least digit
         assert idx.decode(4) == [1, 2, 1]
+
+    def test_digits_table_matches_decode(self):
+        idx = StateIndex(3, 4)
+        assert idx.digits.shape == (64, 3)
+        assert [[c + 1 for c in row] for row in idx.digits.tolist()] == \
+            [idx.decode(s) for s in range(idx.size)]
+
+    def test_proper_mask_matches_per_state_loop(self):
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4), (1, 4)],
+                                        [(1, 2), (2, 3)]))
+        idx = StateIndex(G.m, 3)
+        want = tuple(all(a[v] != a[w] for v in range(G.m) for w in G.nbrs[v])
+                     for a in map(idx.decode, range(idx.size)))
+        got = idx.proper_mask(G)
+        assert got == want and all(type(b) is bool for b in got)
 
     def test_proper_mask_total(self):
         G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
@@ -283,9 +337,12 @@ class TestMixing:
             tv_mixing_time(P)
 
     def test_float_curve_equals_the_two_temporary_expression(self):
-        # the sweep takes |dt - 1/n| in one preallocated buffer; the curve
-        # must equal, bit for bit, the distance written as one expression
-        # (the benchmark's 4-cycle instance, 1 302 proper states)
+        # the sweep propagates one start per color orbit and takes
+        # |dt - 1/n| in one preallocated buffer; each kept start's distance
+        # must equal, bit for bit, its column of the every-start sweep
+        # written as one expression, and the every-start curve must agree
+        # to rounding with the same tmix (the benchmark's 4-cycle instance,
+        # 1 302 proper states in 4 orbits)
         G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4), (1, 4)],
                                         [(1, 2), (2, 3)]))
         P = build_transition_matrix(G, 7, kind="flip", mode="float")
@@ -294,14 +351,19 @@ class TestMixing:
         Q.eliminate_zeros()
         n = len(proper)
         assert n == 1302
+        reps = first_occurrence_starts(P, proper)
+        assert len(reps) == 4
         QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
-        dt, want = np.eye(n), []
-        while not want or want[-1][1] > 0.25:
-            want.append([len(want), float(0.5 * np.abs(dt - 1.0 / n).sum(axis=0).max())])
+        dt, want, every = np.eye(n), [], []
+        while not every or every[-1][1] > 0.25:
+            dist = 0.5 * np.abs(dt - 1.0 / n).sum(axis=0)
+            want.append([len(want), float(dist[reps].max())])
+            every.append([len(every), float(dist.max())])
             dt = QT.dot(dt)
         tmix, curve = tv_mixing_time(P)
-        assert tmix == len(want) - 1 > 1
+        assert tmix == len(every) - 1 > 1
         assert curve == want
+        assert np.allclose(curve, every, rtol=0, atol=1e-12)
 
     def test_rational_sweep_matches_fraction_propagation(self):
         # reference: propagate each proper start's law as Fraction dicts
@@ -332,3 +394,67 @@ class TestMixing:
         tmix, curve = tv_mixing_time(P, eps=0.25)
         assert tmix == len(want) - 1 > 1
         assert curve == want
+
+
+class TestColorOrbits:
+    @pytest.mark.parametrize("edges, k, orbits", [
+        # three disjoint edges: three conflict vertices with no edge, so
+        # the orbits are the partitions of 3 vertices into at most k blocks
+        ([(1, 2), (3, 4), (5, 6)], 1, 1),
+        ([(1, 2), (3, 4), (5, 6)], 2, 4),
+        ([(1, 2), (3, 4), (5, 6)], 3, 5),
+        ([(1, 2), (3, 4), (5, 6)], 5, 5),
+        # a 3-edge path: a path of 3 conflict vertices, ends equal or not
+        ([(1, 2), (2, 3), (3, 4)], 2, 1),
+        ([(1, 2), (2, 3), (3, 4)], 3, 2),
+        ([(1, 2), (2, 3), (3, 4)], 5, 2),
+    ])
+    def test_one_least_start_per_color_pattern(self, edges, k, orbits):
+        G = build_union_line_graph(pair(6, edges))
+        P = build_transition_matrix(G, k, mode="rational")
+        proper = np.flatnonzero(P.proper)
+        least = {}  # brute force: a state's color classes as vertex sets
+        for s in proper.tolist():
+            a = P.index.decode(s)
+            classes = frozenset(frozenset(v for v in range(G.m) if a[v] == c)
+                                for c in set(a))
+            least.setdefault(classes, s)
+        assert len(least) == orbits
+        assert proper[_orbit_starts(P, proper)].tolist() == sorted(least.values())
+
+    def test_glauber_rational_sweep_matches_every_start(self):
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
+        P = build_transition_matrix(G, 4, kind="glauber", mode="rational")
+        proper = np.flatnonzero(P.proper)
+        assert len(first_occurrence_starts(P, proper)) == 2
+        tmix, curve = tv_mixing_time(P)
+        assert tmix > 1
+        assert (tmix, curve) == fraction_curve(P, range(len(proper)))
+
+    def test_asymmetric_kernel_falls_back_to_every_start(self):
+        # make the last proper state lazier: its mass to one proper target
+        # moves to its self-loop, so its row still sums to den but renaming
+        # the colors no longer maps the kernel to itself
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
+        P = build_transition_matrix(G, 3, kind="flip", fp=NONDYADIC, mode="rational")
+        proper = np.flatnonzero(P.proper)
+        starts = first_occurrence_starts(P, proper)
+        assert len(starts) == 2
+        every = range(len(proper))
+        assert tv_mixing_time(P) == fraction_curve(P, starts) == fraction_curve(P, every)
+
+        num = P.num.tolil()
+        s = int(proper[-1])
+        t = next(t for t in num.rows[s] if t != s and P.proper[t])
+        num[s, s] += num[s, t]
+        num[s, t] = 0
+        num = num.tocsr()
+        num.eliminate_zeros()
+        assert (np.asarray(num.sum(axis=1)).ravel() == P.den).all()
+        tampered = dataclasses.replace(P, num=num, rows=[
+            {t: Fraction(int(q), P.den) for t, q in zip(row.indices, row.data)}
+            for row in num])
+        assert list(_orbit_starts(tampered, proper)) == list(every)
+        assert tv_mixing_time(tampered) == fraction_curve(tampered, every)
+        # the orbits' least states alone would have missed the answer
+        assert fraction_curve(tampered, starts) != fraction_curve(tampered, every)
