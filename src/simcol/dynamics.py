@@ -8,8 +8,9 @@ p = (1,): proposing v's own color is an accepted size-1 null flip in
 both, also where a neighbor holds it (on improper states).
 
 The flip rule is written once, as `alternating_component` capped at the
-locality plus the acceptance tables of `FlipParams`; the sampler, the
-coupling's move law and the exact kernel all use it.  The sampler
+locality plus the acceptance tables of `FlipParams`; the sampler and the
+coupling's move law use it.  The exact kernel applies the same rule to
+all states at once, and is tested equal to it.  The sampler
 compares u < p_s / s exactly.  Exact flip masses are integers over one
 common denominator, owned by `FlipParams.units`; the coupling, the
 certifier and the exact kernel all count in that unit.

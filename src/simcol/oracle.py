@@ -5,13 +5,16 @@ at a time; chains become explicit transition matrices over the full
 product state space (all assignments, proper or not), through the flip
 rule of `dynamics`: Glauber's kernel is the flip chain's at p = (1,).
 Each is built once as integers: an int64 sparse matrix of numerators
-over one row denominator.  It has two views, a double-precision sparse
-matrix (each entry correctly rounded) and exact rationals; the mode
-picks which one a caller reads.  On top of the integers: exact
-uniform-stationarity verification, reachability checks, and worst-start
-total-variation mixing curves (exact in rational mode, by integer
-propagation over powers of the denominator), swept from one start per
-color orbit once the kernel is checked to commute with renaming colors.
+over one row denominator, one numpy pass over every state's digits per
+proposal (v, c), which the tests hold equal, entry for entry, to the
+per-state route through `alternating_component`.  It has two views, a
+double-precision sparse matrix (each entry correctly rounded) and exact
+rationals; the mode picks which one a caller reads.  On top of the
+integers: exact uniform-stationarity verification, reachability checks
+by breadth-first sparse products, and worst-start total-variation
+mixing curves (exact in rational mode, by integer propagation over
+powers of the denominator), swept from one start per color orbit once
+the kernel is checked to commute with renaming colors.
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
@@ -28,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import FlipParams, alternating_component
+from .dynamics import FlipParams
 from .graphs import CapExceeded, UnionLineGraph
 
 DEFAULT_COUNT_CAP = 10 ** 7
@@ -172,27 +175,63 @@ class TransitionMatrix:
         return self.index.size
 
 
-def _state_transitions(G: UnionLineGraph, k: int, assign, powers,
-                       fp: FlipParams):
-    """Yield (target_state_delta, numerator) per proposal, over fp.units.den.
+def _flip_kernel(G: UnionLineGraph, idx: StateIndex, fp: FlipParams) -> sp.csr_matrix:
+    """The flip chain's numerators over m * k * fp.units.den, every state at once.
 
-    Each proposal is worth D = fp.units.den; a flippable component of
-    size s moves with accept[s] = (p_s / s) * D of it.
+    Each proposal (v, c) applies the flip rule of `alternating_component`
+    to the whole digits table: v's component under strict alternation
+    between its color a and c grows one step along G's arcs per round,
+    to a fixed point or for `locality` rounds, after which a component
+    still growing is past the locality.  Each proposal is worth D =
+    fp.units.den; a component of size s moves to the state with a and c
+    swapped on it with accept[s] = (p_s / s) * D of that, and the rest
+    stays on the diagonal.
     """
-    unit, _, acc = fp.units
-    for v in range(G.m):
-        a = assign[v]
-        for c in range(1, k + 1):
-            members = alternating_component(assign, G.nbrs, v, c, fp.locality)
-            if members is None:
-                yield 0, unit
-                continue
-            n = acc[len(members)]
-            if n:
-                yield sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
-                          for w in members), n
-            if n < unit:
-                yield 0, unit - n
+    m, k, size = G.m, idx.k, idx.size
+    unit, _, accept = fp.units
+    # sizes past the locality price 0: their proposals stay
+    price = np.zeros(max(m, fp.locality) + 1, dtype=np.int64)
+    price[:len(accept)] = accept
+    # vertex-major digits, one row per vertex, and a pad row m that holds
+    # no color: nbr[w] lists w's neighbors padded with m, so a pad slot
+    # never joins a component, and its power is 0
+    digits = np.full((m + 1, size), -1)
+    digits[:m] = idx.digits.T
+    powers = np.append(k ** np.arange(m), 0)
+    width = max(map(len, G.nbrs))
+    nbr = np.array([list(ns) + [m] * (width - len(ns)) for ns in G.nbrs], dtype=np.intp)
+    differ = digits[nbr] != digits[:m, None]  # strict alternation
+    states = np.arange(size)
+
+    diag = np.zeros(size, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for v in range(m):
+        a = digits[v]
+        for c in range(k):
+            in_ac = (digits == a) | (digits == c)
+            live = differ & in_ac[nbr] & in_ac[:m, None]
+            comp = np.zeros_like(in_ac)
+            comp[v] = True
+            for _ in range(fp.locality):
+                grown = comp.copy()
+                grown[:m] |= (comp[nbr] & live).any(axis=1)
+                if (grown == comp).all():
+                    break
+                comp = grown
+            n = price[comp.sum(axis=0)]
+            delta = powers @ (comp * (np.where(digits == a, c, a) - digits))
+            moved = (n > 0) & (delta != 0)  # delta is 0 only for c = a
+            diag += unit - np.where(moved, n, 0)
+            rows.append(states[moved])
+            cols.append(states[moved] + delta[moved])
+            vals.append(n[moved])
+    rows.append(states[diag > 0])
+    cols.append(states[diag > 0])
+    vals.append(diag[diag > 0])
+    num = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(size, size)).tocsr()
+    num.sum_duplicates()
+    return num
 
 
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
@@ -215,26 +254,14 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     den = G.m * k * fp.units.den
     if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
         raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
-    powers = [k ** v for v in range(G.m)]
-
-    indptr, indices, data = [0], [], []
-    for s in range(idx.size):
-        row: dict[int, int] = {}
-        for delta, n in _state_transitions(G, k, idx.decode(s), powers, fp):
-            row[s + delta] = row.get(s + delta, 0) + n
-        assert sum(row.values()) == den
-        targets = sorted(row)
-        indices += targets
-        data += [row[t] for t in targets]
-        indptr.append(len(indices))
-    shape = (idx.size, idx.size)
-    num = sp.csr_matrix((np.array(data, dtype=np.int64), np.array(indices),
-                         np.array(indptr)), shape=shape)
+    num = _flip_kernel(G, idx, fp)
+    assert (np.asarray(num.sum(axis=1)).ravel() == den).all()
     if mode == "float":
         # divide the data array: scipy's `/ den` multiplies by 1/den and can
         # land an ulp away from the correctly rounded quotient
-        rows = sp.csr_matrix((num.data / den, num.indices, num.indptr), shape=shape)
+        rows = sp.csr_matrix((num.data / den, num.indices, num.indptr), shape=num.shape)
     else:
+        indptr, indices, data = num.indptr.tolist(), num.indices.tolist(), num.data.tolist()
         rows = [{t: Fraction(n, den) for t, n in zip(indices[lo:hi], data[lo:hi])}
                 for lo, hi in zip(indptr, indptr[1:])]
     return TransitionMatrix(index=idx, proper=idx.proper_mask(G), mode=mode,
@@ -251,24 +278,27 @@ class StationaryReport:
     aperiodic: bool
 
 
-def _reached(Q: sp.csr_matrix) -> list[bool]:
-    """Which states a walk from state 0 reaches along nonzero entries of Q."""
-    indptr, indices = Q.indptr.tolist(), Q.indices.tolist()
-    seen = [False] * Q.shape[0]
+def _reached(Q: sp.csr_matrix) -> np.ndarray:
+    """Which states a walk from state 0 reaches along stored entries of Q,
+    breadth first: one sparse product with Q's transpose per frontier.
+    The entries are positive and each column sums to at most den * size,
+    which the build keeps inside int64, so a product never cancels."""
+    QT = Q.T.tocsr()
+    seen = np.zeros(Q.shape[0], dtype=bool)
     seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in indices[indptr[u]:indptr[u + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
+    frontier = seen
+    while frontier.any():
+        frontier = (QT @ frontier > 0) & ~seen
+        seen |= frontier
     return seen
 
 
 def _proper_block(P: TransitionMatrix):
-    """The proper states and the numerators among them, zeros dropped."""
+    """The proper states and the numerators among them, zeros dropped;
+    ValueError if there is no proper state."""
     proper_states = np.flatnonzero(P.proper)
+    if not len(proper_states):
+        raise ValueError("no proper states at this k")
     Q = P.num[proper_states][:, proper_states]
     Q.eliminate_zeros()
     return proper_states, Q
@@ -286,8 +316,6 @@ def stationary_check(P: TransitionMatrix) -> StationaryReport:
     """
     proper_states, Q = _proper_block(P)
     n = len(proper_states)
-    if not n:
-        raise ValueError("no proper states at this k")
     is_proper = np.asarray(P.proper)
     top = P.num[proper_states]
     proper_closed = not top.data[~is_proper[top.indices]].any()
@@ -297,12 +325,12 @@ def stationary_check(P: TransitionMatrix) -> StationaryReport:
     err = int(np.abs(colsum - P.den * is_proper).max())
 
     forward = _reached(Q)
-    backward = _reached(Q.T.tocsr())
-    irreducible = all(forward) and all(backward)
+    backward = _reached(Q.T)
+    irreducible = bool(forward.all() and backward.all())
     violating_pair = None
     if not irreducible:
-        missing = forward if not all(forward) else backward
-        bad = proper_states[missing.index(False)]
+        missing = forward if not forward.all() else backward
+        bad = proper_states[np.argmin(missing)]
         violating_pair = (int(proper_states[0]), int(bad))
 
     return StationaryReport(uniform_ok=err == 0, max_error=err / (n * P.den),

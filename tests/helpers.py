@@ -4,16 +4,19 @@ Nothing here imports the move-law or table code under test; component
 growth is a plain two-color BFS, which provably coincides with the
 chains' alternating closure on proper colorings (the only states the
 couplings ever see).  The single-step walks are the references that
-`run_chain` and the pair sampler built on it are compared against.
+`run_chain` and the pair sampler built on it are compared against, and
+the per-state kernel loop is the reference for the oracle's batched kernel.
 """
 
 import random
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from simcol.coupling import AdjacentPair
-from simcol.dynamics import flip_step, greedy_coloring
+from simcol.dynamics import alternating_component, flip_step, greedy_coloring
+from simcol.oracle import StateIndex
 
 
 def glauber_step(G, sigma, rng):
@@ -158,3 +161,33 @@ def brute_glauber_drift(G, pair, k):
                 ya[v] = cp
             total += sum(G.weight[u] for u in range(G.m) if xa[u] != ya[u]) - before
     return Fraction(total, G.m * k)
+
+
+def scalar_flip_kernel(G, k, fp):
+    """The flip chain's int64 numerators over m * k * fp.units.den, one
+    state and one proposal at a time: `alternating_component` capped at
+    the locality, priced by fp.units."""
+    idx = StateIndex(G.m, k)
+    powers = [k ** v for v in range(G.m)]
+    unit, _, acc = fp.units
+    indptr, indices, data = [0], [], []
+    for s in range(idx.size):
+        assign = idx.decode(s)
+        row = {}
+        for v in range(G.m):
+            a = assign[v]
+            for c in range(1, k + 1):
+                members = alternating_component(assign, G.nbrs, v, c, fp.locality)
+                n = 0 if members is None else acc[len(members)]
+                if n:
+                    t = s + sum(((c if assign[w] == a else a) - assign[w]) * powers[w]
+                                for w in members)
+                    row[t] = row.get(t, 0) + n
+                if n < unit:
+                    row[s] = row.get(s, 0) + unit - n
+        targets = sorted(row)
+        indices += targets
+        data += [row[t] for t in targets]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=np.int64), np.array(indices),
+                          np.array(indptr)), shape=(idx.size, idx.size))

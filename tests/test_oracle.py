@@ -15,7 +15,7 @@ from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
                            build_transition_matrix, count_proper,
                            oracle_report, stationary_check, tv_mixing_time)
 
-from helpers import numpy_brute_count
+from helpers import apply_move, brute_flip_law, numpy_brute_count, scalar_flip_kernel
 
 
 def pair(n, e1, e2=()):
@@ -23,6 +23,10 @@ def pair(n, e1, e2=()):
 
 
 NONDYADIC = FlipParams((1, Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)))
+
+
+def path(length):
+    return [(i, i + 1) for i in range(1, length + 1)]
 
 
 def first_occurrence_starts(P, proper):
@@ -223,6 +227,37 @@ class TestTransitionMatrix:
         assert P.den == den
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("fp", [FlipParams.glauber(), FlipParams.default(),
+                                    FlipParams((1, Fraction(1, 2))), NONDYADIC],
+                             ids=["glauber", "default", "half", "nondyadic"])
+    @pytest.mark.parametrize("gp, k", [
+        # improper states, and components past locality 2
+        (pair(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), 3),
+        (pair(8, path(7)), 4),
+        (pair(5, path(4), [(3, 4), (4, 5)]), 6),
+        (pair(15, path(14)), 2),
+    ], ids=["chorded-4-cycle", "7-path", "weighted-4-path", "14-path"])
+    def test_batched_kernel_equals_scalar_route(self, gp, k, fp):
+        # every row, improper ones included, equals the per-state loop
+        # over alternating_component; every proper row also equals the
+        # independent {a, c} BFS of brute_flip_law
+        G = build_union_line_graph(gp)
+        P = build_transition_matrix(G, k, kind="flip", fp=fp)
+        want = scalar_flip_kernel(G, k, fp)
+        got = [getattr(P.num, part).tolist() for part in ("data", "indices", "indptr")]
+        assert got == [want.data.tolist(), want.indices.tolist(), want.indptr.tolist()]
+        data, indices, indptr = got
+        for s in np.flatnonzero(P.proper).tolist():
+            assign = P.index.decode(s)
+            law = {s: Fraction(1)}
+            for (members, colors), q in brute_flip_law(G, assign, k, fp).items():
+                t = P.index.encode(apply_move(assign, members, colors))
+                law[s] -= q
+                law[t] = law.get(t, 0) + q
+            lo, hi = indptr[s], indptr[s + 1]
+            assert {t: q for t, q in law.items() if q} == {
+                t: Fraction(q, P.den) for t, q in zip(indices[lo:hi], data[lo:hi])}
+
     def test_float_and_rational_agree(self):
         # every float entry is the correctly rounded rational, no tolerance
         G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
@@ -284,6 +319,18 @@ class TestStationarity:
         assert not rep.irreducible
         a, b = rep.violating_pair
         assert P.proper[a] and P.proper[b] and a != b
+        # the least proper state, and the least one it cannot reach
+        assert rep.violating_pair == (5, 7)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_no_proper_state_is_a_value_error(self, mode):
+        # two adjacent edges at k = 1: the only state is improper
+        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)]))
+        P = build_transition_matrix(G, 1, mode=mode)
+        assert not any(P.proper)
+        for check in (stationary_check, tv_mixing_time):
+            with pytest.raises(ValueError, match="^no proper states at this k$"):
+                check(P)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_moved_mass_breaks_uniformity(self, mode):
