@@ -280,15 +280,14 @@ class StationaryReport:
 
 def _reached(Q: sp.csr_matrix) -> np.ndarray:
     """Which states a walk from state 0 reaches along stored entries of Q,
-    breadth first: one sparse product with Q's transpose per frontier.
-    The entries are positive and each column sums to at most den * size,
-    which the build keeps inside int64, so a product never cancels."""
-    QT = Q.T.tocsr()
+    breadth first: one boolean product with Q's transposed pattern per
+    frontier."""
+    step = Q.T.astype(bool).tocsr()
     seen = np.zeros(Q.shape[0], dtype=bool)
     seen[0] = True
     frontier = seen
     while frontier.any():
-        frontier = (QT @ frontier > 0) & ~seen
+        frontier = step @ frontier & ~seen
         seen |= frontier
     return seen
 
