@@ -28,14 +28,14 @@ component heavier than its anchor branch on either side.
 Both routes price a shape without v*, whose weight adds the same
 (d-1) * wstar * D to every d-neighbor shape: the offset is taken off
 only where shapes are ranked and in `color_rate`, so one grid per
-weight vector serves both v* weights.  The closed form ranks, and the
-matcher re-prices, one call per shape, where the routes can differ or
-the answer is decided: each clampable shape takes the matcher's value
-before the ranking, and each maximizer's closed form must be confirmed
-after it (12 matcher calls for the default schedule, 15 for Glauber).
-`certify_report` runs the same one enumeration with the matcher on
-every shape (9 702 calls, 72 for Glauber), so a shape the two routes
-price differently fails the report wherever it lies.
+weight vector serves both v* weights.  The matcher route is one numpy
+pass per anchor block: rows are grouped by the anchor `pick_anchor`
+picks from their sizes, columns likewise, so a weight vector's grid
+splits into at most d^2 blocks, and `match_color_moves` runs its ledger
+once per block on arrays that hold one entry per shape.  Every
+enumeration prices every shape both ways before the ranking, so
+`rate_maxima`, the drift bound read from it and `certify_report` all
+fail on a shape the two routes price differently, wherever it lies.
 
 Branch sizes are enumerated up to cap = L + 1, L the locality, and
 nothing is lost by the cap.  A branch size s enters a shape's value only
@@ -58,7 +58,7 @@ from itertools import product
 import numpy as np
 
 from .dynamics import FlipParams, FlipUnits
-from .matching import match_color_moves
+from .matching import match_color_moves, pick_anchor
 
 TARGET_RATIO = Fraction(5948, 1000)
 # maximizer shapes listed per branch in certify_report
@@ -124,9 +124,12 @@ def _grid_dtype(den: int, d: int, cap: int):
     sizes times a big mass (2*cap*D each), a max term (2*D) and two
     (size-1) terms (2*(cap-1)*D each); every partial sum, and a sum less
     v*'s (d-1)*wstar*D offset, stays within 8*d*cap*D in absolute value.
-    The matcher's numerator, each component's mass times at most twice
-    its weighted sizes, is within it too, and the ranking multiplies a
-    numerator by a color weight of at most 2*d.
+    The matcher's numerator sums paired amounts times deltas, each delta
+    within its two partners' weighted sizes, and spends every mass once,
+    so its partial sums stay within D times twice both sides' weighted
+    sizes, 8*d*cap*D too; its ledger (amounts in [0, D], cumulative
+    leftovers within d*D) is int64 at least wherever the grid is.  The
+    ranking multiplies a numerator by a color weight of at most 2*d.
     """
     return np.int64 if 16 * d * d * cap * den < 2 ** 63 else object
 
@@ -176,28 +179,28 @@ def _closed_form_grid(units: FlipUnits, weights, xs: np.ndarray,
     return num, clamp_a[:, None] | clamp_b[None, :]
 
 
-def _matcher_ids(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Component ids for a d-neighbor shape: 0 is the big X component, 1
-    the big Y one, then the X-side branches (Y sizes), then the Y-side
-    branches (X sizes)."""
-    return tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
+def _matcher_rate(xs: np.ndarray, ys: np.ndarray, weights, units: FlipUnits,
+                  dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Price one anchor block through the coupling's own mass matching.
 
-
-def _matcher_rate(xs, ys, weights, units: FlipUnits, ids) -> tuple[int, int]:
-    """Evaluate one shape through the coupling's own mass matching.
-
-    xs, ys: branch size tuples; ids: `_matcher_ids(d)`.  Returns
-    (numerator over color_weight * D without v*'s offset, clamp count).
+    xs (rows) and ys (columns) hold one tuple of branch sizes per row;
+    every row picks one anchor, every column likewise.  Component ids: 0
+    is the big X component, 1 the big Y one, then the X-side branches (Y
+    sizes), then the Y-side branches (X sizes).  Returns (numerators over
+    color_weight * D without v*'s offset, clamp counts), broadcasting to
+    (len(xs), len(ys)).
     """
     d = len(weights)
-    x_ids, y_ids = ids
+    # per neighbor, an (R, 1) array of X sizes and a (1, C) one of Y sizes
+    rows, cols = xs.T[:, :, None], ys.T[:, None, :]
+    x_ids, y_ids = tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
     pairs, clamped = match_color_moves(0, 1, x_ids, y_ids,
-                                       (1 + sum(xs), 1 + sum(ys), *ys, *xs),
+                                       (1 + rows.sum(0), 1 + cols.sum(0), *cols, *rows),
                                        weights, units)
     # metric weight each component's flip moves, by id
-    tw = [w + 2 * (s - 1) for w, s in zip(weights, ys)]
-    uw = [w + 2 * (s - 1) for w, s in zip(weights, xs)]
-    gain = (sum(uw), sum(tw), *tw, *uw)
+    w = np.array(weights, dtype=dtype)[:, None, None]
+    uw, tw = w + 2 * (rows - 1), w + 2 * (cols - 1)
+    gain = (uw.sum(0), tw.sum(0), *tw, *uw)
 
     raw = 0
     for p in pairs:
@@ -214,41 +217,47 @@ def _matcher_rate(xs, ys, weights, units: FlipUnits, ids) -> tuple[int, int]:
             delta = gain[x] + gain[y] - weights[x - 2]
         else:
             delta = gain[x] + gain[y]
-        raw += p.mass * delta
+        raw = raw + p.mass * delta
     return raw, clamped
 
 
-def _dual_check(units: FlipUnits, weights, xs: list, ys: list, num: np.ndarray,
-                clampable: np.ndarray, mask: np.ndarray) -> None:
-    """Price the shapes where mask holds by the matcher and check them
-    against the closed form num; xs (rows) and ys (columns) are lists of
-    size tuples.
+def _matcher_grid(units: FlipUnits, weights, xs: np.ndarray,
+                  ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matcher's numerators and clamp counts for every (x, y) shape,
+    one `_matcher_rate` call per anchor block."""
+    dtype = _grid_dtype(units.den, len(weights), int(max(xs.max(), ys.max())))
+    num = np.zeros((len(xs), len(ys)), dtype=dtype)
+    clamped = np.zeros(num.shape, dtype=np.int64)
+    row_anchor = np.array([pick_anchor(x, weights) for x in xs.tolist()])
+    col_anchor = np.array([pick_anchor(y, weights) for y in ys.tolist()])
+    for a, b in product(np.unique(row_anchor), np.unique(col_anchor)):
+        r, c = np.flatnonzero(row_anchor == a), np.flatnonzero(col_anchor == b)
+        at = np.ix_(r, c)
+        num[at], clamped[at] = _matcher_rate(xs[r], ys[c], weights, units, dtype)
+    return num, clamped
+
+
+def _dual_check(units: FlipUnits, weights, xs: np.ndarray, ys: np.ndarray,
+                num: np.ndarray, clampable: np.ndarray) -> None:
+    """Price every (x, y) shape by the matcher too and check it against
+    the closed form num; xs (rows) and ys (columns) hold size tuples.
 
     Where no clamp is possible the two routes must agree; where one is,
     the closed form's leftover expressions go negative and only the
     matching is meaningful, so the shape takes the matcher's value in
     num.  Both routes must see the same clamps.
     """
-    if not mask.any():
-        return
-    ids = _matcher_ids(len(weights))
-    matched = np.zeros_like(num)
-    clamped = np.zeros_like(clampable)
-    for i in np.flatnonzero(mask.any(axis=1)).tolist():
-        row = [_matcher_rate(xs[i], y, weights, units, ids) if m else (0, 0)
-               for y, m in zip(ys, mask[i].tolist())]
-        matched[i] = [n for n, _ in row]
-        clamped[i] = [c > 0 for _, c in row]
-    bad = mask & ((clamped != clampable) | (~clampable & (matched != num)))
+    matched, clamped = _matcher_grid(units, weights, xs, ys)
+    clamped = clamped > 0
+    bad = (clamped != clampable) | (~clampable & (matched != num))
     if bad.any():
         i, j = (int(k) for k in np.argwhere(bad)[0])
         raise AssertionError(
-            f"evaluation mismatch at weights {weights}, x sizes {xs[i]}, y sizes "
-            f"{ys[j]}: matching {matched[i, j]} (clamped {bool(clamped[i, j])}) "
-            f"vs closed form {num[i, j]} (clampable {bool(clampable[i, j])}), "
-            f"over {sum(weights) * units.den}, before v*'s offset")
-    take = mask & clampable
-    num[take] = matched[take]
+            f"evaluation mismatch at weights {weights}, x sizes {tuple(xs[i].tolist())}, "
+            f"y sizes {tuple(ys[j].tolist())}: matching {matched[i, j]} (clamped "
+            f"{bool(clamped[i, j])}) vs closed form {num[i, j]} (clampable "
+            f"{bool(clampable[i, j])}), over {sum(weights) * units.den}, before v*'s offset")
+    num[clampable] = matched[clampable]
 
 
 def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
@@ -257,10 +266,10 @@ def color_rate(cfg: ClusterConfig, fp: FlipParams) -> Fraction:
     Computed through the mass matching; cross-checked against the closed
     form (a 1x1 grid) wherever no clamp is possible.
     """
-    xs, ys = [cfg.x_branch_sizes], [cfg.y_branch_sizes]
+    xs, ys = np.array([cfg.x_branch_sizes]), np.array([cfg.y_branch_sizes])
     weights, units = cfg.neighbor_weights, fp.units
-    num, clampable = _closed_form_grid(units, weights, np.array(xs), np.array(ys))
-    _dual_check(units, weights, xs, ys, num, clampable, np.ones_like(clampable))
+    num, clampable = _closed_form_grid(units, weights, xs, ys)
+    _dual_check(units, weights, xs, ys, num, clampable)
     offset = (cfg.d - 1) * cfg.vstar_weight * units.den
     return Fraction(int(num[0, 0]) - offset, cfg.color_weight * units.den)
 
@@ -275,65 +284,57 @@ class BranchMaximum:
 
 
 def _enumerate_branches(units: FlipUnits, d: int, cap: int,
-                        lemma_values: dict[int, Fraction],
-                        every_shape: bool) -> dict[int, BranchMaximum]:
+                        lemma_values: dict[int, Fraction]) -> dict[int, BranchMaximum]:
     """The branch maxima over every d-neighbor shape with sizes in 1..cap,
-    for each v* weight in lemma_values, ranked by the closed form.
+    for each v* weight in lemma_values.
 
-    One closed-form grid per weight vector serves every v* weight.  The
-    matcher prices the clampable shapes before the ranking, and the
-    unclamped maximizers (every unclamped shape with every_shape) after
-    it.  A shape's value is (num - offset) / (color_weight * D), offset =
-    (d-1) * wstar * D, so shapes are ranked by cross-multiplication.
+    One closed-form grid per weight vector serves every v* weight, and
+    the matcher prices the same grid in one pass per anchor block; the
+    clampable shapes take the matcher's value.  A shape's value is (num -
+    offset) / (color_weight * D), offset = (d-1) * wstar * D, so shapes
+    are ranked by cross-multiplication.
     """
     grid = _size_grid(d, cap)
-    tuples = [tuple(row) for row in grid.tolist()]
     groups = []
     for weights in product((1, 2), repeat=d):
         num, clampable = _closed_form_grid(units, weights, grid, grid)
-        _dual_check(units, weights, tuples, tuples, num, clampable, clampable)
-        groups.append((weights, num, clampable))
+        _dual_check(units, weights, grid, grid, num, clampable)
+        groups.append((weights, num))
 
     # per v* weight: the largest value, and each group's maximizer mask
     best, tops = {}, {}
     for wstar in lemma_values:
         offset = (d - 1) * wstar * units.den
         top, cw = max(((int(num.max()) - offset, sum(weights))
-                       for weights, num, _ in groups),
+                       for weights, num in groups),
                       key=lambda top: Fraction(*top))
         best[wstar] = Fraction(top, cw * units.den)
         tops[wstar] = [(num - offset) * cw == top * sum(weights)
-                       for weights, num, _ in groups]
-    for g, (weights, num, clampable) in enumerate(groups):
-        maximal = np.logical_or.reduce([top[g] for top in tops.values()])
-        _dual_check(units, weights, tuples, tuples, num, clampable,
-                    (maximal | every_shape) & ~clampable)
+                       for weights, num in groups]
+    tuples = [tuple(row) for row in grid.tolist()]
 
     return {wstar: BranchMaximum(
         lemma_value=lemma_value, enumerated=best[wstar],
         maximizers=tuple(
             ClusterConfig(vstar_weight=wstar, neighbor_weights=weights,
                           x_branch_sizes=tuples[i], y_branch_sizes=tuples[j])
-            for (weights, *_), top in zip(groups, tops[wstar])
+            for (weights, _), top in zip(groups, tops[wstar])
             for i, j in zip(*np.nonzero(top))),
         bound_holds=best[wstar] <= lemma_value,
         attained=best[wstar] == lemma_value)
         for wstar, lemma_value in lemma_values.items()}
 
 
-def _maxima_at_cap(fp: FlipParams, cap: int,
-                   every_shape: bool = False) -> dict[str, BranchMaximum]:
-    """`rate_maxima` with branch sizes enumerated up to cap; every_shape
-    has the matcher price every shape, not only clampable ones and
-    maximizers."""
+def _maxima_at_cap(fp: FlipParams, cap: int) -> dict[str, BranchMaximum]:
+    """`rate_maxima` with branch sizes enumerated up to cap."""
     if fp.locality > 6:
         raise ValueError(f"size cap {fp.locality + 1} (the locality + 1) is "
                          f"past 7: certification covers 6-local chains")
     p1, p2, p3 = fp.p(1), fp.p(2), fp.p(3)
     units = fp.units
-    dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3}, every_shape)
+    dc1 = _enumerate_branches(units, 1, cap, {1: p1 + p2 - 2 * p3})
     dc2 = _enumerate_branches(units, 2, cap, {1: Fraction(3, 4) + 2 * p3,
-                                              2: 8 * p3}, every_shape)
+                                              2: 8 * p3})
     return {"dc1": dc1[1], "w1dc2": dc2[1], "w2dc2": dc2[2]}
 
 
@@ -344,12 +345,11 @@ def rate_maxima(fp: FlipParams) -> dict[str, BranchMaximum]:
     Branch keys: "dc1" (one neighbor, any weights), "w1dc2" and "w2dc2"
     (two neighbors at a weight-1 resp. weight-2 disagreement vertex).
     Branch sizes run up to the locality + 1, which the module docstring's
-    lemma shows loses nothing.  One enumeration: the closed form ranks
-    every shape and the matcher re-prices only clampable shapes and
-    maximizers; `certify_report` runs it with the matcher on every
-    shape.  The lemma_value fields are the closed-form bounds the
-    threshold identities quote; bound_holds records whether enumeration
-    stayed under them, attained whether it reached them.
+    lemma shows loses nothing.  One enumeration prices every shape by
+    both routes and ranks them.  The lemma_value fields are the
+    closed-form bounds the threshold identities quote; bound_holds
+    records whether enumeration stayed under them, attained whether it
+    reached them.
     """
     return _maxima_at_cap(fp, fp.locality + 1)
 
@@ -410,11 +410,11 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
 def certify_report(fp: FlipParams) -> dict:
     """JSON-ready certification summary; rationals as "num/den" strings.
 
-    The maxima come from one uncached enumeration with the matcher on
-    every shape, so a shape the two routes price differently fails the
-    report wherever it lies.
+    The maxima come from one uncached enumeration, which prices every
+    shape by both routes, so a shape the two routes price differently
+    fails the report wherever it lies.
     """
-    mx = _maxima_at_cap(fp, fp.locality + 1, every_shape=True)
+    mx = _maxima_at_cap(fp, fp.locality + 1)
     branches = _thresholds(mx)
     ratio = max(branches.values())
     identities = threshold_identities(fp)

@@ -29,9 +29,8 @@ numerators over m*k*D, D = `FlipParams.units.den`; Fractions are
 built only for what a report exposes, and the one-step expected change
 of the weighted disagreement metric is compared against the certified
 threshold without tolerance.  That threshold is `threshold_ratio`, read
-from the ranked certificate (`certify.rate_maxima`), in which the
-matcher re-prices only maximizers and clampable shapes; `simcol
-certify` and the test suite dual-check its every shape.
+from the certificate (`certify.rate_maxima`), which prices every shape
+by both the matcher and the closed form, as `simcol certify` does.
 """
 
 from __future__ import annotations

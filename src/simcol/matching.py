@@ -13,7 +13,11 @@ mass still unspent on both participants:
    from the Y branch sizes,
 2. the big Y component rides with the mirror-image X branch,
 3. the two branches at each neighbor ride together,
-4. leftover branch mass is cross-paired in increasing neighbor order,
+4. leftover branch mass is cross-paired by the northwest-corner rule:
+   with X_i and Y_j the cumulative leftovers of the distinct X and Y
+   branches in neighbor order, the i-th X and the j-th Y leftover pair
+   max(0, min(X_i, Y_j) - max(X_{i-1}, Y_{j-1})), the overlap of their
+   intervals when both sides' leftovers are laid end to end,
 5. anything left moves alone.
 
 The coupling and the certifier hand over component sizes and neighbor
@@ -24,11 +28,23 @@ ids then repeat); the shared ledger makes the pairing well defined in
 that case too.  `clamped` counts big components whose designated
 partner could not absorb them fully, which cannot happen when the flip
 probabilities are nonincreasing in the component size.
+
+The ledger runs on Python ints, one shape per call (the coupling), or
+unchanged on a batch of shapes (the certifier): every size is then an
+integer array, the arrays broadcast against each other with one entry
+per shape, each pair carries a mass array (0 where a shape lacks that
+pair), and `clamped` is an array of counts.  Every shape of a batch must
+pick the same two anchors.  The array ledger is int64 while the number
+of ids times D stays below 2^63, which bounds every amount and every
+cumulative leftover, and exact Python ints (dtype=object) past that.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
+
+import numpy as np
 
 
 class MatchedPair(NamedTuple):
@@ -51,66 +67,85 @@ def pick_anchor(sizes, weights) -> int:
     return pairs.index(max(pairs))  # the first of the largest pairs
 
 
+def _block_anchor(sizes, weights) -> int:
+    """`pick_anchor` for one shape's sizes; for size arrays, the index it
+    picks at every entry, which must be one and the same."""
+    if not isinstance(sizes[0], np.ndarray):
+        return pick_anchor(sizes, weights)
+    m = pick_anchor([s.flat[0] for s in sizes], weights)
+    for j, s in enumerate(sizes):
+        # on a size tie, m wins iff its (weight, -index) is the larger
+        lost = sizes[m] <= s if (weights[m], -m) < (weights[j], -j) else sizes[m] < s
+        if lost.any():
+            raise ValueError("a batch of shapes picks more than one anchor")
+    return m
+
+
 def match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
     """Pair the differing component flips for one color.
 
     big_x/big_y: ids of the through-v* components; x_ids/y_ids: branch ids
     per neighbor index; size: component size per id (a dict, or any
-    sequence the ids index); weights: neighbor weight per index; units:
-    the schedule's `FlipUnits`.
+    sequence the ids index), ints or a batch's integer arrays; weights:
+    neighbor weight per index; units: the schedule's `FlipUnits`.
     Returns (pairs, clamped).
     """
     if len(x_ids) != len(y_ids) or not x_ids:
         raise ValueError("need one branch id per neighbor on both sides")
-    mass = units.mass
-    rem = {i: mass(size[i]) for i in (big_x, big_y, *x_ids, *y_ids)}
-    m_a = pick_anchor([size[i] for i in y_ids], weights)
-    m_b = pick_anchor([size[i] for i in x_ids], weights)
+    ids = dict.fromkeys((big_x, big_y, *x_ids, *y_ids))
+    if isinstance(size[big_x], np.ndarray):
+        top = max(int(size[i].max()) for i in ids)
+        mass = np.array([units.mass(s) for s in range(top + 1)],
+                        dtype=np.int64 if len(ids) * units.den < 2 ** 63 else object)
+        rem = {i: mass[size[i]] for i in ids}
+        least, most, some = np.minimum, np.maximum, np.count_nonzero
+    else:
+        rem = {i: units.mass(size[i]) for i in ids}
+        least, most, some = min, max, bool
+    m_a = _block_anchor([size[i] for i in y_ids], weights)
+    m_b = _block_anchor([size[i] for i in x_ids], weights)
     pairs: list[MatchedPair] = []
 
     def emit(x, y, amount) -> None:
         pairs.append(MatchedPair(x, y, amount))
         if x is not None:
-            rem[x] -= amount
+            rem[x] = rem[x] - amount
         if y is not None:
-            rem[y] -= amount
+            rem[y] = rem[y] - amount
 
     clamped = 0
     anchor = y_ids[m_a]
-    take = min(rem[big_x], rem[anchor])
-    if take < rem[big_x]:
-        clamped += 1
-    if take > 0:
+    take = least(rem[big_x], rem[anchor])
+    clamped = clamped + (take < rem[big_x])
+    if some(take > 0):
         emit(big_x, anchor, take)
 
     anchor = x_ids[m_b]
-    take = min(rem[anchor], rem[big_y])
-    if take < rem[big_y]:
-        clamped += 1
-    if take > 0:
+    take = least(rem[anchor], rem[big_y])
+    clamped = clamped + (take < rem[big_y])
+    if some(take > 0):
         emit(anchor, big_y, take)
 
     for xi, yi in zip(x_ids, y_ids):
-        take = min(rem[xi], rem[yi])
-        if take > 0:
+        take = least(rem[xi], rem[yi])
+        if some(take > 0):
             emit(xi, yi, take)
 
-    xs = [i for i in dict.fromkeys(x_ids) if rem[i] > 0]
-    ys = [i for i in dict.fromkeys(y_ids) if rem[i] > 0]
-    a = b = 0
-    while a < len(xs) and b < len(ys):
-        emit(xs[a], ys[b], min(rem[xs[a]], rem[ys[b]]))
-        if rem[xs[a]] == 0:
-            a += 1
-        if rem[ys[b]] == 0:
-            b += 1
+    xs, ys = list(dict.fromkeys(x_ids)), list(dict.fromkeys(y_ids))
+    cum_x = list(accumulate((rem[i] for i in xs), initial=0))
+    cum_y = list(accumulate((rem[j] for j in ys), initial=0))
+    for a, i in enumerate(xs):
+        for b, j in enumerate(ys):
+            take = most(0, least(cum_x[a + 1], cum_y[b + 1]) - most(cum_x[a], cum_y[b]))
+            if some(take > 0):
+                emit(i, j, take)
 
     for i in dict.fromkeys((big_x, *x_ids)):
-        if rem[i] > 0:
+        if some(rem[i] > 0):
             emit(i, None, rem[i])
     for i in dict.fromkeys((big_y, *y_ids)):
-        if rem[i] > 0:
+        if some(rem[i] > 0):
             emit(None, i, rem[i])
 
-    assert not any(rem.values())
+    assert not any(some(r) for r in rem.values())
     return pairs, clamped

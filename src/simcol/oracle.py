@@ -9,7 +9,7 @@ over one row denominator, one numpy pass over every state's digits per
 proposal (v, c), which the tests hold equal, entry for entry, to the
 per-state route through `alternating_component`.  It has two views, a
 double-precision sparse matrix (each entry correctly rounded) and exact
-rationals; the mode picks which one a caller reads.  On top of the
+rationals, built on first read; the mode picks which one a caller reads.  On top of the
 integers: exact uniform-stationarity verification, reachability checks
 by breadth-first sparse products, and worst-start total-variation
 mixing curves (exact in rational mode, by integer propagation over
@@ -24,6 +24,7 @@ scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -153,6 +154,34 @@ def _backtrack_count(G: UnionLineGraph, verts, k: int) -> int:
     return count
 
 
+class RationalRows(Sequence):
+    """num / den as one {target: Fraction} dict per state, built on the
+    first read; the oracle's own routines read num."""
+
+    def __init__(self, num: sp.csr_matrix, den: int):
+        self.num, self.den = num, den
+
+    @cached_property
+    def _rows(self) -> list[dict[int, Fraction]]:
+        num, den = self.num, self.den
+        indptr, indices, data = num.indptr.tolist(), num.indices.tolist(), num.data.tolist()
+        return [{t: Fraction(n, den) for t, n in zip(indices[lo:hi], data[lo:hi])}
+                for lo, hi in zip(indptr, indptr[1:])]
+
+    def __len__(self) -> int:
+        return self.num.shape[0]
+
+    def __getitem__(self, s):
+        return self._rows[s]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._rows == list(other)
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """One-step kernel over every assignment, proper or not: num / den.
@@ -160,7 +189,7 @@ class TransitionMatrix:
     `num` holds int64 numerators over the single row denominator `den`.
     `rows` is the same kernel in the mode's view: a float csr whose
     entries are num / den, each correctly rounded, or in rational mode
-    one {target: Fraction} dict per state.
+    the `RationalRows` of num / den.
     """
 
     index: StateIndex
@@ -261,9 +290,7 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
         # land an ulp away from the correctly rounded quotient
         rows = sp.csr_matrix((num.data / den, num.indices, num.indptr), shape=num.shape)
     else:
-        indptr, indices, data = num.indptr.tolist(), num.indices.tolist(), num.data.tolist()
-        rows = [{t: Fraction(n, den) for t, n in zip(indices[lo:hi], data[lo:hi])}
-                for lo, hi in zip(indptr, indptr[1:])]
+        rows = RationalRows(num, den)
     return TransitionMatrix(index=idx, proper=idx.proper_mask(G), mode=mode,
                             num=num, den=den, rows=rows)
 

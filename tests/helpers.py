@@ -10,6 +10,7 @@ the per-state kernel loop is the reference for the oracle's batched kernel.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,3 +192,88 @@ def scalar_flip_kernel(G, k, fp):
         indptr.append(len(indices))
     return sp.csr_matrix((np.array(data, dtype=np.int64), np.array(indices),
                           np.array(indptr)), shape=(idx.size, idx.size))
+
+
+def scalar_match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
+    """`match_color_moves` for one shape, its step 4 a two-pointer walk
+    over the positive leftovers; returns (pairs as (x, y, mass), clamped)."""
+    rem = {i: units.mass(size[i]) for i in (big_x, big_y, *x_ids, *y_ids)}
+
+    def anchor(ids):
+        # the largest branch, ties to the heavier neighbor, then the first
+        keys = [(size[i], w) for i, w in zip(ids, weights)]
+        return ids[keys.index(max(keys))]
+
+    pairs = []
+
+    def emit(x, y, amount):
+        pairs.append((x, y, amount))
+        if x is not None:
+            rem[x] -= amount
+        if y is not None:
+            rem[y] -= amount
+
+    clamped = 0
+    for x, y, big in ((big_x, anchor(y_ids), big_x), (anchor(x_ids), big_y, big_y)):
+        take = min(rem[x], rem[y])
+        clamped += take < rem[big]
+        if take > 0:
+            emit(x, y, take)
+    for xi, yi in zip(x_ids, y_ids):
+        take = min(rem[xi], rem[yi])
+        if take > 0:
+            emit(xi, yi, take)
+    xs = [i for i in dict.fromkeys(x_ids) if rem[i] > 0]
+    ys = [i for i in dict.fromkeys(y_ids) if rem[i] > 0]
+    a = b = 0
+    while a < len(xs) and b < len(ys):
+        emit(xs[a], ys[b], min(rem[xs[a]], rem[ys[b]]))
+        if rem[xs[a]] == 0:
+            a += 1
+        if rem[ys[b]] == 0:
+            b += 1
+    for i in dict.fromkeys((big_x, *x_ids)):
+        if rem[i] > 0:
+            emit(i, None, rem[i])
+    for i in dict.fromkeys((big_y, *y_ids)):
+        if rem[i] > 0:
+            emit(None, i, rem[i])
+    assert not any(rem.values())
+    return pairs, clamped
+
+
+def scalar_matcher_grid(units, weights, xs, ys):
+    """The certificate's matcher route one shape at a time: for every (x,
+    y) pair of size rows, the numerator over color_weight * D without v*'s
+    offset (exact ints) and the clamp count, as (len(xs), len(ys)) arrays.
+
+    Component ids: 0 and 1 the big X and Y components, then the X-side
+    branches (Y sizes), then the Y-side branches (X sizes)."""
+    d = len(weights)
+    x_ids, y_ids = tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
+    num = np.zeros((len(xs), len(ys)), dtype=object)
+    clamps = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    for (i, x), (j, y) in product(enumerate(np.asarray(xs).tolist()),
+                                  enumerate(np.asarray(ys).tolist())):
+        pairs, clamps[i, j] = scalar_match_color_moves(
+            0, 1, x_ids, y_ids, (1 + sum(x), 1 + sum(y), *y, *x), weights, units)
+        # metric weight each component's flip moves, by id
+        tw = [w + 2 * (s - 1) for w, s in zip(weights, y)]
+        uw = [w + 2 * (s - 1) for w, s in zip(weights, x)]
+        gain = (sum(uw), sum(tw), *tw, *uw)
+        for a, b, mass in pairs:
+            if b is None:
+                delta = gain[a]
+            elif a is None:
+                delta = gain[b]
+            elif a == 0:
+                delta = gain[a] - gain[b]
+            elif b == 1:
+                delta = gain[b] - gain[a]
+            elif b - a == d:
+                # the two branches at one neighbor overlap in the neighbor
+                delta = gain[a] + gain[b] - weights[a - 2]
+            else:
+                delta = gain[a] + gain[b]
+            num[i, j] += mass * delta
+    return num, clamps

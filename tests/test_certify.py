@@ -16,6 +16,8 @@ from simcol.certify import (ClusterConfig, TARGET_RATIO, certify_report,
 from simcol.cli import main
 from simcol.dynamics import FlipParams, FlipUnits
 
+from helpers import scalar_matcher_grid
+
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()
 VIOLATION = FlipParams((Fraction(1), Fraction(1, 2), Fraction(1, 2)))
@@ -27,6 +29,8 @@ MIXED = FlipParams((Fraction(1), Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)
 CLAMPING = FlipParams((Fraction(1), Fraction(1, 10), Fraction(1, 2), Fraction(1, 2)))
 # every dc1 maximizer clamps, so the ranking needs the matcher's values
 CLAMPED_MAX = FlipParams((Fraction(1), Fraction(0), Fraction(1, 4), Fraction(1, 10)))
+# D is about 6.0e18: the grids and the matcher's ledger hold Python ints
+PAST_INT64 = FlipParams.from_text("1\n1/1000000007\n1/1000000009\n")
 
 
 class TestProperties:
@@ -112,24 +116,26 @@ class TestRateMaxima:
                    for name, bm in certify._maxima_at_cap(DEFAULT, cap).items()}
             assert got == at_cap, cap
 
-    @pytest.mark.parametrize("fp, ranked, every_shape", [
-        (DEFAULT, 12, 2 * 7 ** 2 + 4 * 7 ** 4),
-        (GLAUBER, 15, 2 * 2 ** 2 + 4 * 2 ** 4),
+    @pytest.mark.parametrize("fp, every_shape", [
+        (DEFAULT, 2 * 7 ** 2 + 4 * 7 ** 4),
+        (GLAUBER, 2 * 2 ** 2 + 4 * 2 ** 4),
     ], ids=["default", "glauber"])
-    def test_one_matcher_call_per_shape(self, monkeypatch, fp, ranked, every_shape):
-        # the ranked certificate prices only maximizers (no default or
-        # Glauber shape is clampable); a cold certify_report runs one
-        # enumeration, which prices each shape once, sizes up to the
-        # locality + 1 and one matcher pass per d = 2 shape for both v*
-        # weights: 2 weight vectors times cap^2 shapes at d = 1, 4 times
-        # cap^4 at d = 2.  Either builds one closed-form grid per weight
-        # vector, 2 + 4.
-        seen, grids = [], []
+    def test_one_matcher_call_per_shape(self, monkeypatch, fp, every_shape):
+        # a cold ranked certificate and a cold certify_report each run one
+        # enumeration, which prices each shape once through the matcher,
+        # sizes up to the locality + 1 and one pricing per d = 2 shape for
+        # both v* weights: 2 weight vectors times cap^2 shapes at d = 1, 4
+        # times cap^4 at d = 2.  The matcher runs once per anchor block,
+        # d^2 blocks per weight vector here (every anchor occurs on both
+        # sides), 2 + 4 * 4, and the closed form once per weight vector,
+        # 2 + 4.
+        priced, grids = [], []
         matcher, grid = certify.match_color_moves, certify._closed_form_grid
 
         def counted(*args):
-            seen.append(args)
-            return matcher(*args)
+            pairs, clamped = matcher(*args)
+            priced.append(clamped.size)
+            return pairs, clamped
 
         def counted_grid(*args):
             grids.append(args)
@@ -140,22 +146,25 @@ class TestRateMaxima:
         rate_maxima.cache_clear()
         try:
             threshold_ratio(fp)
-            assert (len(seen), len(grids)) == (ranked, 6)
-            seen.clear()
+            ranked = (len(priced), sum(priced), len(grids))
+            priced.clear()
             grids.clear()
             rate_maxima.cache_clear()
             certify_report(fp)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        assert (len(seen), len(grids)) == (every_shape, 6)
+        assert ranked == (len(priced), sum(priced), len(grids)) == (18, every_shape, 6)
 
     @pytest.mark.parametrize("fp", [
         DEFAULT, GLAUBER, CLAMPING, VIOLATION, MIXED, CLAMPED_MAX,
     ], ids=["default", "glauber", "clamping", "violation", "mixed", "clamped_max"])
-    def test_ranked_maxima_equal_the_every_shape_pass(self, fp):
-        full = certify._maxima_at_cap(fp, fp.locality + 1, every_shape=True)
-        assert rate_maxima(fp) == full
+    def test_ranked_maxima_equal_the_every_shape_pass(self, monkeypatch, fp):
+        # the maxima of the batched pass against those of a pass that the
+        # per-shape scalar reference prices, shape by shape
+        batched = rate_maxima(fp)
+        monkeypatch.setattr(certify, "_matcher_grid", scalar_matcher_grid)
+        assert certify._maxima_at_cap(fp, fp.locality + 1) == batched
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.fractions(0, 1, max_denominator=60), max_size=2))
@@ -163,8 +172,10 @@ class TestRateMaxima:
         # schedules of locality <= 3, clamping ones among them
         fp = FlipParams((Fraction(1), *tail))
         cap = fp.locality + 1
-        assert (certify._maxima_at_cap(fp, cap)
-                == certify._maxima_at_cap(fp, cap, every_shape=True))
+        batched = certify._maxima_at_cap(fp, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_matcher_grid", scalar_matcher_grid)
+            assert certify._maxima_at_cap(fp, cap) == batched
 
     def test_locality_cap(self):
         fp = FlipParams(tuple([Fraction(1)] + [Fraction(1, 100)] * 6))
@@ -176,9 +187,9 @@ class TestRateMaxima:
 class TestClampPath:
     def test_clamping_schedule_maxima(self, monkeypatch):
         # count the shapes where each route sees a clamp, on a cold ranked
-        # certificate and then on certify_report's every-shape pass; both
-        # assert the two counts agree shape by shape
-        grid_clamps, matcher_clamps = {}, []
+        # certificate and then on certify_report's pass; both assert the
+        # two verdicts agree shape by shape
+        grid_clamps, matcher_clamps, priced = {}, [], []
         grid, matcher = certify._closed_form_grid, certify.match_color_moves
 
         def counted_grid(units, weights, xs, ys):
@@ -189,7 +200,8 @@ class TestClampPath:
 
         def counted_matcher(*args):
             pairs, clamped = matcher(*args)
-            matcher_clamps.append(clamped > 0)
+            matcher_clamps.append(int((clamped > 0).sum()))
+            priced.append(clamped.size)
             return pairs, clamped
 
         monkeypatch.setattr(certify, "_closed_form_grid", counted_grid)
@@ -198,22 +210,21 @@ class TestClampPath:
         try:
             mx = rate_maxima(CLAMPING)
             ratio = threshold_ratio(CLAMPING)
-            # sizes run to the locality + 1 = 5, and the matcher prices each
-            # clampable shape, plus the two unclamped maximizers, once for
-            # both v* weights
+            # sizes run to the locality + 1 = 5, and the matcher prices
+            # every shape once for both v* weights
             assert grid_clamps == {1: 18, 2: 384}
             assert sum(matcher_clamps) == 18 + 384
-            assert len(matcher_clamps) == 18 + 384 + 2
+            assert sum(priced) == 2 * 5 ** 2 + 4 * 5 ** 4
             grid_clamps.clear()
             matcher_clamps.clear()
+            priced.clear()
             certify_report(CLAMPING)
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        # the every-shape pass prices each d = 2 shape once for both v* weights
         assert grid_clamps == {1: 18, 2: 384}
         assert sum(matcher_clamps) == 18 + 384
-        assert len(matcher_clamps) == 2 * 5 ** 2 + 4 * 5 ** 4
+        assert sum(priced) == 2 * 5 ** 2 + 4 * 5 ** 4
         assert {name: bm.enumerated for name, bm in mx.items()} == {
             "dc1": Fraction(13, 2), "w1dc2": Fraction(6), "w2dc2": Fraction(11, 2)}
         assert ratio == 28
@@ -234,12 +245,12 @@ class TestClampPath:
         num, clampable = certify._closed_form_grid(
             CLAMPING.units, (1,), np.array([(2,)]), np.array([(1,)]))
         assert clampable[0, 0]
-        matched, clamped = certify._matcher_rate((2,), (1,), (1,), CLAMPING.units,
-                                                 certify._matcher_ids(1))
-        assert clamped == 1
+        matched, clamped = certify._matcher_grid(CLAMPING.units, (1,),
+                                                 np.array([(2,)]), np.array([(1,)]))
+        assert clamped[0, 0] == 1
         den = cfg.color_weight * CLAMPING.units.den
         closed = Fraction(int(num[0, 0]), den)
-        assert color_rate(cfg, CLAMPING) == Fraction(matched, den) != closed
+        assert color_rate(cfg, CLAMPING) == Fraction(int(matched[0, 0]), den) != closed
 
 
 class TestSizeCapLemma:
@@ -273,20 +284,15 @@ class TestSizeCapLemma:
 
     @classmethod
     def check_matcher(cls, fp, d):
-        rows = [tuple(row) for row in cls.size_rows(fp, d).tolist()]
-        cap = fp.locality + 1
-        ids = certify._matcher_ids(d)
-        rng = random.Random(d)
+        rows = cls.size_rows(fp, d)
+        clipped = np.minimum(rows, fp.locality + 1)
         for weights in product((1, 2), repeat=d):
-            for _ in range(100):
-                x, y = rng.choice(rows), rng.choice(rows)
-                got = certify._matcher_rate(x, y, weights, fp.units, ids)
-                clipped = certify._matcher_rate(
-                    tuple(min(s, cap) for s in x), tuple(min(s, cap) for s in y),
-                    weights, fp.units, ids)
-                assert got == clipped, (
-                    f"matcher moves under clipping: weights {weights}, x {x}, "
-                    f"y {y}: (numerator, clamps) {got} vs {clipped}")
+            num, clamps = certify._matcher_grid(fp.units, weights, rows, rows)
+            cnum, cclamps = certify._matcher_grid(fp.units, weights, clipped, clipped)
+            moved = np.argwhere((num != cnum) | (clamps != cclamps))
+            assert not len(moved), (
+                f"matcher moves under clipping: weights {weights}, "
+                f"x {rows[moved[0][0]]}, y {rows[moved[0][1]]}")
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", list(SCHEDULES))
@@ -370,8 +376,8 @@ class TestDualCheckCoverage:
 
     def test_shape_lifted_to_the_maximum_is_caught_by_the_ranking(self, monkeypatch):
         # value 2 before v*'s offset, 5/3 after it, over the w1dc2 maximum
-        # 1283/1300: TARGET becomes the one maximizer, and the matcher's
-        # re-pricing of it must disagree
+        # 1283/1300: TARGET would become the one maximizer, and the
+        # matcher's pricing of it, before the ranking, must disagree
         cw = self.TARGET.color_weight
         self.mispriced(monkeypatch, lambda num, units: 2 * cw * units.den)
         rate_maxima.cache_clear()
@@ -385,26 +391,62 @@ class TestDualCheckCoverage:
 
 def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     # the matcher route's mirror of TestDualCheckCoverage: one d = 2 shape
-    # priced wrong by the matcher, whose grid both v* weights share, stops
-    # the every-shape pass at the first branch that sees it
+    # priced wrong inside its anchor block, whose grid both v* weights
+    # share, stops the ranked certificate and certify_report alike
     rate = certify._matcher_rate
     t = TestDualCheckCoverage.TARGET
 
-    def mutated(xs, ys, weights, units, ids):
-        num, clamped = rate(xs, ys, weights, units, ids)
-        if (weights, xs, ys) == (t.neighbor_weights, t.x_branch_sizes,
-                                 t.y_branch_sizes):
-            num += 1
+    def mutated(xs, ys, weights, units, dtype):
+        num, clamped = rate(xs, ys, weights, units, dtype)
+        if weights == t.neighbor_weights:
+            num = np.broadcast_to(num, (len(xs), len(ys))).copy()
+            num[np.ix_((xs == t.x_branch_sizes).all(axis=1),
+                       (ys == t.y_branch_sizes).all(axis=1))] += 1
         return num, clamped
 
     monkeypatch.setattr(certify, "_matcher_rate", mutated)
-    rate_maxima.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match=TestDualCheckCoverage.NAMED):
-            certify_report(DEFAULT)
-    finally:
-        monkeypatch.undo()
+    for entry in (lambda: rate_maxima(DEFAULT), lambda: certify_report(DEFAULT)):
         rate_maxima.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=TestDualCheckCoverage.NAMED):
+                entry()
+        finally:
+            rate_maxima.cache_clear()
+
+
+class TestBatchedMatcher:
+    """The certificate's matcher pass, one call per anchor block, against
+    the per-shape scalar reference in tests/helpers.py."""
+
+    SCHEDULES = {"default": DEFAULT, "glauber": GLAUBER, "violation": VIOLATION,
+                 "mixed": MIXED, "clamping": CLAMPING, "past_int64": PAST_INT64}
+
+    @pytest.mark.parametrize("name", list(SCHEDULES))
+    def test_every_shape_equals_the_scalar_reference(self, monkeypatch, name):
+        # the six schedules `simcol certify` output is pinned on: every
+        # shape's value and clamp count, and the ledger's width
+        fp = self.SCHEDULES[name]
+        ledgers = set()
+        matcher = certify.match_color_moves
+
+        def recorded(*args):
+            pairs, clamped = matcher(*args)
+            ledgers.update(p.mass.dtype for p in pairs)
+            return pairs, clamped
+
+        monkeypatch.setattr(certify, "match_color_moves", recorded)
+        grid_dtype = np.int64
+        for d in (1, 2):
+            grid = certify._size_grid(d, fp.locality + 1)
+            for weights in product((1, 2), repeat=d):
+                num, clamps = certify._matcher_grid(fp.units, weights, grid, grid)
+                ref, ref_clamps = scalar_matcher_grid(fp.units, weights, grid, grid)
+                wrong = np.argwhere((num != ref) | (clamps != ref_clamps))
+                assert not len(wrong), (weights, grid[wrong[0][0]], grid[wrong[0][1]])
+                grid_dtype = num.dtype
+        wide = name == "past_int64"
+        assert ledgers == {np.dtype(object if wide else np.int64)}
+        assert grid_dtype == (object if wide else np.int64)
 
 
 class TestGridWidth:

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcol.dynamics import FlipParams, FlipUnits
 from simcol.matching import MatchedPair, match_color_moves, pick_anchor
+
+from helpers import scalar_match_color_moves
 
 
 class TestPickAnchor:
@@ -120,3 +124,66 @@ class TestMatchColorMoves:
 def test_matched_pair_allows_idle_side():
     pr = MatchedPair(x="u0", y=None, mass=Fraction(1, 7))
     assert pr.y is None and pr.mass == Fraction(1, 7)
+
+
+def test_leftovers_cross_pair_by_the_northwest_corner_rule():
+    # the big components have no mass; after the per-neighbor pairs t0
+    # keeps 2 and u1 keeps 3, so t0 and u1 pair 2 and u1 moves 1 alone
+    units = FlipUnits(den=6, p=(0, 6, 4, 3), accept=(0, 6, 2, 1))
+    size = {"X": 4, "Y": 4, "t0": 1, "t1": 3, "u0": 2, "u1": 1}
+    pairs, clamped = match_color_moves("X", "Y", ["t0", "t1"], ["u0", "u1"], size,
+                                       [1, 1], units)
+    assert clamped == 0
+    assert pairs == [MatchedPair("t0", "u0", 4), MatchedPair("t1", "u1", 3),
+                     MatchedPair("t0", "u1", 2), MatchedPair(None, "u1", 1)]
+
+
+class TestArrayLedger:
+    """The same ledger over a batch of shapes, as the certifier runs it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_array_ledger_equals_scalar_calls(self, data):
+        d = data.draw(st.integers(1, 4))
+        weights = [data.draw(st.sampled_from((1, 2))) for _ in range(d)]
+        # a neighbor's branch may be another's too: ids repeat
+        x_ids = [f"t{data.draw(st.integers(0, d - 1))}" for _ in range(d)]
+        y_ids = [f"u{data.draw(st.integers(0, d - 1))}" for _ in range(d)]
+        ids = list(dict.fromkeys(("X", "Y", *x_ids, *y_ids)))
+        # masses need not fall with the size, so big components clamp; a
+        # scale past 2^63 puts the ledger in Python ints
+        p = data.draw(st.lists(st.integers(0, 12), min_size=2, max_size=8))
+        scale = data.draw(st.sampled_from((1, 2 ** 60)))
+        units = FlipUnits(den=12 * scale, p=(0, *(q * scale for q in p)),
+                          accept=(0,) * (len(p) + 1))
+        shapes = data.draw(st.lists(
+            st.fixed_dictionaries({i: st.integers(1, 9) for i in ids}),
+            min_size=1, max_size=12))
+
+        def anchors(size):
+            return (pick_anchor([size[i] for i in y_ids], weights),
+                    pick_anchor([size[i] for i in x_ids], weights))
+
+        # one batch: the shapes that pick the first shape's two anchors
+        batch = [size for size in shapes if anchors(size) == anchors(shapes[0])]
+        arrays = {i: np.array([size[i] for size in batch]) for i in ids}
+        pairs, clamped = match_color_moves("X", "Y", x_ids, y_ids, arrays,
+                                           weights, units)
+        for e, size in enumerate(batch):
+            want, want_clamped = match_color_moves("X", "Y", x_ids, y_ids, size,
+                                                   weights, units)
+            # the scalar call against the two-pointer reference
+            assert ([tuple(pr) for pr in want], want_clamped) == scalar_match_color_moves(
+                "X", "Y", x_ids, y_ids, size, weights, units)
+            got = [MatchedPair(pr.x, pr.y, pr.mass[e]) for pr in pairs
+                   if pr.mass[e] > 0]
+            assert (got, clamped[e]) == (want, want_clamped)
+
+    def test_a_batch_of_two_anchors_is_refused(self):
+        # X branches [2, 1] anchor big_y at t0, [1, 2] at t1
+        size = {"X": np.array([3, 3]), "Y": np.array([4, 4]),
+                "t0": np.array([2, 1]), "t1": np.array([1, 2]),
+                "u0": np.array([1, 1]), "u1": np.array([1, 1])}
+        with pytest.raises(ValueError, match="more than one anchor"):
+            match_color_moves("X", "Y", ["t0", "t1"], ["u0", "u1"], size, [1, 1],
+                              DEFAULT_UNITS)
