@@ -230,7 +230,8 @@ def _matcher_grid(units: FlipUnits, weights, xs: np.ndarray,
     clamped = np.zeros(num.shape, dtype=np.int64)
     row_anchor = np.array([pick_anchor(x, weights) for x in xs.tolist()])
     col_anchor = np.array([pick_anchor(y, weights) for y in ys.tolist()])
-    for a, b in product(np.unique(row_anchor), np.unique(col_anchor)):
+    # sets, not np.unique: that imports numpy.ma on its first call
+    for a, b in product(sorted(set(row_anchor.tolist())), sorted(set(col_anchor.tolist()))):
         r, c = np.flatnonzero(row_anchor == a), np.flatnonzero(col_anchor == b)
         at = np.ix_(r, c)
         num[at], clamped[at] = _matcher_rate(xs[r], ys[c], weights, units, dtype)

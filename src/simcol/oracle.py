@@ -4,17 +4,19 @@ Proper colorings are counted by backtracking, one connected component
 at a time; chains become explicit transition matrices over the full
 product state space (all assignments, proper or not), through the flip
 rule of `dynamics`: Glauber's kernel is the flip chain's at p = (1,).
-Each is built once as integers: an int64 sparse matrix of numerators
-over one row denominator, one numpy pass over every state's digits per
-proposal (v, c), which the tests hold equal, entry for entry, to the
-per-state route through `alternating_component`.  It has two views, a
-double-precision sparse matrix (each entry correctly rounded) and exact
-rationals, built on first read; the mode picks which one a caller reads.  On top of the
+Each is built once as integers: an int64 sparse matrix (`sparse.Csr`, on
+numpy alone) of numerators over one row denominator, one numpy pass over
+every state's digits per vertex and block of proposed colors, which the
+tests hold equal, entry for entry, to the per-state route through
+`alternating_component`.  It has two views, a double-precision sparse
+matrix (each entry correctly rounded) and exact rationals, built on
+first read; the mode picks which one a caller reads.  On top of the
 integers: exact uniform-stationarity verification, reachability checks
-by breadth-first sparse products, and worst-start total-variation
-mixing curves (exact in rational mode, by integer propagation over
-powers of the denominator), swept from one start per color orbit once
-the kernel is checked to commute with renaming colors.
+by breadth-first passes over the stored arcs, and worst-start
+total-variation mixing curves (exact in rational mode, by integer
+propagation over powers of the denominator), swept from one start per
+color orbit once the kernel among the proper states is checked to
+commute with renaming colors.
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
@@ -30,10 +32,10 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import FlipParams
 from .graphs import CapExceeded, UnionLineGraph
+from .sparse import Csr
 
 DEFAULT_COUNT_CAP = 10 ** 7
 FLOAT_STATE_CAP = 2 * 10 ** 4
@@ -42,8 +44,8 @@ FLOAT_STATE_CAP = 2 * 10 ** 4
 # all proper in 512 orbits, take about 9 s and 110 MB on a 2-CPU machine
 RATIONAL_STATE_CAP = 1300
 # a float sweep holds a few dense proper-by-orbit arrays, at worst (k = 2)
-# half the proper-by-proper size: 2048 states, all proper, take the
-# process to a 100 MB peak
+# half the proper-by-proper size: 2048 states, all proper in 1024 orbits,
+# take the process to a 90 MB peak and about 2 s on a 2-CPU machine
 TMIX_STATE_CAP = 3 * 10 ** 3
 # the longest mixing sweep, in steps of the chain
 TMIX_MAX_STEPS = 10 ** 5
@@ -158,7 +160,7 @@ class RationalRows(Sequence):
     """num / den as one {target: Fraction} dict per state, built on the
     first read; the oracle's own routines read num."""
 
-    def __init__(self, num: sp.csr_matrix, den: int):
+    def __init__(self, num: Csr, den: int):
         self.num, self.den = num, den
 
     @cached_property
@@ -186,16 +188,16 @@ class RationalRows(Sequence):
 class TransitionMatrix:
     """One-step kernel over every assignment, proper or not: num / den.
 
-    `num` holds int64 numerators over the single row denominator `den`.
-    `rows` is the same kernel in the mode's view: a float csr whose
-    entries are num / den, each correctly rounded, or in rational mode
-    the `RationalRows` of num / den.
+    `num` holds int64 numerators over the single row denominator `den`,
+    as a `Csr`.  `rows` is the same kernel in the mode's view: a float
+    `Csr` whose entries are num / den, each correctly rounded, or in
+    rational mode the `RationalRows` of num / den.
     """
 
     index: StateIndex
     proper: tuple[bool, ...]
     mode: str
-    num: sp.csr_matrix
+    num: Csr
     den: int
     rows: object
 
@@ -203,8 +205,18 @@ class TransitionMatrix:
     def size(self) -> int:
         return self.index.size
 
+    @cached_property
+    def _proper_block(self) -> tuple[np.ndarray, Csr]:
+        """The proper states and the numerators among them, zeros dropped,
+        built once for `stationary_check` and `tv_mixing_time`; ValueError
+        if there is no proper state."""
+        proper_states = np.flatnonzero(self.proper)
+        if not len(proper_states):
+            raise ValueError("no proper states at this k")
+        return proper_states, self.num.submatrix(proper_states)
 
-def _flip_kernel(G: UnionLineGraph, idx: StateIndex, fp: FlipParams) -> sp.csr_matrix:
+
+def _flip_kernel(G: UnionLineGraph, idx: StateIndex, fp: FlipParams) -> Csr:
     """The flip chain's numerators over m * k * fp.units.den, every state at once.
 
     Each proposal (v, c) applies the flip rule of `alternating_component`
@@ -232,35 +244,44 @@ def _flip_kernel(G: UnionLineGraph, idx: StateIndex, fp: FlipParams) -> sp.csr_m
     differ = digits[nbr] != digits[:m, None]  # strict alternation
     states = np.arange(size)
 
+    # the colors of one vertex's proposals go through together, as many as
+    # keep a color-by-state array within 10^4 entries: at 2401 states on a
+    # 2-CPU machine one color at a time built in about 10 ms, blocks of 2
+    # to 7 colors in 8 to 9 ms
+    chunk = max(1, 10 ** 4 // size)
     diag = np.zeros(size, dtype=np.int64)
     rows, cols, vals = [], [], []
     for v in range(m):
         a = digits[v]
-        for c in range(k):
-            in_ac = (digits == a) | (digits == c)
-            live = differ & in_ac[nbr] & in_ac[:m, None]
+        # swapping a and c on a component moves each of its a digits by
+        # c - a and each c digit by a - c: delta is c - a times the
+        # component's place values, signed + at a and - at c
+        signed = powers[:, None] * np.where(digits == a, 1, -1)
+        for lo in range(0, k, chunk):
+            c = np.arange(lo, min(k, lo + chunk))[:, None]
+            in_ac = (digits == a) | (digits == c[:, None])
+            live = differ & in_ac[:, nbr] & in_ac[:, :m, None]
             comp = np.zeros_like(in_ac)
-            comp[v] = True
+            comp[:, v] = True
             for _ in range(fp.locality):
                 grown = comp.copy()
-                grown[:m] |= (comp[nbr] & live).any(axis=1)
+                grown[:, :m] |= (comp[:, nbr] & live).any(axis=2)
                 if (grown == comp).all():
                     break
                 comp = grown
-            n = price[comp.sum(axis=0)]
-            delta = powers @ (comp * (np.where(digits == a, c, a) - digits))
+            n = price[comp.sum(axis=1)]
+            delta = (c - a) * (comp * signed).sum(axis=1)
             moved = (n > 0) & (delta != 0)  # delta is 0 only for c = a
-            diag += unit - np.where(moved, n, 0)
-            rows.append(states[moved])
-            cols.append(states[moved] + delta[moved])
+            diag += (unit - np.where(moved, n, 0)).sum(axis=0)
+            at = np.broadcast_to(states, moved.shape)[moved]
+            rows.append(at)
+            cols.append(at + delta[moved])
             vals.append(n[moved])
     rows.append(states[diag > 0])
     cols.append(states[diag > 0])
     vals.append(diag[diag > 0])
-    num = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(size, size)).tocsr()
-    num.sum_duplicates()
-    return num
+    return Csr.from_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                        (size, size))
 
 
 def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
@@ -284,11 +305,10 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
         raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
     num = _flip_kernel(G, idx, fp)
-    assert (np.asarray(num.sum(axis=1)).ravel() == den).all()
+    assert (num.sum(axis=1) == den).all()
     if mode == "float":
-        # divide the data array: scipy's `/ den` multiplies by 1/den and can
-        # land an ulp away from the correctly rounded quotient
-        rows = sp.csr_matrix((num.data / den, num.indices, num.indptr), shape=num.shape)
+        # each entry the correctly rounded quotient, not num * (1 / den)
+        rows = Csr(num.data / den, num.indices, num.indptr, num.shape)
     else:
         rows = RationalRows(num, den)
     return TransitionMatrix(index=idx, proper=idx.proper_mask(G), mode=mode,
@@ -305,29 +325,18 @@ class StationaryReport:
     aperiodic: bool
 
 
-def _reached(Q: sp.csr_matrix) -> np.ndarray:
-    """Which states a walk from state 0 reaches along stored entries of Q,
-    breadth first: one boolean product with Q's transposed pattern per
-    frontier."""
-    step = Q.T.astype(bool).tocsr()
-    seen = np.zeros(Q.shape[0], dtype=bool)
+def _reached(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Which of n states a walk from state 0 reaches along the arcs
+    src[e] -> dst[e], breadth first: one pass over the arcs per frontier."""
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = seen
     while frontier.any():
-        frontier = step @ frontier & ~seen
+        step = np.zeros(n, dtype=bool)
+        step[dst[frontier[src]]] = True
+        frontier = step & ~seen
         seen |= frontier
     return seen
-
-
-def _proper_block(P: TransitionMatrix):
-    """The proper states and the numerators among them, zeros dropped;
-    ValueError if there is no proper state."""
-    proper_states = np.flatnonzero(P.proper)
-    if not len(proper_states):
-        raise ValueError("no proper states at this k")
-    Q = P.num[proper_states][:, proper_states]
-    Q.eliminate_zeros()
-    return proper_states, Q
 
 
 def stationary_check(P: TransitionMatrix) -> StationaryReport:
@@ -340,18 +349,19 @@ def stationary_check(P: TransitionMatrix) -> StationaryReport:
     as a directed chain), and that every proper state holds a self-loop
     (aperiodicity).
     """
-    proper_states, Q = _proper_block(P)
+    proper_states, Q = P._proper_block
     n = len(proper_states)
     is_proper = np.asarray(P.proper)
-    top = P.num[proper_states]
-    proper_closed = not top.data[~is_proper[top.indices]].any()
-    aperiodic = bool((P.num.diagonal()[proper_states] > 0).all())
+    num = P.num
+    top = is_proper[num.row_ids]  # the entries of proper rows
+    proper_closed = not num.data[top & ~is_proper[num.indices]].any()
+    aperiodic = bool((num.diagonal()[proper_states] > 0).all())
     colsum = np.zeros(P.size, dtype=np.int64)
-    np.add.at(colsum, top.indices, top.data)
+    np.add.at(colsum, num.indices[top], num.data[top])
     err = int(np.abs(colsum - P.den * is_proper).max())
 
-    forward = _reached(Q)
-    backward = _reached(Q.T)
+    forward = _reached(Q.row_ids, Q.indices, n)
+    backward = _reached(Q.indices, Q.row_ids, n)
     irreducible = bool(forward.all() and backward.all())
     violating_pair = None
     if not irreducible:
@@ -372,12 +382,23 @@ def _times(N: np.ndarray, cols) -> np.ndarray:
     return out
 
 
-def _columns(Q: sp.csr_matrix):
+def _columns(Q: Csr):
     """Q's columns as (row indices, Python-int values), the form `_times` reads."""
-    Qc = Q.tocsc()
-    ptr = Qc.indptr
-    return [(Qc.indices[lo:hi], Qc.data[lo:hi].astype(object))
+    QT = Q.T
+    ptr = QT.indptr
+    return [(QT.indices[lo:hi], QT.data[lo:hi].astype(object))
             for lo, hi in zip(ptr, ptr[1:])]
+
+
+def _commutes(Q: Csr, perm: np.ndarray) -> bool:
+    """Whether Q[perm][:, perm] == Q, Q holding no stored zero: the images
+    (perm[s], perm[t]) of Q's entries, sorted, must be Q's own positions,
+    and each position must hold the value of the entry mapped onto it."""
+    rows, cols, data = Q.row_ids, Q.indices, Q.data
+    size = Q.shape[0]
+    moved = perm[rows] * size + perm[cols]
+    at = np.argsort(moved)  # the entries in the order of their images
+    return bool((moved[at] == rows * size + cols).all() and (data[at] == data).all())
 
 
 def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
@@ -387,11 +408,12 @@ def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
     maps the kernel to itself, the starts of one orbit have the same
     distance curve, and the worst over the orbits' least states is the
     worst over all.  The sweep relies on that only after checking it: the
-    proper mask and num must be invariant, exactly, under the transposition
-    (1 2) and the cycle (1 2 ... k), which generate every renaming.  If
-    either is not, each proper state is its own start.  The orbit of a
-    state is its first-occurrence pattern, its colors relabelled in order
-    of first appearance.
+    proper mask and the numerators among proper states, the only ones the
+    sweep reads, must be invariant, exactly, under the transposition (1 2)
+    and the cycle (1 2 ... k), which generate every renaming.  If either
+    is not, each proper state is its own start.  An orbit's least
+    state is the one whose colors, read from the last vertex (the most
+    significant digit) down, appear first in the order 1, 2, 3, ...
     """
     idx = P.index
     colors = np.arange(idx.k)
@@ -399,15 +421,23 @@ def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
     generators = (np.roll(colors, -1), np.r_[colors[1::-1], colors[2:]])
     powers = idx.k ** np.arange(idx.m)
     proper = np.asarray(P.proper)
+    _, Q = P._proper_block
+    pos = np.cumsum(proper) - 1  # a proper state's position among them
     for g in generators:
         perm = g[idx.digits] @ powers
-        if (proper[perm] != proper).any() or (P.num[perm][:, perm] != P.num).nnz:
+        if (proper[perm] != proper).any() or not _commutes(Q, pos[perm[proper_states]]):
             return np.arange(len(proper_states))
-    first: dict[tuple, int] = {}
-    for i, row in enumerate(idx.digits[proper_states].tolist()):
-        relabel: dict[int, int] = {}
-        first.setdefault(tuple(relabel.setdefault(c, len(relabel)) for c in row), i)
-    return np.array(list(first.values()), dtype=np.intp)
+    digits = idx.digits[proper_states]
+    m = idx.m
+    same = digits[:, :, None] == digits[:, None, :]
+    # the highest vertex holding each vertex's color, which the read from
+    # the top meets first; a vertex that is its own such vertex is new
+    top = m - 1 - np.argmax(same[:, :, ::-1], axis=2)
+    new = top == np.arange(m)
+    # colors first met above each vertex: the least state's digit there
+    above = np.cumsum(new[:, ::-1], axis=1)[:, ::-1] - new
+    least = np.take_along_axis(above, top, axis=1) @ powers
+    return np.flatnonzero(least == proper_states)
 
 
 def _check_eps(eps: float) -> None:
@@ -434,9 +464,9 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     the limit, and at 1 or more t = 0 already qualifies.
     """
     _check_eps(eps)
-    proper_states, Q = _proper_block(P)
+    proper_states, Q = P._proper_block
     n = len(proper_states)
-    assert (np.asarray(Q.sum(axis=1)).ravel() == P.den).all(), \
+    assert (Q.sum(axis=1) == P.den).all(), \
         "proper states must stay proper"
     if n > TMIX_STATE_CAP:
         raise CapExceeded(f"{n} proper states exceed the mixing-curve cap")
@@ -461,7 +491,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             N = _times(N, cols)
             scale *= P.den
     else:
-        QT = sp.csr_matrix((Q.data / P.den, Q.indices, Q.indptr), shape=Q.shape).T.tocsr()
+        QT = Csr(Q.data / P.den, Q.indices, Q.indptr, Q.shape).T
         dt = np.zeros((n, r))
         dt[reps, np.arange(r)] = 1.0
         buf = np.empty_like(dt)  # |dt - 1/n|, in place each step

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import simcol
 from simcol import coupling
 from simcol.cli import build_parser, main
 from simcol.graphs import GEN_MAX_N, read_instance
@@ -590,3 +595,38 @@ def test_k_below_one_is_usage_error(instance, capsys, command, k):
 def test_each_subcommand_parses_exactly_its_options(argv, keys):
     args = build_parser().parse_args(argv)
     assert set(vars(args)) == keys | {"command", "func"}
+
+
+# every subcommand in one fresh interpreter, on the README's tiny instance;
+# prints which of the heavy modules it loaded
+NO_HEAVY_IMPORTS = """
+import contextlib, io, json, sys
+import simcol
+from simcol import cli
+runs = [["gen", "--n", "4", "--delta", "2", "--overlap", "0.5", "--seed", "5",
+         "--out", "tiny.txt"],
+        ["certify"],
+        ["sample", "--graph", "tiny.txt", "--k", "6", "--steps", "200", "--seed", "1"],
+        ["drift", "--graph", "tiny.txt", "--k", "6", "--pairs", "3", "--seed", "1"],
+        ["count", "--graph", "tiny.txt", "--k", "6"],
+        ["oracle", "--graph", "tiny.txt", "--k", "5"],
+        ["oracle", "--graph", "tiny.txt", "--k", "4", "--mode", "rational"]]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("scipy", "numpy.ma") if m in sys.modules]}))
+"""
+
+
+def test_no_subcommand_loads_scipy_or_numpy_ma(tmp_path):
+    # scipy is a test-only dependency, and numpy.ma loads lazily on a first
+    # np.unique call: neither may ride along on any command
+    src = str(Path(simcol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", NO_HEAVY_IMPORTS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "loaded": []}

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
-from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, StateIndex,
+from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, RationalRows, StateIndex,
                            _backtrack_count, _orbit_starts,
                            build_transition_matrix, count_proper,
                            oracle_report, stationary_check, tv_mixing_time)
+from simcol.sparse import Csr
 
 from helpers import apply_move, brute_flip_law, numpy_brute_count, scalar_flip_kernel
 
@@ -42,13 +43,24 @@ def first_occurrence_starts(P, proper):
     return starts
 
 
+def moved(num, s, src, dst, q):
+    """num with q of row s's numerators moved from column src to column
+    dst, an entry left at 0 dropped."""
+    A = Csr.from_coo(np.r_[num.row_ids, s, s], np.r_[num.indices, src, dst],
+                     np.r_[num.data, -q, q], num.shape)
+    keep = A.data != 0
+    return Csr.from_coo(A.row_ids[keep], A.indices[keep], A.data[keep], A.shape)
+
+
 def fraction_curve(P, starts, eps=Fraction(1, 4)):
     """(tmix, curve) over the given starts (positions among the proper
     states), each start's law propagated as Fraction dicts through num."""
     proper = np.flatnonzero(P.proper).tolist()
     pos = {s: i for i, s in enumerate(proper)}
-    Q = [{pos[t]: Fraction(int(q), P.den) for t, q in zip(row.indices, row.data)}
-         for row in P.num[proper]]
+    ptr, cols, nums = P.num.indptr, P.num.indices.tolist(), P.num.data.tolist()
+    Q = [{pos[t]: Fraction(q, P.den) for t, q in zip(cols[ptr[s]:ptr[s + 1]],
+                                                     nums[ptr[s]:ptr[s + 1]])}
+         for s in proper]
     n = len(proper)
     dist = [{i: Fraction(1)} for i in starts]
     curve = []
@@ -341,14 +353,12 @@ class TestStationarity:
         P = build_transition_matrix(G, 5, kind="flip", mode=mode)
         assert stationary_check(P).uniform_ok
         s = P.proper.index(True)
-        inside = next(t for t in P.num.getrow(s).indices.tolist() if t != s)
+        row = P.num.indices[P.num.indptr[s]:P.num.indptr[s + 1]].tolist()
+        inside = next(t for t in row if t != s)
         outside = P.proper.index(False)
         for t, closed in ((inside, True), (outside, False)):
-            num = P.num.tolil()
-            num[s, s] -= 1
-            num[s, t] += 1
-            num = num.tocsr()
-            assert num.getrow(s).sum() == P.den
+            num = moved(P.num, s, s, t, 1)
+            assert num.sum(axis=1)[s] == P.den
             rep = stationary_check(dataclasses.replace(P, num=num))
             assert not rep.uniform_ok and rep.max_error > 0
             assert rep.proper_closed is closed
@@ -394,7 +404,8 @@ class TestMixing:
                                         [(1, 2), (2, 3)]))
         P = build_transition_matrix(G, 7, kind="flip", mode="float")
         proper = np.flatnonzero(P.proper)
-        Q = P.num[proper][:, proper]
+        num = sp.csr_matrix((P.num.data, P.num.indices, P.num.indptr), shape=P.num.shape)
+        Q = num[proper][:, proper]
         Q.eliminate_zeros()
         n = len(proper)
         assert n == 1302
@@ -490,17 +501,14 @@ class TestColorOrbits:
         every = range(len(proper))
         assert tv_mixing_time(P) == fraction_curve(P, starts) == fraction_curve(P, every)
 
-        num = P.num.tolil()
         s = int(proper[-1])
-        t = next(t for t in num.rows[s] if t != s and P.proper[t])
-        num[s, s] += num[s, t]
-        num[s, t] = 0
-        num = num.tocsr()
-        num.eliminate_zeros()
-        assert (np.asarray(num.sum(axis=1)).ravel() == P.den).all()
-        tampered = dataclasses.replace(P, num=num, rows=[
-            {t: Fraction(int(q), P.den) for t, q in zip(row.indices, row.data)}
-            for row in num])
+        lo, hi = P.num.indptr[s], P.num.indptr[s + 1]
+        t, q = next((t, q) for t, q in zip(P.num.indices[lo:hi].tolist(),
+                                           P.num.data[lo:hi].tolist())
+                    if t != s and P.proper[t])
+        num = moved(P.num, s, t, s, q)
+        assert (num.sum(axis=1) == P.den).all()
+        tampered = dataclasses.replace(P, num=num, rows=RationalRows(num, P.den))
         assert list(_orbit_starts(tampered, proper)) == list(every)
         assert tv_mixing_time(tampered) == fraction_curve(tampered, every)
         # the orbits' least states alone would have missed the answer
