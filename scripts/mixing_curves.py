@@ -5,7 +5,8 @@ component-flip chain on one tiny instance and prints the worst-start
 distance to uniform, over proper starts, after each step.  Rational
 mode keeps everything exact and takes about 1 s at k = 6 (1296 states,
 750 proper) on a 2-CPU machine; its state cap is 1300, so use float
-mode, which reaches ~10^4 states, for larger k.
+mode for larger k, up to k = 8 here (2744 proper states, under the
+mixing curve's cap of 3000).
 
 Usage: python3 scripts/mixing_curves.py --k 6 --mode rational
 """

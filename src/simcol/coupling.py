@@ -123,18 +123,6 @@ class CouplingTable:
         return sum((e.mass for e in self.entries), Fraction(0)) + self.residual
 
 
-class _IntTable(NamedTuple):
-    """A coupling table in integers, masses over den = m*k*D.
-
-    entries are (mass, move_x, move_y, delta); the rest of den is null.
-    """
-
-    entries: list[tuple[int, Move | None, Move | None, int]]
-    den: int
-    clamp_events: int
-    dc_max: int
-
-
 @dataclass(frozen=True)
 class ColorTerm:
     """Per-color share of the expected metric change, times nothing: exact."""
@@ -277,8 +265,9 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
                          fp: FlipParams):
     """Build the coupled table and the per-color drift terms together.
 
-    Returns (table, alphas), both in integer numerators over m*k*D:
-    alphas[c] is (color c's share of the drift, its neighbor weight, dc).
+    Returns (table, alphas): the `CouplingTable`, and alphas[c], color
+    c's share of the drift in integer numerators over m*k*D, its
+    neighbor weight and dc.
 
     Construction doubles as a proof of marginal correctness against both
     full single-chain laws: every move of either law must be consumed
@@ -304,19 +293,16 @@ def _assemble_flip_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
     leftover_y = [mv for mv in law_y if mv not in used_y]
     assert not leftover_y, f"Y moves never consumed: {leftover_y}"
     den = G.m * k * fp.units.den
-    assert 0 <= sum(r[0] for r in rows) <= den
-    return _IntTable(rows, den, clamp_events, dc_max), alphas
+    null = den - sum(r[0] for r in rows)
+    assert 0 <= null <= den
+    return CouplingTable(
+        entries=tuple(TableEntry(Fraction(q, den), mx, my, d) for q, mx, my, d in rows),
+        residual=Fraction(null, den), clamp_events=clamp_events, dc_max=dc_max), alphas
 
 
 def build_flip_coupling_table(pair: AdjacentPair, G: UnionLineGraph, k: int,
                               fp: FlipParams) -> CouplingTable:
-    table, _ = _assemble_flip_table(pair, G, k, fp)
-    den = table.den
-    return CouplingTable(
-        entries=tuple(TableEntry(Fraction(q, den), mx, my, d)
-                      for q, mx, my, d in table.entries),
-        residual=Fraction(den - sum(e[0] for e in table.entries), den),
-        clamp_events=table.clamp_events, dc_max=table.dc_max)
+    return _assemble_flip_table(pair, G, k, fp)[0]
 
 
 def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams,

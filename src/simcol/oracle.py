@@ -14,7 +14,8 @@ first read; the mode picks which one a caller reads.  On top of the
 integers: exact uniform-stationarity verification, reachability checks
 by breadth-first passes over the stored arcs, and worst-start
 total-variation mixing curves (exact in rational mode, by integer
-propagation over powers of the denominator), swept from one start per
+propagation over powers of the denominator through the same sparse
+product as the float curves), swept from one start per
 color orbit once the kernel among the proper states is checked to
 commute with renaming colors.
 
@@ -38,10 +39,13 @@ from .graphs import CapExceeded, UnionLineGraph
 from .sparse import Csr
 
 DEFAULT_COUNT_CAP = 10 ** 7
-FLOAT_STATE_CAP = 2 * 10 ** 4
-# the exact mixing sweep propagates one integer row per color orbit of the
-# proper states; at k = 2 an orbit is at most two states, and 1024 states,
-# all proper in 512 orbits, take about 9 s and 110 MB on a 2-CPU machine
+# the kernel build walks every (state, proposal) pair, m * k * k^m of them;
+# its time and memory grow with that, whatever the shape of the instance
+KERNEL_PAIR_CAP = 10 ** 6
+# the exact mixing sweep propagates one column of Python ints per color
+# orbit of the proper states through `Csr.dot`; at k = 2 an orbit is at
+# most two states, and 1024 states, all proper in 512 orbits, take about
+# 9-10 s and 120 MB on a 2-CPU machine
 RATIONAL_STATE_CAP = 1300
 # a float sweep holds a few dense proper-by-orbit arrays, at worst (k = 2)
 # half the proper-by-proper size: 2048 states, all proper in 1024 orbits,
@@ -298,9 +302,12 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     if not G.m:
         raise ValueError("no vertex to propose")
     idx = StateIndex(G.m, k)
-    cap = RATIONAL_STATE_CAP if mode == "rational" else FLOAT_STATE_CAP
-    if idx.size > cap:
-        raise CapExceeded(f"{idx.size} states exceed the {mode} cap {cap}")
+    if mode == "rational" and idx.size > RATIONAL_STATE_CAP:
+        raise CapExceeded(f"{idx.size} states exceed the rational cap {RATIONAL_STATE_CAP}")
+    pairs = G.m * k * idx.size
+    if pairs > KERNEL_PAIR_CAP:
+        raise CapExceeded(f"{pairs} (state, proposal) pairs exceed the kernel cap "
+                          f"{KERNEL_PAIR_CAP}")
     den = G.m * k * fp.units.den
     if den * idx.size > np.iinfo(np.int64).max:  # bounds every column sum of num
         raise CapExceeded(f"kernel denominator {den} overflows int64 at {idx.size} states")
@@ -374,22 +381,6 @@ def stationary_check(P: TransitionMatrix) -> StationaryReport:
                             violating_pair=violating_pair, aperiodic=aperiodic)
 
 
-def _times(N: np.ndarray, cols) -> np.ndarray:
-    """N @ Q in Python integers, Q given column by column as (rows, values)."""
-    out = np.empty_like(N)
-    for j, (i, q) in enumerate(cols):
-        out[:, j] = N[:, i].dot(q)
-    return out
-
-
-def _columns(Q: Csr):
-    """Q's columns as (row indices, Python-int values), the form `_times` reads."""
-    QT = Q.T
-    ptr = QT.indptr
-    return [(QT.indices[lo:hi], QT.data[lo:hi].astype(object))
-            for lo, hi in zip(ptr, ptr[1:])]
-
-
 def _commutes(Q: Csr, perm: np.ndarray) -> bool:
     """Whether Q[perm][:, perm] == Q, Q holding no stored zero: the images
     (perm[s], perm[t]) of Q's entries, sorted, must be Q's own positions,
@@ -449,10 +440,13 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     """Least t with worst-start total variation (from proper starts) <= eps.
 
     Returns (tmix, curve) with curve = [[t, distance], ...] starting at
-    t = 0.  Exact in rational mode, where start i's law at time t is row i
-    of an integer matrix N over den**t, so its distance is
-    sum_j |n N_ij - den**t| / (2 n den**t) for n proper states; distances
-    are reported as floats either way, in rational mode correctly rounded.
+    t = 0.  One loop serves both modes: each step is one `Csr.dot` of the
+    kernel's transpose with the starts' laws, doubles in float mode and
+    Python ints in rational mode.  Exact in rational mode, where start
+    j's law at time t is column j of an integer matrix N over den**t, so
+    its distance is sum_i |n N_ij - den**t| / (2 n den**t) for n proper
+    states; distances are reported as floats either way, in rational mode
+    correctly rounded.
     The distance must be non-increasing in t, and the sweep asserts that as
     it goes.  It propagates only the starts `_orbit_starts` picks, one per
     color orbit on a kernel checked to be color-symmetric.
@@ -473,39 +467,33 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     reps = _orbit_starts(P, proper_states)
     r = len(reps)
 
+    exact = P.mode == "rational"
+    QT = (Q if exact else Csr(Q.data / P.den, Q.indices, Q.indptr, Q.shape)).T
+    law = np.zeros((n, r), dtype=object if exact else np.float64)
+    law[reps, np.arange(r)] = 1
+    e = Fraction(eps).limit_denominator(10 ** 9)
+    buf = np.empty((n, r))  # |law - 1/n| in float mode, in place each step
+    scale = 1  # den**t
     curve: list[list[float]] = []
-    if P.mode == "rational":
-        e = Fraction(eps).limit_denominator(10 ** 9)
-        cols = _columns(Q)
-        N = np.zeros((r, n), dtype=object)
-        N[np.arange(r), reps] = 1
-        scale = 1  # den**t
-        prev = None
-        for t in range(TMIX_MAX_STEPS + 1):
-            d = max(np.abs(row * n - scale).sum() for row in N)  # over 2 n scale
+    prev = None
+    for t in range(TMIX_MAX_STEPS + 1):
+        if exact:
+            d = max(np.abs(col * n - scale).sum() for col in law.T)  # over 2 n scale
             curve.append([t, d / (2 * n * scale)])
             assert prev is None or d <= prev * P.den
-            prev = d
-            if d * e.denominator <= e.numerator * 2 * n * scale:
-                return t, curve
-            N = _times(N, cols)
+            done = d * e.denominator <= e.numerator * 2 * n * scale
             scale *= P.den
-    else:
-        QT = Csr(Q.data / P.den, Q.indices, Q.indptr, Q.shape).T
-        dt = np.zeros((n, r))
-        dt[reps, np.arange(r)] = 1.0
-        buf = np.empty_like(dt)  # |dt - 1/n|, in place each step
-        prev = None
-        for t in range(TMIX_MAX_STEPS + 1):
-            np.subtract(dt, 1.0 / n, out=buf)
+        else:
+            np.subtract(law, 1.0 / n, out=buf)
             np.abs(buf, out=buf)
             d = float(0.5 * buf.sum(axis=0).max())
             curve.append([t, d])
             assert prev is None or d <= prev + 1e-12
-            prev = d
-            if d <= eps:
-                return t, curve
-            dt = QT.dot(dt)
+            done = d <= eps
+        if done:
+            return t, curve
+        prev = d
+        law = QT.dot(law)
     raise CapExceeded(f"no mixing within {TMIX_MAX_STEPS} steps")
 
 

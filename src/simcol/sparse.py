@@ -5,7 +5,8 @@ always in canonical form: within each row the column indices ascend and
 none repeats.  A stored zero is allowed.  It has only what the oracle
 and the readers of its kernels use: building from COO triplets, row
 sums, the diagonal, the principal submatrix with zeros dropped, the
-transpose, and the product with a dense matrix.  Each float sum is taken in scipy's order, so the two agree
+transpose, and the product with a dense matrix, in float64 or exactly on
+Python ints.  Each float sum is taken in scipy's order, so the two agree
 bit for bit: a row sum by numpy's `add.reduceat` over the row, a product
 one term at a time in stored order.
 """
@@ -94,25 +95,31 @@ class Csr:
                    self.shape[::-1])
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """self @ x for a dense (n,) or (n, r) x, in float64, summed as
-        scipy sums it: each output starts from 0 and adds its row's
-        products in stored order, one at a time."""
-        x = np.asarray(x, dtype=np.float64)
+        """self @ x for a dense (n,) or (n, r) x, summed as scipy sums it:
+        each output starts from 0 and adds its row's products in stored
+        order, one at a time.  In float64, or exactly when x holds Python
+        ints (dtype object)."""
+        x = np.asarray(x)
+        if x.dtype != object:
+            x = x.astype(np.float64, copy=False)
         cols = x.reshape(len(x), -1)
         r = cols.shape[1]
-        out = np.zeros((self.shape[0], r))
-        # as many columns at a time as keep the padded terms within _TERMS
+        out = np.zeros((self.shape[0], r), dtype=x.dtype)
+        # as many float columns at a time as keep the padded terms within
+        # _TERMS; one exact column, whose terms may be big ints
         padded = sum(idx.size for _, idx, _ in self._layout)
-        step = max(1, _TERMS // max(1, padded))
+        step = 1 if x.dtype == object else max(1, _TERMS // max(1, padded))
+        zero = out.dtype.type(0)
         for lo in range(0, r, step):
             w = min(step, r - lo)
-            ext = np.zeros((self.shape[1] + 1, w))  # the padding column reads row n: 0
+            # the padding column reads row n: 0
+            ext = np.zeros((self.shape[1] + 1, w), dtype=x.dtype)
             ext[:-1] = cols[:, lo:lo + w]
-            for rows, idx, vals in self._bands(w):
+            for rows, idx, vals in self._bands(w, x.dtype):
                 terms = np.take(ext, idx, axis=0)
                 terms *= vals
                 # summed over positions from 0: a row's padded zeros leave it as is
-                out[rows, lo:lo + w] = np.add.reduce(terms, axis=0, initial=0.0)
+                out[rows, lo:lo + w] = np.add.reduce(terms, axis=0, initial=zero)
         return out.reshape(self.shape[0], *x.shape[1:])
 
     @cached_property
@@ -132,7 +139,7 @@ class Csr:
             on = pos < lens[rows]
             at = np.where(on, self.indptr[rows] + pos, 0)
             bands.append((rows, np.where(on, self.indices[at], self.shape[1]),
-                          np.where(on, self.data[at], 0).astype(np.float64)))
+                          np.where(on, self.data[at], 0)))
             lo += len(rows)
         return bands
 
@@ -140,13 +147,15 @@ class Csr:
     def _widened(self) -> dict:
         return {}
 
-    def _bands(self, r: int) -> list:
-        """The layout with each band's values repeated across r columns,
-        kept per r: a product multiplies them without broadcasting."""
-        if r not in self._widened:
-            self._widened[r] = [(rows, idx, np.repeat(vals[:, :, None], r, axis=2))
-                                for rows, idx, vals in self._layout]
-        return self._widened[r]
+    def _bands(self, r: int, dtype: np.dtype) -> list:
+        """The layout with each band's values in dtype, repeated across r
+        columns, kept per (r, dtype): a product multiplies them without
+        broadcasting."""
+        if (r, dtype) not in self._widened:
+            self._widened[r, dtype] = [
+                (rows, idx, np.repeat(vals.astype(dtype, copy=False)[:, :, None], r, axis=2))
+                for rows, idx, vals in self._layout]
+        return self._widened[r, dtype]
 
 
 # the most padded terms `dot` holds at once, in float64s

@@ -425,6 +425,23 @@ class TestOracleAndCount:
         assert main(["oracle", "--graph", str(tmp_path / "big.txt"),
                      "--k", "4"]) == 4
 
+    def test_single_edge_past_the_kernel_cap_exits_before_building(self, instance,
+                                                                   capsys):
+        # one edge at k = 2000 has only 2000 states, but the build would walk
+        # 4 * 10^6 (state, proposal) pairs; the refusal must come before any
+        # array of them exists
+        g = instance("shared.txt", SHARED_EDGE)
+        tracemalloc.start()
+        try:
+            code = main(["oracle", "--graph", g, "--k", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2 ** 20
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cap exceeded: ")
+
     def test_count_cap_exit_code(self, instance, tmp_path):
         g = instance("two.txt", TWO_EDGES)
         assert main(["count", "--graph", g, "--k", "100", "--cap", "10"]) == 4

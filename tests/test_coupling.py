@@ -94,8 +94,8 @@ def extremal_pair(delta, k):
 def full_table_drift(pair, G, k, fp):
     """Drift, per-color numerators, dc_max and clamps from the full table."""
     table, alphas = _assemble_flip_table(pair, G, k, fp)
-    num = sum(q * d for q, _, _, d in table.entries)
-    return Fraction(num, table.den), alphas, table
+    drift = sum((e.mass * e.delta for e in table.entries), Fraction(0))
+    return drift, alphas, table
 
 
 class TestBasics:
@@ -326,7 +326,7 @@ class TestLocalDrift:
         rep = flip_exact_drift(pair, G, k, fp)
         drift, alphas, table = full_table_drift(pair, G, k, fp)
         assert rep.exact_drift == drift
-        assert {c: (t.alpha * table.den, t.weight, t.dc)
+        assert {c: (t.alpha * G.m * k * fp.units.den, t.weight, t.dc)
                 for c, t in rep.per_color.items()} == alphas
         assert rep.dc_max == table.dc_max
         assert rep.clamp_events == table.clamp_events

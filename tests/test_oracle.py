@@ -291,7 +291,7 @@ class TestTransitionMatrix:
             build_transition_matrix(G, 11, mode="rational")  # 11^3 > 1300
         G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
         with pytest.raises(CapExceeded):
-            build_transition_matrix(G, 12, mode="float")  # 12^4 > 20000
+            build_transition_matrix(G, 13, mode="float")  # 4 * 13 * 13^4 > 10^6
 
     def test_denominator_past_int64_is_a_cap(self):
         # p_2 / 2 = 2^-62 puts the row denominator at m * k * 2^62

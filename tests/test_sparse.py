@@ -1,5 +1,7 @@
 """The numpy CSR type against scipy.sparse, the reference it replaces."""
 
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -102,6 +104,28 @@ def test_product_bit_for_bit(seed, shape, nnz, r, monkeypatch):
     got, want = F.dot(x), ref.dot(x)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, nnz", [((40, 40), 300), ((30, 50), 200)])
+@pytest.mark.parametrize("r", [None, 1, 3])
+@pytest.mark.parametrize("terms", [sparse._TERMS, 8])
+def test_exact_product_on_python_ints(shape, nnz, r, terms, monkeypatch):
+    # operands past 2^63, where an int64 or float64 step would show; a tight
+    # term budget changes nothing, as exact columns go one at a time
+    monkeypatch.setattr(sparse, "_TERMS", terms)
+    rows, cols, vals = random_coo(nnz, *shape, nnz, np.int64)
+    A = Csr.from_coo(rows, cols, vals, shape)
+    rng = random.Random(nnz)
+    x = np.array([rng.randrange(-2 ** 80, 2 ** 80) for _ in range(shape[1] * (r or 1))],
+                 dtype=object).reshape((shape[1],) if r is None else (shape[1], r))
+    got = A.dot(x)
+    assert got.dtype == object and got.shape == (shape[0], *x.shape[1:])
+    xs = x.reshape(shape[1], -1).tolist()
+    data, indices, indptr = A.data.tolist(), A.indices.tolist(), A.indptr.tolist()
+    want = [[sum(data[p] * xs[indices[p]][j] for p in range(indptr[i], indptr[i + 1]))
+             for j in range(r or 1)] for i in range(shape[0])]
+    assert got.reshape(shape[0], -1).tolist() == want
+    assert max(abs(v) for row in want for v in row) > 2 ** 63
 
 
 def test_product_over_skewed_rows():
