@@ -137,9 +137,8 @@ def _read_coloring(path: str, G, k: int) -> Coloring:
 
 def cmd_gen(args) -> int:
     gp = random_graph_pair(args.n, args.delta, args.overlap, args.seed)
-    G = build_union_line_graph(gp)
     text = write_instance(gp)
-    summary = (f"n {gp.n}  m {G.m}  delta {G.delta}  "
+    summary = (f"n {gp.n}  m {len(gp.edges1 | gp.edges2)}  delta {gp.delta}  "
                f"shared {len(gp.shared_edges)}")
     if args.out is None:
         sys.stdout.write(text)

@@ -24,15 +24,16 @@ Edges may be written in either endpoint order and are canonicalized to
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
 
-# random_graph_pair shuffles all n(n-1)/2 candidate edges, quadratic in
-# time and memory: n = 2 400 takes about 6 s on a 2-CPU Xeon, and
-# n = 20 000 would need an estimated 13 GB.  Past this cap it refuses
-# before it builds the list.
+# random_graph_pair shuffles all n(n-1)/2 candidate edges, 8 bytes each,
+# quadratic in time and memory: n = 3 000 takes about 3.5 s and 37 MB on
+# a 2-CPU Xeon, and n = 20 000 would need an estimated 2.5 minutes and
+# 1.6 GB.  Past this cap it refuses before it builds the array.
 GEN_MAX_N = 3000
 
 
@@ -154,7 +155,7 @@ def build_union_line_graph(gp: GraphPair) -> UnionLineGraph:
 def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPair:
     """Deterministically sample a pair with max degree <= delta.
 
-    The first graph is filled greedily from a shuffled candidate list.  A
+    The first graph is filled greedily from the shuffled candidate edges.  A
     round(overlap * |E1|) subset of it is copied into the second graph,
     which is then topped up with fresh (non-E1) edges toward |E1| edges,
     so the realized overlap count is exact.
@@ -171,33 +172,53 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
         raise CapExceeded(f"n = {n} exceeds the generator cap {GEN_MAX_N}: "
                           f"the candidate list grows as n^2")
 
-    rng = random.Random(seed)
-    candidates = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    rng.shuffle(candidates)
+    # Candidate (u, v), u < v, is stored as the code u*(n+1) + v, in
+    # lexicographic (u, v) order.
+    stride = n + 1
+    candidates = array("q")
+    for u in range(1, n):
+        row = u * stride
+        candidates.extend(range(row + u + 1, row + n + 1))
 
-    deg1: dict[int, int] = {}
+    # random.shuffle's Fisher-Yates, inlined: slot i swaps with
+    # Random._randbelow(i + 1), which redraws getrandbits((i + 1).bit_length())
+    # while it exceeds i.  The draws, and so every seeded pair, are the
+    # ones rng.shuffle makes on the (u, v) tuple list.
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    for i in range(len(candidates) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        candidates[i], candidates[j] = candidates[j], candidates[i]
+
+    deg1 = [0] * stride
     e1: list[Edge] = []
-    for (u, v) in candidates:
-        if deg1.get(u, 0) < delta and deg1.get(v, 0) < delta:
+    for code in candidates:
+        u, v = divmod(code, stride)
+        if deg1[u] < delta and deg1[v] < delta:
             e1.append((u, v))
-            deg1[u] = deg1.get(u, 0) + 1
-            deg1[v] = deg1.get(v, 0) + 1
+            deg1[u] += 1
+            deg1[v] += 1
 
     shared = rng.sample(sorted(e1), round(overlap * len(e1)))
-    deg2: dict[int, int] = {}
+    deg2 = [0] * stride
     e2: list[Edge] = list(shared)
     for (u, v) in e2:
-        deg2[u] = deg2.get(u, 0) + 1
-        deg2[v] = deg2.get(v, 0) + 1
-    in_e1 = set(e1)
-    fresh = [e for e in candidates if e not in in_e1]
-    for (u, v) in fresh:
+        deg2[u] += 1
+        deg2[v] += 1
+    in_e1 = {u * stride + v for (u, v) in e1}
+    for code in candidates:
         if len(e2) >= len(e1):
             break
-        if deg2.get(u, 0) < delta and deg2.get(v, 0) < delta:
+        if code in in_e1:
+            continue
+        u, v = divmod(code, stride)
+        if deg2[u] < delta and deg2[v] < delta:
             e2.append((u, v))
-            deg2[u] = deg2.get(u, 0) + 1
-            deg2[v] = deg2.get(v, 0) + 1
+            deg2[u] += 1
+            deg2[v] += 1
 
     return GraphPair(n=n, edges1=frozenset(e1), edges2=frozenset(e2))
 

@@ -4,8 +4,9 @@ Nothing here imports the move-law or table code under test; component
 growth is a plain two-color BFS, which provably coincides with the
 chains' alternating closure on proper colorings (the only states the
 couplings ever see).  The single-step walks are the references that
-`run_chain` and the pair sampler built on it are compared against, and
-the per-state kernel loop is the reference for the oracle's batched kernel.
+`run_chain` and the pair sampler built on it are compared against, the
+per-state kernel loop is the reference for the oracle's batched kernel,
+and the tuple-list generator is the reference for `random_graph_pair`.
 """
 
 import random
@@ -17,7 +18,41 @@ import scipy.sparse as sp
 
 from simcol.coupling import AdjacentPair
 from simcol.dynamics import alternating_component, flip_step, greedy_coloring
+from simcol.graphs import GraphPair
 from simcol.oracle import StateIndex
+
+
+def reference_graph_pair(n, delta, overlap, seed):
+    """`random_graph_pair` on a list of (u, v) tuples, shuffled by random.shuffle."""
+    rng = random.Random(seed)
+    candidates = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    rng.shuffle(candidates)
+
+    deg1 = {}
+    e1 = []
+    for (u, v) in candidates:
+        if deg1.get(u, 0) < delta and deg1.get(v, 0) < delta:
+            e1.append((u, v))
+            deg1[u] = deg1.get(u, 0) + 1
+            deg1[v] = deg1.get(v, 0) + 1
+
+    shared = rng.sample(sorted(e1), round(overlap * len(e1)))
+    deg2 = {}
+    e2 = list(shared)
+    for (u, v) in e2:
+        deg2[u] = deg2.get(u, 0) + 1
+        deg2[v] = deg2.get(v, 0) + 1
+    in_e1 = set(e1)
+    fresh = [e for e in candidates if e not in in_e1]
+    for (u, v) in fresh:
+        if len(e2) >= len(e1):
+            break
+        if deg2.get(u, 0) < delta and deg2.get(v, 0) < delta:
+            e2.append((u, v))
+            deg2[u] = deg2.get(u, 0) + 1
+            deg2[v] = deg2.get(v, 0) + 1
+
+    return GraphPair(n=n, edges1=frozenset(e1), edges2=frozenset(e2))
 
 
 def glauber_step(G, sigma, rng):

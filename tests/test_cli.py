@@ -54,8 +54,8 @@ class TestGen:
                      "--out", str(tmp_path / "x")]) == 1
 
     def test_n_past_the_cap_exits_before_building_candidates(self, tmp_path, capsys):
-        # the candidate list at GEN_MAX_N + 1 would hold 4.5 million tuples;
-        # the refusal must come before any of them exists
+        # the candidate array at GEN_MAX_N + 1 would take 36 MB (4.5 million
+        # 8-byte codes); the refusal must come before it is built
         out = tmp_path / "x.txt"
         tracemalloc.start()
         try:

@@ -1,12 +1,32 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simcol
+from helpers import reference_graph_pair
 from simcol.graphs import (GraphPair, ParseError, build_union_line_graph,
                            canonical_edge, random_graph_pair, read_instance,
                            write_instance)
+
+
+PEAK_GROWTH = """
+from simcol.graphs import random_graph_pair
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmHWM:"))
+
+before = peak()
+random_graph_pair(1000, 4, 0.5, 1)
+print(peak() - before)
+"""
 
 
 def pair(n, e1, e2):
@@ -105,6 +125,36 @@ class TestRandomGraphPair:
             "c04c08bdae87f361424cdd5743f7174eb60ad812e530ece560c8afd872d7baaa")
         assert hashlib.sha256(repr(e2).encode()).hexdigest() == (
             "12b28c02444a832e6abe5120684779ae57761393df801c4a0e233e97d959537f")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_tuple_list_reference(self, data):
+        n = data.draw(st.integers(2, 60), label="n")
+        delta = data.draw(st.integers(1, min(n - 1, 8)), label="delta")
+        overlap = data.draw(st.floats(0.0, 1.0), label="overlap")
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        assert (random_graph_pair(n, delta, overlap, seed)
+                == reference_graph_pair(n, delta, overlap, seed))
+
+    @pytest.mark.parametrize("n, delta, overlap, seed", [
+        (300, 4, 0.5, 401), (300, 8, 0.0, 7), (300, 1, 1.0, 3), (1000, 4, 0.5, 1),
+    ])
+    def test_matches_reference_at_scale(self, n, delta, overlap, seed):
+        assert (random_graph_pair(n, delta, overlap, seed)
+                == reference_graph_pair(n, delta, overlap, seed))
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak resident set from /proc")
+    def test_peak_memory_is_linear_in_candidates(self):
+        # n = 1000 has 499 500 candidates: 4 MiB as 8-byte codes, tens of
+        # MiB as (u, v) tuples.  tracemalloc would slow the shuffle, which
+        # allocates on every draw, about fortyfold, so the peak is read as
+        # VmHWM in a fresh process.  A fresh address space starts its own
+        # VmHWM, where ru_maxrss would carry over this process's peak.
+        env = {**os.environ, "PYTHONPATH": str(Path(simcol.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        assert int(proc.stdout) < 8 * 2 ** 20
 
 
 class TestInstanceFormat:
