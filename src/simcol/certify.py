@@ -29,13 +29,12 @@ Both routes price a shape without v*, whose weight adds the same
 (d-1) * wstar * D to every d-neighbor shape: the offset is taken off
 only where shapes are ranked and in `color_rate`, so one grid per
 weight vector serves both v* weights.  The matcher route is one numpy
-pass per anchor block: rows are grouped by the anchor `pick_anchor`
-picks from their sizes, columns likewise, so a weight vector's grid
-splits into at most d^2 blocks, and `match_color_moves` runs its ledger
-once per block on arrays that hold one entry per shape.  Every
-enumeration prices every shape both ways before the ranking, so
-`rate_maxima`, the drift bound read from it and `certify_report` all
-fail on a shape the two routes price differently, wherever it lies.
+pass per weight vector: `match_color_moves` runs its ledger once on
+arrays that hold one entry per shape, each shape picking its own
+anchors.  Every enumeration prices every shape both ways before the
+ranking, so `rate_maxima`, the drift bound read from it and
+`certify_report` all fail on a shape the two routes price differently,
+wherever it lies.
 
 Branch sizes are enumerated up to cap = L + 1, L the locality, and
 nothing is lost by the cap.  A branch size s enters a shape's value only
@@ -58,7 +57,7 @@ from itertools import product
 import numpy as np
 
 from .dynamics import FlipParams, FlipUnits
-from .matching import match_color_moves, pick_anchor
+from .matching import match_color_moves
 
 TARGET_RATIO = Fraction(5948, 1000)
 # maximizer shapes listed per branch in certify_report
@@ -179,18 +178,19 @@ def _closed_form_grid(units: FlipUnits, weights, xs: np.ndarray,
     return num, clamp_a[:, None] | clamp_b[None, :]
 
 
-def _matcher_rate(xs: np.ndarray, ys: np.ndarray, weights, units: FlipUnits,
-                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Price one anchor block through the coupling's own mass matching.
+def _matcher_grid(units: FlipUnits, weights, xs: np.ndarray,
+                  ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Price every (x, y) shape through the coupling's own mass matching,
+    in one ledger pass.
 
-    xs (rows) and ys (columns) hold one tuple of branch sizes per row;
-    every row picks one anchor, every column likewise.  Component ids: 0
-    is the big X component, 1 the big Y one, then the X-side branches (Y
-    sizes), then the Y-side branches (X sizes).  Returns (numerators over
-    color_weight * D without v*'s offset, clamp counts), broadcasting to
-    (len(xs), len(ys)).
+    xs (rows) and ys (columns) hold one tuple of branch sizes per row.
+    Component ids: 0 is the big X component, 1 the big Y one, then the
+    X-side branches (Y sizes), then the Y-side branches (X sizes).
+    Returns (numerators over color_weight * D without v*'s offset, clamp
+    counts), both of shape (len(xs), len(ys)).
     """
     d = len(weights)
+    dtype = _grid_dtype(units.den, d, int(max(xs.max(), ys.max())))
     # per neighbor, an (R, 1) array of X sizes and a (1, C) one of Y sizes
     rows, cols = xs.T[:, :, None], ys.T[:, None, :]
     x_ids, y_ids = tuple(range(2, 2 + d)), tuple(range(2 + d, 2 + 2 * d))
@@ -202,7 +202,7 @@ def _matcher_rate(xs: np.ndarray, ys: np.ndarray, weights, units: FlipUnits,
     uw, tw = w + 2 * (rows - 1), w + 2 * (cols - 1)
     gain = (uw.sum(0), tw.sum(0), *tw, *uw)
 
-    raw = 0
+    num = np.zeros(clamped.shape, dtype=dtype)
     for p in pairs:
         x, y = p.x, p.y
         if y is None:
@@ -217,24 +217,7 @@ def _matcher_rate(xs: np.ndarray, ys: np.ndarray, weights, units: FlipUnits,
             delta = gain[x] + gain[y] - weights[x - 2]
         else:
             delta = gain[x] + gain[y]
-        raw = raw + p.mass * delta
-    return raw, clamped
-
-
-def _matcher_grid(units: FlipUnits, weights, xs: np.ndarray,
-                  ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matcher's numerators and clamp counts for every (x, y) shape,
-    one `_matcher_rate` call per anchor block."""
-    dtype = _grid_dtype(units.den, len(weights), int(max(xs.max(), ys.max())))
-    num = np.zeros((len(xs), len(ys)), dtype=dtype)
-    clamped = np.zeros(num.shape, dtype=np.int64)
-    row_anchor = np.array([pick_anchor(x, weights) for x in xs.tolist()])
-    col_anchor = np.array([pick_anchor(y, weights) for y in ys.tolist()])
-    # sets, not np.unique: that imports numpy.ma on its first call
-    for a, b in product(sorted(set(row_anchor.tolist())), sorted(set(col_anchor.tolist()))):
-        r, c = np.flatnonzero(row_anchor == a), np.flatnonzero(col_anchor == b)
-        at = np.ix_(r, c)
-        num[at], clamped[at] = _matcher_rate(xs[r], ys[c], weights, units, dtype)
+        num += p.mass * delta
     return num, clamped
 
 
@@ -290,8 +273,8 @@ def _enumerate_branches(units: FlipUnits, d: int, cap: int,
     for each v* weight in lemma_values.
 
     One closed-form grid per weight vector serves every v* weight, and
-    the matcher prices the same grid in one pass per anchor block; the
-    clampable shapes take the matcher's value.  A shape's value is (num -
+    the matcher prices the same grid in one pass; the clampable shapes
+    take the matcher's value.  A shape's value is (num -
     offset) / (color_weight * D), offset = (d-1) * wstar * D, so shapes
     are ranked by cross-multiplication.
     """

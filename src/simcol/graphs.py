@@ -24,7 +24,6 @@ Edges may be written in either endpoint order and are canonicalized to
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,6 +170,8 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
     if n > GEN_MAX_N:
         raise CapExceeded(f"n = {n} exceeds the generator cap {GEN_MAX_N}: "
                           f"the candidate list grows as n^2")
+
+    from array import array  # here, not at the top: only gen builds one
 
     # Candidate (u, v), u < v, is stored as the code u*(n+1) + v, in
     # lexicographic (u, v) order.

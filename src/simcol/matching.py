@@ -33,10 +33,12 @@ The ledger runs on Python ints, one shape per call (the coupling), or
 unchanged on a batch of shapes (the certifier): every size is then an
 integer array, the arrays broadcast against each other with one entry
 per shape, each pair carries a mass array (0 where a shape lacks that
-pair), and `clamped` is an array of counts.  Every shape of a batch must
-pick the same two anchors.  The array ledger is int64 while the number
-of ids times D stays below 2^63, which bounds every amount and every
-cumulative leftover, and exact Python ints (dtype=object) past that.
+pair), and `clamped` is an array of counts.  Each shape brings its own
+anchors: steps 1 and 2 offer the big component every branch, and a
+shape takes only its anchor's offer.  The array ledger is int64 while
+the number of ids times D stays below 2^63, which bounds every amount
+and every cumulative leftover, and exact Python ints (dtype=object)
+past that.
 """
 
 from __future__ import annotations
@@ -55,30 +57,32 @@ class MatchedPair(NamedTuple):
     mass: int
 
 
-def pick_anchor(sizes, weights) -> int:
+def _choose(cond, a, b):
+    """np.where over a batch's arrays, a plain conditional for one shape."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def pick_anchor(sizes, weights):
     """Index of the branch that absorbs the opposing big component.
 
     Largest branch first; among equal sizes the one at the heavier
-    neighbor.  The weight tie rule matters: anchoring the big component
-    at the heavier of two equal-size branches is what keeps the leftover
-    single flips light, and the certified per-branch maxima assume it.
+    neighbor, then the lower index: a later branch wins only by a
+    strictly larger (size, weight).  The weight tie rule matters:
+    anchoring the big component at the heavier of two equal-size branches
+    is what keeps the leftover single flips light, and the certified
+    per-branch maxima assume it.  An int for one shape's sizes; for a
+    batch's size arrays, the index array of every shape's anchor.
     """
-    pairs = list(zip(sizes, weights))
-    return pairs.index(max(pairs))  # the first of the largest pairs
-
-
-def _block_anchor(sizes, weights) -> int:
-    """`pick_anchor` for one shape's sizes; for size arrays, the index it
-    picks at every entry, which must be one and the same."""
-    if not isinstance(sizes[0], np.ndarray):
-        return pick_anchor(sizes, weights)
-    m = pick_anchor([s.flat[0] for s in sizes], weights)
-    for j, s in enumerate(sizes):
-        # on a size tie, m wins iff its (weight, -index) is the larger
-        lost = sizes[m] <= s if (weights[m], -m) < (weights[j], -j) else sizes[m] < s
-        if lost.any():
-            raise ValueError("a batch of shapes picks more than one anchor")
-    return m
+    anchor = np.zeros_like(sizes[0]) if isinstance(sizes[0], np.ndarray) else 0
+    top, heavy = sizes[0], weights[0]
+    for j in range(1, len(sizes)):
+        s, w = sizes[j], weights[j]
+        wins = (s > top) | ((s == top) & (w > heavy))
+        anchor = _choose(wins, j, anchor)
+        top, heavy = _choose(wins, s, top), _choose(wins, w, heavy)
+    return anchor
 
 
 def match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
@@ -102,8 +106,6 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
     else:
         rem = {i: units.mass(size[i]) for i in ids}
         least, most, some = min, max, bool
-    m_a = _block_anchor([size[i] for i in y_ids], weights)
-    m_b = _block_anchor([size[i] for i in x_ids], weights)
     pairs: list[MatchedPair] = []
 
     def emit(x, y, amount) -> None:
@@ -113,18 +115,22 @@ def match_color_moves(big_x, big_y, x_ids, y_ids, size, weights, units):
         if y is not None:
             rem[y] = rem[y] - amount
 
+    # steps 1 and 2: each branch is offered the big component, and only
+    # the shapes that anchor there take the offer
     clamped = 0
-    anchor = y_ids[m_a]
-    take = least(rem[big_x], rem[anchor])
-    clamped = clamped + (take < rem[big_x])
-    if some(take > 0):
-        emit(big_x, anchor, take)
+    anchor = pick_anchor([size[i] for i in y_ids], weights)
+    for j, yi in enumerate(y_ids):
+        take = _choose(anchor == j, least(rem[big_x], rem[yi]), 0)
+        if some(take > 0):
+            emit(big_x, yi, take)
+    clamped = clamped + (rem[big_x] > 0)
 
-    anchor = x_ids[m_b]
-    take = least(rem[anchor], rem[big_y])
-    clamped = clamped + (take < rem[big_y])
-    if some(take > 0):
-        emit(anchor, big_y, take)
+    anchor = pick_anchor([size[i] for i in x_ids], weights)
+    for j, xi in enumerate(x_ids):
+        take = _choose(anchor == j, least(rem[xi], rem[big_y]), 0)
+        if some(take > 0):
+            emit(xi, big_y, take)
+    clamped = clamped + (rem[big_y] > 0)
 
     for xi, yi in zip(x_ids, y_ids):
         take = least(rem[xi], rem[yi])

@@ -403,8 +403,9 @@ def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
     sweep reads, must be invariant, exactly, under the transposition (1 2)
     and the cycle (1 2 ... k), which generate every renaming.  If either
     is not, each proper state is its own start.  An orbit's least
-    state is the one whose colors, read from the last vertex (the most
-    significant digit) down, appear first in the order 1, 2, 3, ...
+    state reads, from the last vertex (the most significant digit) down,
+    as a restricted-growth string: the first digit 0, and every digit at
+    most 1 + the largest digit above it.
     """
     idx = P.index
     colors = np.arange(idx.k)
@@ -418,17 +419,10 @@ def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
         perm = g[idx.digits] @ powers
         if (proper[perm] != proper).any() or not _commutes(Q, pos[perm[proper_states]]):
             return np.arange(len(proper_states))
-    digits = idx.digits[proper_states]
-    m = idx.m
-    same = digits[:, :, None] == digits[:, None, :]
-    # the highest vertex holding each vertex's color, which the read from
-    # the top meets first; a vertex that is its own such vertex is new
-    top = m - 1 - np.argmax(same[:, :, ::-1], axis=2)
-    new = top == np.arange(m)
-    # colors first met above each vertex: the least state's digit there
-    above = np.cumsum(new[:, ::-1], axis=1)[:, ::-1] - new
-    least = np.take_along_axis(above, top, axis=1) @ powers
-    return np.flatnonzero(least == proper_states)
+    down = idx.digits[proper_states][:, ::-1]  # from the top vertex down
+    above = np.maximum.accumulate(down, axis=1)[:, :-1]
+    least = (down[:, 0] == 0) & (down[:, 1:] <= above + 1).all(axis=1)
+    return np.flatnonzero(least)
 
 
 def _check_eps(eps: float) -> None:

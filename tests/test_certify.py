@@ -125,10 +125,8 @@ class TestRateMaxima:
         # enumeration, which prices each shape once through the matcher,
         # sizes up to the locality + 1 and one pricing per d = 2 shape for
         # both v* weights: 2 weight vectors times cap^2 shapes at d = 1, 4
-        # times cap^4 at d = 2.  The matcher runs once per anchor block,
-        # d^2 blocks per weight vector here (every anchor occurs on both
-        # sides), 2 + 4 * 4, and the closed form once per weight vector,
-        # 2 + 4.
+        # times cap^4 at d = 2.  The matcher and the closed form each run
+        # once per weight vector, 2 + 4.
         priced, grids = [], []
         matcher, grid = certify.match_color_moves, certify._closed_form_grid
 
@@ -154,7 +152,7 @@ class TestRateMaxima:
         finally:
             monkeypatch.undo()
             rate_maxima.cache_clear()
-        assert ranked == (len(priced), sum(priced), len(grids)) == (18, every_shape, 6)
+        assert ranked == (len(priced), sum(priced), len(grids)) == (6, every_shape, 6)
 
     @pytest.mark.parametrize("fp", [
         DEFAULT, GLAUBER, CLAMPING, VIOLATION, MIXED, CLAMPED_MAX,
@@ -391,20 +389,19 @@ class TestDualCheckCoverage:
 
 def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
     # the matcher route's mirror of TestDualCheckCoverage: one d = 2 shape
-    # priced wrong inside its anchor block, whose grid both v* weights
+    # priced wrong inside its weight vector's grid, which both v* weights
     # share, stops the ranked certificate and certify_report alike
-    rate = certify._matcher_rate
+    grid = certify._matcher_grid
     t = TestDualCheckCoverage.TARGET
 
-    def mutated(xs, ys, weights, units, dtype):
-        num, clamped = rate(xs, ys, weights, units, dtype)
+    def mutated(units, weights, xs, ys):
+        num, clamped = grid(units, weights, xs, ys)
         if weights == t.neighbor_weights:
-            num = np.broadcast_to(num, (len(xs), len(ys))).copy()
             num[np.ix_((xs == t.x_branch_sizes).all(axis=1),
                        (ys == t.y_branch_sizes).all(axis=1))] += 1
         return num, clamped
 
-    monkeypatch.setattr(certify, "_matcher_rate", mutated)
+    monkeypatch.setattr(certify, "_matcher_grid", mutated)
     for entry in (lambda: rate_maxima(DEFAULT), lambda: certify_report(DEFAULT)):
         rate_maxima.cache_clear()
         try:
@@ -415,7 +412,7 @@ def test_one_mismatched_matcher_shape_is_caught(monkeypatch):
 
 
 class TestBatchedMatcher:
-    """The certificate's matcher pass, one call per anchor block, against
+    """The certificate's matcher pass, one call per weight vector, against
     the per-shape scalar reference in tests/helpers.py."""
 
     SCHEDULES = {"default": DEFAULT, "glauber": GLAUBER, "violation": VIOLATION,

@@ -637,13 +637,32 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_no_subcommand_loads_scipy_or_numpy_ma(tmp_path):
-    # scipy is a test-only dependency, and numpy.ma loads lazily on a first
-    # np.unique call: neither may ride along on any command
+def run_fresh(code: str, cwd) -> dict:
+    """Run code in a fresh interpreter that imports this simcol; its JSON stdout."""
     src = str(Path(simcol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", NO_HEAVY_IMPORTS], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 7, "loaded": []}
+    return json.loads(proc.stdout)
+
+
+def test_no_subcommand_loads_scipy_or_numpy_ma(tmp_path):
+    # scipy is a test-only dependency, and numpy.ma loads lazily on a first
+    # np.unique call: neither may ride along on any command
+    assert run_fresh(NO_HEAVY_IMPORTS, tmp_path) == {"codes": [0] * 7, "loaded": []}
+
+
+# gen builds its candidates in an array.array; no other command needs one
+NO_ARRAY_IMPORT = """
+import contextlib, io, json, sys
+import simcol.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = simcol.cli.main(["certify"])
+print(json.dumps({"code": code, "array": "array" in sys.modules}))
+"""
+
+
+def test_certify_does_not_load_array(tmp_path):
+    assert run_fresh(NO_ARRAY_IMPORT, tmp_path) == {"code": 0, "array": False}

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,17 @@ class TestPickAnchor:
     def test_first_index_on_full_tie(self):
         assert pick_anchor([2, 2, 2], [1, 1, 1]) == 0
         assert pick_anchor([2, 2], [2, 2]) == 0
+
+    def test_arrays_pick_each_entry_like_the_scalar_call(self):
+        # every size tuple in 1..3 at every weight vector, d = 1..3: size
+        # ties broken by weight, and full ties by index, included
+        for d in (1, 2, 3):
+            rows = np.indices((3,) * d).reshape(d, -1) + 1
+            for weights in np.indices((2,) * d).reshape(d, -1).T + 1:
+                got = pick_anchor(list(rows), list(weights))
+                assert isinstance(got, np.ndarray)
+                assert got.tolist() == [pick_anchor(list(r), list(weights))
+                                        for r in rows.T.tolist()]
 
 
 def run_matcher(t_sizes, u_sizes, units):
@@ -160,30 +170,18 @@ class TestArrayLedger:
             st.fixed_dictionaries({i: st.integers(1, 9) for i in ids}),
             min_size=1, max_size=12))
 
-        def anchors(size):
-            return (pick_anchor([size[i] for i in y_ids], weights),
-                    pick_anchor([size[i] for i in x_ids], weights))
-
-        # one batch: the shapes that pick the first shape's two anchors
-        batch = [size for size in shapes if anchors(size) == anchors(shapes[0])]
-        arrays = {i: np.array([size[i] for size in batch]) for i in ids}
+        # one batch of every drawn shape, whatever anchors each picks
+        arrays = {i: np.array([size[i] for size in shapes]) for i in ids}
         pairs, clamped = match_color_moves("X", "Y", x_ids, y_ids, arrays,
                                            weights, units)
-        for e, size in enumerate(batch):
+        for e, size in enumerate(shapes):
             want, want_clamped = match_color_moves("X", "Y", x_ids, y_ids, size,
                                                    weights, units)
+            # the coupling's tables hold Python ints, not numpy scalars
+            assert all(type(v) is int for v in (want_clamped, *(pr.mass for pr in want)))
             # the scalar call against the two-pointer reference
             assert ([tuple(pr) for pr in want], want_clamped) == scalar_match_color_moves(
                 "X", "Y", x_ids, y_ids, size, weights, units)
             got = [MatchedPair(pr.x, pr.y, pr.mass[e]) for pr in pairs
                    if pr.mass[e] > 0]
             assert (got, clamped[e]) == (want, want_clamped)
-
-    def test_a_batch_of_two_anchors_is_refused(self):
-        # X branches [2, 1] anchor big_y at t0, [1, 2] at t1
-        size = {"X": np.array([3, 3]), "Y": np.array([4, 4]),
-                "t0": np.array([2, 1]), "t1": np.array([1, 2]),
-                "u0": np.array([1, 1]), "u1": np.array([1, 1])}
-        with pytest.raises(ValueError, match="more than one anchor"):
-            match_color_moves("X", "Y", ["t0", "t1"], ["u0", "u1"], size, [1, 1],
-                              DEFAULT_UNITS)
