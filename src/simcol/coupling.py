@@ -17,8 +17,9 @@ near the disagreement: x and y differ only at vstar, so a proposal whose
 outcome differs has, on one side, an alternating component through
 vstar, which the matching already builds; every other move rides as a
 shared identity entry with delta 0.  The matching and the proof read
-only the components through vstar and the proposals next to them; the
-one step that grows with m is the O(m*delta) check that x is proper.
+only the components through vstar and the nearby proposals that use
+xstar or ystar; the steps that grow with m are the O(m*delta) check
+that x is proper and the O(m) check that x and y differ only at vstar.
 `build_flip_coupling_table` assembles the whole table against both full
 single-chain laws (`flip_move_law`, all m*k proposals), the oracle the
 local route is tested against.
@@ -38,6 +39,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from .certify import threshold_ratio
@@ -64,10 +67,17 @@ class AdjacentPair:
     vstar: int
 
     def __post_init__(self):
+        self.check_differ_at_vstar()
+
+    def check_differ_at_vstar(self) -> None:
+        """Raise ValueError unless x and y differ at vstar and nowhere else.
+
+        The colorings are mutable, so routes that rely on this re-check it.
+        """
         if len(self.x.assign) != len(self.y.assign) or self.x.k != self.y.k:
             raise ValueError("chains must share the state space")
-        diffs = [v for v in range(len(self.x.assign))
-                 if self.x.assign[v] != self.y.assign[v]]
+        xa, ya = self.x.assign, self.y.assign
+        diffs = list(compress(range(len(xa)), map(ne, xa, ya)))
         if diffs != [self.vstar]:
             raise ValueError(f"states must differ exactly at {self.vstar}, differ at {diffs}")
 
@@ -202,6 +212,7 @@ def _color_moves(pair: AdjacentPair, G: UnionLineGraph, k: int, fp: FlipParams):
     x, y, vs = pair.x, pair.y, pair.vstar
     if x.k != k or y.k != k:
         raise ValueError("pair and k disagree")
+    pair.check_differ_at_vstar()
     xstar, ystar = pair.xstar, pair.ystar
     # y equals x off vstar: it is proper iff x is and no neighbor holds ystar
     if not is_proper(G, x) or any(x.assign[w] == ystar for w in G.nbrs[vs]):
@@ -309,23 +320,35 @@ def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams
                            used_x: dict[Move, int], used_y: dict[Move, int]) -> None:
     """Prove the matched rows extend to a coupling, from proposals near vstar.
 
-    One pass over every proposal seeded in the closed neighborhood of the
+    One pass over the proposals seeded in the closed neighborhood of the
     touched set (the members of all consumed moves, that is of every
     component through vstar).  Each proposal either has the same outcome
     on both sides and is consumed on neither, so it rides as a shared
     identity entry, or has each of its outcomes consumed on its side.
     Along the way each consumed outcome collects its law mass: a move's
-    seeds are its members, all in the touched set, which the pass never
-    skips, so after it every consumed mass must equal the mass collected.
+    seeds are its members, all in the touched set, so after the pass
+    every consumed mass must equal the mass collected.  Only proposals
+    that use a split color, xstar or ystar, are walked: all k colors at
+    a vertex holding one, those two elsewhere, 2*(k or 2) walks a vertex.
     """
     acc, cap, nbrs = fp.units.accept, fp.locality, G.nbrs
     xa, ya = pair.x.assign, pair.y.assign
     law_x = dict.fromkeys(used_x, 0)
     law_y = dict.fromkeys(used_y, 0)
+    # Skipping (v, c) with {xa[v], c} disjoint from split is exact.  Its
+    # walks agree: vstar, the one vertex where x and y differ, holds a
+    # split color on both sides, so a walk in two other colors never
+    # enters it.  And no consumed move is over {xa[v], c}: each swaps
+    # xstar or ystar (dc = 0 rows, big_x/big_y, t/u moves), as asserted.
+    # So (v, c) would reach a `continue` below.
+    split = {pair.xstar, pair.ystar}
+    assert all(mv.colors & split for mv in (*used_x, *used_y)), \
+        "a consumed move avoids both colors at vstar"
+    every = range(1, pair.x.k + 1)
     touched = set().union(*(mv.members for mv in (*used_x, *used_y)))
     region = touched.union(*(nbrs[u] for u in touched))
     for v in region:
-        for c in range(1, pair.x.k + 1):
+        for c in every if xa[v] in split else split:
             mx = alternating_component(xa, nbrs, v, c, cap)
             my = alternating_component(ya, nbrs, v, c, cap)
             if mx == my and v not in touched:
@@ -362,7 +385,8 @@ def flip_exact_drift(pair: AdjacentPair, G: UnionLineGraph, k: int,
     set.  Every other move has the same mass on both sides and rides as
     a shared identity entry with delta 0: the drift is the sum of the
     per-color alphas, and `_check_local_marginals` proves the marginals
-    in one pass over the closed neighborhood of the touched set.
+    in one pass over the closed neighborhood of the touched set, walking
+    all k colors at a vertex holding xstar or ystar, those two elsewhere.
     `build_flip_coupling_table` keeps the full-law proof of the same
     table.
     """
@@ -390,6 +414,8 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
     `random.Random` does (`run_chain`'s contract); any other raises
     TypeError before the first proposal.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if k < 4 * G.delta - 2:
         raise ValueError("pair sampling expects k >= 4*delta - 2")
     sigma = greedy_coloring(G, k)

@@ -13,8 +13,9 @@ from simcol.coupling import (AdjacentPair, _assemble_flip_table,
                              build_flip_coupling_table, estimate_contraction,
                              flip_exact_drift, flip_move_law,
                              sample_adjacent_pairs, weighted_hamming)
-from simcol.dynamics import Coloring, FlipParams, is_proper
+from simcol.dynamics import Coloring, FlipParams, alternating_component, is_proper
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
+from simcol.matching import MatchedPair
 
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()
@@ -96,6 +97,37 @@ def full_table_drift(pair, G, k, fp):
     table, alphas = _assemble_flip_table(pair, G, k, fp)
     drift = sum((e.mass * e.delta for e in table.entries), Fraction(0))
     return drift, alphas, table
+
+
+def sampled_cases():
+    """(fp, G, k, pair) for the pairs of the sampled local-vs-full test."""
+    for fp in SCHEDULES:
+        for delta in (2, 3, 4):
+            gp = random_graph_pair(n=10, delta=delta, overlap=0.6, seed=78 + delta)
+            G = build_union_line_graph(gp)
+            for k in (4 * G.delta - 2, 6 * G.delta):
+                for pr in sample_adjacent_pairs(G, k, fp, 9, random.Random(delta + k)):
+                    yield fp, G, k, pr
+
+
+def constructed_cases():
+    """(fp, G, k, pair) for the constructed pairs, every schedule."""
+    for fp in SCHEDULES:
+        G, pr = doubled_path_pair()
+        yield fp, G, 6, pr
+        for delta in (2, 3):
+            k = 4 * (delta - 1) + 2
+            G, pr = extremal_pair(delta, k)
+            yield fp, G, k, pr
+    G, pr = three_conflict_pair()
+    yield DEFAULT, G, 24, pr
+
+
+def region_of(pair, G, k, fp):
+    """The consumed moves on each side and the closed neighborhood of their members."""
+    used_x, used_y = coupling._consumed(coupling._color_moves(pair, G, k, fp)[0])
+    touched = set().union(*(mv.members for mv in (*used_x, *used_y)))
+    return used_x, used_y, touched.union(*(G.nbrs[u] for u in touched))
 
 
 class TestBasics:
@@ -383,13 +415,13 @@ class TestLocalDrift:
             build_flip_coupling_table(pairs[0], G, 12, DEFAULT)
 
     @pytest.mark.parametrize("build, calls", [
-        (lambda: (WORKED_G, worked_pair()), 2 * 6 * 4),
-        (doubled_path_pair, 2 * 6 * 7),
+        (lambda: (WORKED_G, worked_pair()), 32),
+        (doubled_path_pair, 52),
     ], ids=["worked", "doubled_path"])
     def test_one_pass_over_the_region(self, monkeypatch, build, calls):
-        # the proof walks each proposal of the closed neighborhood of the
-        # touched set once per side, 2*k*|region| components; here the
-        # region is the whole path
+        # the proof walks, once per side, every color at a region vertex
+        # holding a split color and only the two split colors elsewhere;
+        # here the region is the whole path
         seen = []
         original = coupling.alternating_component
 
@@ -397,10 +429,68 @@ class TestLocalDrift:
             seen.append(args)
             return original(*args)
 
-        monkeypatch.setattr(coupling, "alternating_component", counted)
         G, pr = build()
+        region = region_of(pr, G, 6, DEFAULT)[2]
+        assert region == set(range(G.m))
+        split = {pr.xstar, pr.ystar}
+        rule = sum(2 * (6 if pr.x.assign[v] in split else 2) for v in region)
+        monkeypatch.setattr(coupling, "alternating_component", counted)
         flip_exact_drift(pr, G, 6, DEFAULT)
-        assert len(seen) == calls
+        assert len(seen) == rule == calls < 2 * 6 * len(region)
+
+    def test_skipped_proposals_agree_and_are_never_consumed(self):
+        # the proof skips each region proposal (v, c) whose colors avoid
+        # {xstar, ystar}: its walks must agree, capped or not, and no
+        # consumed move may swap its two colors
+        skipped = 0
+        for fp, G, k, pr in (*sampled_cases(), *constructed_cases()):
+            used_x, used_y, region = region_of(pr, G, k, fp)
+            consumed = {mv.colors for mv in (*used_x, *used_y)}
+            split = {pr.xstar, pr.ystar}
+            xa, ya = pr.x.assign, pr.y.assign
+            for v in region:
+                for c in range(1, k + 1):
+                    if {xa[v], c} & split:
+                        continue
+                    for cap in (fp.locality, None):
+                        assert alternating_component(xa, G.nbrs, v, c, cap) == \
+                            alternating_component(ya, G.nbrs, v, c, cap)
+                    assert frozenset((xa[v], c)) not in consumed
+                    skipped += 1
+        assert skipped > 40_000
+
+    def test_consumed_move_off_the_split_colors_is_caught(self, monkeypatch):
+        # a real single-vertex move of both laws in colors {3, 4}, while
+        # the worked pair's split colors are {1, 2}
+        off_split = coupling.Move(frozenset((1,)), frozenset((3, 4)))
+        original = coupling.match_color_moves
+
+        def add_off_split(*args):
+            matched, clamped = original(*args)
+            return [*matched, MatchedPair(off_split, off_split, DEFAULT.units.den)], clamped
+
+        monkeypatch.setattr(coupling, "match_color_moves", add_off_split)
+        with pytest.raises(AssertionError, match="avoids both colors at vstar"):
+            flip_exact_drift(worked_pair(), WORKED_G, 6, DEFAULT)
+
+    @pytest.mark.parametrize("route", [flip_exact_drift, build_flip_coupling_table],
+                             ids=["drift", "table"])
+    def test_pair_mutated_after_construction_is_refused(self, route):
+        # both colorings stay proper; each mutation breaks "differ
+        # exactly at vstar" after AdjacentPair checked it
+        G, (pr,) = random_pairs(n=9, delta=3, k=12, seed=5, count=1)
+        far = next(v for v in range(G.m)
+                   if v != pr.vstar and v not in G.nbrs[pr.vstar])
+        free = next(c for c in range(1, 13) if c != pr.y.assign[far]
+                    and all(pr.y.assign[w] != c for w in G.nbrs[far]))
+        pr.y.assign[far] = free
+        with pytest.raises(ValueError, match=rf"differ exactly at {pr.vstar}, "
+                                             rf"differ at \[.*{far}.*\]"):
+            route(pr, G, 12, DEFAULT)
+        pr = worked_pair()
+        pr.y.assign[0] = pr.x.assign[0]
+        with pytest.raises(ValueError, match=r"differ exactly at 0, differ at \[\]"):
+            route(pr, WORKED_G, 6, DEFAULT)
 
     def test_shifted_matched_mass_fails_the_mass_check(self, monkeypatch):
         shifted = []
@@ -495,6 +585,16 @@ class TestSampling:
             diffs = [v for v in range(G.m) if pr.x.assign[v] != pr.y.assign[v]]
             assert diffs == [pr.vstar]
             assert is_proper(G, pr.x) and is_proper(G, pr.y)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_refused_before_burn_in(self, monkeypatch, count):
+        def refuse(*args):
+            raise RuntimeError("burn-in started")
+
+        monkeypatch.setattr(coupling, "greedy_coloring", refuse)
+        G = build_union_line_graph(random_graph_pair(n=9, delta=3, overlap=0.5, seed=3))
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            sample_adjacent_pairs(G, 11, DEFAULT, count, random.Random(0))
 
     def test_requires_enough_colors(self):
         gp = random_graph_pair(n=9, delta=3, overlap=0.5, seed=3)
