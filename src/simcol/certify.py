@@ -394,11 +394,11 @@ def verify_flip_properties(fp: FlipParams) -> dict[str, dict]:
 def certify_report(fp: FlipParams) -> dict:
     """JSON-ready certification summary; rationals as "num/den" strings.
 
-    The maxima come from one uncached enumeration, which prices every
+    The maxima are `rate_maxima`'s, whose one enumeration prices every
     shape by both routes, so a shape the two routes price differently
     fails the report wherever it lies.
     """
-    mx = _maxima_at_cap(fp, fp.locality + 1)
+    mx = rate_maxima(fp)
     branches = _thresholds(mx)
     ratio = max(branches.values())
     identities = threshold_identities(fp)

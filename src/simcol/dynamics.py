@@ -146,16 +146,20 @@ class FlipParams:
 
     @classmethod
     def from_text(cls, text: str) -> "FlipParams":
-        """Parse one probability per line, each written as "num/den" or "num"."""
+        """Parse one probability per line, each written as "num/den" or "num"
+        in decimal digits; no sign, point or exponent."""
         probs = []
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                probs.append(Fraction(line))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {line!r}") from None
+            num, slash, den = line.partition("/")
+            if not num.isdecimal() or slash and not den.isdecimal():
+                raise ValueError(f"{line!r} is not written as num/den or num")
+            d = int(den) if slash else 1
+            if not d:
+                raise ValueError(f"zero denominator in {line!r}")
+            probs.append(Fraction(int(num), d))
         return cls(tuple(probs))
 
 

@@ -465,7 +465,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     QT = (Q if exact else Csr(Q.data / P.den, Q.indices, Q.indptr, Q.shape)).T
     law = np.zeros((n, r), dtype=object if exact else np.float64)
     law[reps, np.arange(r)] = 1
-    e = Fraction(eps).limit_denominator(10 ** 9)
+    e = Fraction(eps)  # exactly the float that float mode compares with
     buf = np.empty((n, r))  # |law - 1/n| in float mode, in place each step
     scale = 1  # den**t
     curve: list[list[float]] = []

@@ -8,7 +8,7 @@ sums, the diagonal, the principal submatrix with zeros dropped, the
 transpose, and the product with a dense matrix, in float64 or exactly on
 Python ints.  Each float sum is taken in scipy's order, so the two agree
 bit for bit: a row sum by numpy's `add.reduceat` over the row, a product
-one term at a time in stored order.
+one term at a time in stored order, over every row padded to the longest.
 """
 
 from __future__ import annotations
@@ -97,64 +97,49 @@ class Csr:
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense (n,) or (n, r) x, summed as scipy sums it:
         each output starts from 0 and adds its row's products in stored
-        order, one at a time.  In float64, or exactly when x holds Python
-        ints (dtype object)."""
+        order, one at a time, then its padding's zeros.  In float64, or
+        exactly when x holds Python ints (dtype object)."""
         x = np.asarray(x)
         if x.dtype != object:
             x = x.astype(np.float64, copy=False)
         cols = x.reshape(len(x), -1)
         r = cols.shape[1]
-        out = np.zeros((self.shape[0], r), dtype=x.dtype)
+        out = np.empty((self.shape[0], r), dtype=x.dtype)
         # as many float columns at a time as keep the padded terms within
         # _TERMS; one exact column, whose terms may be big ints
-        padded = sum(idx.size for _, idx, _ in self._layout)
-        step = 1 if x.dtype == object else max(1, _TERMS // max(1, padded))
-        zero = out.dtype.type(0)
+        idx = self._layout[0]
+        step = 1 if x.dtype == object else max(1, _TERMS // max(1, idx.size))
         for lo in range(0, r, step):
             w = min(step, r - lo)
             # the padding column reads row n: 0
             ext = np.zeros((self.shape[1] + 1, w), dtype=x.dtype)
             ext[:-1] = cols[:, lo:lo + w]
-            for rows, idx, vals in self._bands(w, x.dtype):
-                terms = np.take(ext, idx, axis=0)
-                terms *= vals
-                # summed over positions from 0: a row's padded zeros leave it as is
-                out[rows, lo:lo + w] = np.add.reduce(terms, axis=0, initial=zero)
+            terms = np.take(ext, idx, axis=0)
+            terms *= self._values(w, x.dtype)
+            # summed over positions from 0: a row's padded zeros leave it as is
+            out[:, lo:lo + w] = np.add.reduce(terms, axis=0, initial=0)
         return out.reshape(self.shape[0], *x.shape[1:])
 
     @cached_property
-    def _layout(self) -> list:
-        """`dot`'s layout: the nonempty rows, longest first, cut into bands
-        whose rows are all longer than half the band's longest, so that
-        padding at most doubles a band.  Each band is (rows, columns,
-        values), the last two position by row, padded with column n and
-        value 0."""
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """`dot`'s layout: (columns, values), position by row, every row
+        padded to the longest with column n and value 0."""
         lens = np.diff(self.indptr)
-        order = np.argsort(-lens, kind="stable")
-        bands, lo = [], 0
-        while lo < len(order) and lens[order[lo]]:
-            top = lens[order[lo]]
-            rows = order[lo:lo + np.count_nonzero(2 * lens[order[lo:]] > top)]
-            pos = np.arange(top)[:, None]
-            on = pos < lens[rows]
-            at = np.where(on, self.indptr[rows] + pos, 0)
-            bands.append((rows, np.where(on, self.indices[at], self.shape[1]),
-                          np.where(on, self.data[at], 0)))
-            lo += len(rows)
-        return bands
+        pos = np.arange(lens.max(initial=0))[:, None]
+        on = pos < lens
+        at = np.where(on, self.indptr[:-1] + pos, 0)
+        return np.where(on, self.indices[at], self.shape[1]), np.where(on, self.data[at], 0)
 
     @cached_property
     def _widened(self) -> dict:
         return {}
 
-    def _bands(self, r: int, dtype: np.dtype) -> list:
-        """The layout with each band's values in dtype, repeated across r
-        columns, kept per (r, dtype): a product multiplies them without
-        broadcasting."""
+    def _values(self, r: int, dtype: np.dtype) -> np.ndarray:
+        """The layout's values in dtype, repeated across r columns, kept
+        per (r, dtype): a product multiplies by them without broadcasting."""
         if (r, dtype) not in self._widened:
-            self._widened[r, dtype] = [
-                (rows, idx, np.repeat(vals.astype(dtype, copy=False)[:, :, None], r, axis=2))
-                for rows, idx, vals in self._layout]
+            vals = self._layout[1].astype(dtype, copy=False)
+            self._widened[r, dtype] = np.repeat(vals[:, :, None], r, axis=2)
         return self._widened[r, dtype]
 
 

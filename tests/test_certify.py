@@ -216,6 +216,7 @@ class TestClampPath:
             grid_clamps.clear()
             matcher_clamps.clear()
             priced.clear()
+            rate_maxima.cache_clear()
             certify_report(CLAMPING)
         finally:
             monkeypatch.undo()

@@ -299,6 +299,14 @@ class TestCertify:
         assert err.startswith("parse error: ") and "'1/0'" in err
         assert len(err.strip().split("\n")) == 1
 
+    def test_exponent_fp_is_parse_error(self, instance, capsys):
+        # the schedule grammar is num/den or num in digits; an exponent
+        # would otherwise parse and fail later as a certify run error
+        fp = instance("fp.txt", "1\n1e-3\n")
+        assert main(["certify", "--fp", fp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "'1e-3'" in err
+
     @pytest.mark.parametrize("schedule, code, digest", [
         (None, 0, "bd186531263d62358797bbaceb156667f14320ba18182aa87f67e5c48acf7f71"),
         ("1\n", 3, "720b97527961894ffbb915366034256e2205f063efa6030ea6731bc2c16ef5cd"),

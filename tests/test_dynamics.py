@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,16 @@ class TestFlipParams:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             FlipParams.from_text("1/1\nnot a number\n")
+
+    @pytest.mark.parametrize("line", ["1e-10000000", "1e-3", "0.5", "-1/2", "+1", "1/-2",
+                                      "1_0/20", "1 / 2", "1/2/3", "/2", "1/"])
+    def test_from_text_takes_only_digits(self, line):
+        # no decimal, exponent or sign: an exponent must not turn into a
+        # ten-million-digit denominator before the line is refused
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            FlipParams.from_text(f"1\n{line}\n")
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("fp, den", [
         (FlipParams.default(), 39000),

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simcol import oracle
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, RationalRows, StateIndex,
@@ -392,6 +393,29 @@ class TestMixing:
         assert sum(P.proper) == 9 * 8 ** 3 > TMIX_STATE_CAP
         with pytest.raises(CapExceeded):
             tv_mixing_time(P)
+
+    def test_rational_sweep_compares_with_the_exact_eps(self, monkeypatch):
+        # an eps rounded to a denominator of 10^9 reads 1e-10 as 0, which an
+        # exact distance never reaches: the sweep would run to the step cap
+        monkeypatch.setattr(oracle, "TMIX_MAX_STEPS", 150)
+        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)], [(1, 2)]))
+        tmix = {mode: tv_mixing_time(build_transition_matrix(G, 3, kind="flip", mode=mode),
+                                     1e-10)[0]
+                for mode in ("float", "rational")}
+        assert tmix == {"float": 84, "rational": 84}
+
+    @pytest.mark.parametrize("n, e1, e2, k, mode", [
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)], 7, "float"),
+        (3, [(1, 2), (2, 3), (1, 3)], [(1, 2), (1, 3)], 6, "rational"),
+    ], ids=["float", "rational"])
+    def test_sweep_matrix_pads_little(self, n, e1, e2, k, mode):
+        # `Csr.dot` pads every row of the swept transpose to its longest
+        # row; on the benchmark's two oracle instances that adds at most a
+        # quarter to the stored entries (1.05x and 1.00x when written)
+        P = build_transition_matrix(build_union_line_graph(pair(n, e1, e2)), k,
+                                    kind="flip", mode=mode)
+        QT = P._proper_block[1].T
+        assert QT._layout[0].size <= 1.25 * QT.nnz
 
     def test_float_curve_equals_the_two_temporary_expression(self):
         # the sweep propagates one start per color orbit and takes
