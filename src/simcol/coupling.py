@@ -347,12 +347,17 @@ def _check_local_marginals(pair: AdjacentPair, G: UnionLineGraph, fp: FlipParams
     every = range(1, pair.x.k + 1)
     touched = set().union(*(mv.members for mv in (*used_x, *used_y)))
     region = touched.union(*(nbrs[u] for u in touched))
+    # Where the walks agree and x and y agree at v, (v, c) makes one move
+    # on both sides, over {xa[v], c} and holding v; it can be consumed only
+    # if some consumed move holds v and swaps c, so no key here means the
+    # move rides as a shared identity entry, and none is built.
+    consumed_at = {(u, c) for mv in (*used_x, *used_y) for u in mv.members for c in mv.colors}
     for v in region:
         for c in every if xa[v] in split else split:
             mx = alternating_component(xa, nbrs, v, c, cap)
             my = alternating_component(ya, nbrs, v, c, cap)
-            if mx == my and v not in touched:
-                continue  # one move on both sides, and no consumed move holds v
+            if mx == my and xa[v] == ya[v] and (v, c) not in consumed_at:
+                continue
             ox, oy = _as_move(xa, v, c, mx, acc), _as_move(ya, v, c, my, acc)
             in_x, in_y = ox in law_x, oy in law_y
             if in_x:

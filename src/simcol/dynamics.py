@@ -28,6 +28,14 @@ Glauber and realizes the same walk.  `run_chain` draws v as
 proposal making exactly these calls, is the reference the tests compare
 `run_chain` against: for `random.Random` the stream, walk and final RNG
 state of `steps` calls of it equal those of one `run_chain` call.
+
+The loop has a native body, `_chain.c`, with the same RNG contract: it
+draws the same MT19937 words in the same order from the state that
+`getstate()` hands it, and hands the state back through `setstate()`.
+It runs for a `random.Random` that overrides none of its draw or state
+methods, once `_native` has compiled it; any other run, or a machine
+with no C compiler, takes the Python loop, which is the reference.
+Which body ran never shows in a walk, a tally or the final RNG state.
 """
 
 from __future__ import annotations
@@ -156,10 +164,13 @@ class FlipParams:
             num, slash, den = line.partition("/")
             if not num.isdecimal() or slash and not den.isdecimal():
                 raise ValueError(f"{line!r} is not written as num/den or num")
-            d = int(den) if slash else 1
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError as e:  # past Python's int-digit limit
+                raise ValueError(f"{line!r}: {e}") from None
             if not d:
                 raise ValueError(f"zero denominator in {line!r}")
-            probs.append(Fraction(int(num), d))
+            probs.append(Fraction(n, d))
         return cls(tuple(probs))
 
 
@@ -281,6 +292,23 @@ class ChainStats:
     rejected: int
 
 
+def _plain_mt19937(rng) -> bool:
+    """True iff rng draws and keeps its state only through random.Random's
+    own methods, so that a loop on its MT19937 state stands in for them."""
+    own = getattr(rng, "__dict__", {})
+    return isinstance(rng, random.Random) and all(
+        getattr(type(rng), name) is getattr(random.Random, name) and name not in own
+        for name in ("getrandbits", "random", "getstate", "setstate", "_randbelow"))
+
+
+def _chain_stats(steps: int, counts: list[int], rejected: int) -> ChainStats:
+    accepted = sum(counts)
+    # every proposal not accepted or rejected ended over the locality
+    return ChainStats(steps=steps, accepted=accepted,
+                      flips_by_size={s: n for s, n in enumerate(counts) if n},
+                      over_locality=steps - accepted - rejected, rejected=rejected)
+
+
 def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random,
               kind: str = "glauber", fp: FlipParams | None = None) -> ChainStats:
     """Advance sigma in place for `steps` proposals, tallying their outcomes.
@@ -292,6 +320,13 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
     loop: v and c come from `getrandbits` redrawn while out of range,
     which is how `random.Random.randrange` draws them, so rng must draw
     its integers that way (TypeError otherwise).
+
+    The loop has two bodies with this one contract.  A `random.Random`
+    that overrides none of getrandbits, random, getstate, setstate and
+    _randbelow runs the compiled `_chain.c` on its MT19937 state, read
+    through getstate() and handed back through setstate(), when m and k
+    are below 2**31 and a C compiler was found (`_native`).  Every other
+    run takes the Python loop below, which is also the reference.
     """
     fp = FlipParams.for_chain(kind, fp)
     if steps < 0:
@@ -302,10 +337,18 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
     m, k = G.m, sigma.k
     if steps and not m:
         raise ValueError("no vertex to propose")
+    if len(sigma.assign) != m:
+        raise ValueError(f"the coloring has {len(sigma.assign)} vertices, the graph {m}")
+    locality, cut = fp.locality, fp.cut
+    if steps and max(m, k) < 2 ** 31 and _plain_mt19937(rng):
+        from . import _native  # loaded on the first walk: certify never pays for it
+        loop = _native.chain_loop()
+        if loop is not None:
+            counts, rejected = _native.run(loop, G, sigma.assign, k, steps, locality, cut, rng)
+            return _chain_stats(steps, counts, rejected)
     mbits, kbits = m.bit_length(), k.bit_length()
     nbrs, assign = G.nbrs, sigma.assign
     getrandbits, uniform = rng.getrandbits, rng.random
-    locality, cut = fp.locality, fp.cut
     counts = [0] * (locality + 1)
     free = rejected = 0
     for _ in range(steps):
@@ -340,8 +383,4 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
         swap_colors(assign, members, assign[v], c)
         counts[s] += 1
     counts[1] += free
-    accepted = sum(counts)
-    # every proposal not accepted or rejected ended over the locality
-    return ChainStats(steps=steps, accepted=accepted,
-                      flips_by_size={s: n for s, n in enumerate(counts) if n},
-                      over_locality=steps - accepted - rejected, rejected=rejected)
+    return _chain_stats(steps, counts, rejected)

@@ -115,6 +115,19 @@ class UnionLineGraph:
     def index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.verts)}
 
+    @cached_property
+    def csr(self):
+        """nbrs as int32 arrays (indptr, indices), row i being
+        indices[indptr[i]:indptr[i + 1]]: what the native chain loop reads."""
+        from array import array  # lazily: certify never needs the module
+        indptr, indices = array("i", [0]), array("i")
+        for row in self.nbrs:
+            indices.extend(row)
+            indptr.append(len(indices))
+        if indices and not 0 <= min(indices) <= max(indices) < self.m:
+            raise ValueError(f"a neighbor id lies outside 0..{self.m - 1}")
+        return indptr, indices
+
     def validate(self) -> None:
         """Check the structural bounds implied by the construction."""
         d = self.delta

@@ -307,6 +307,13 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "'1e-3'" in err
 
+    def test_fp_past_the_digit_limit_is_parse_error(self, instance, capsys):
+        fp = instance("fp.txt", "1\n1/" + "9" * 5000 + "\n")
+        assert main(["certify", "--fp", fp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "'1/" + "9" * 5000 + "'" in err
+        assert len(err.strip().split("\n")) == 1
+
     @pytest.mark.parametrize("schedule, code, digest", [
         (None, 0, "bd186531263d62358797bbaceb156667f14320ba18182aa87f67e5c48acf7f71"),
         ("1\n", 3, "720b97527961894ffbb915366034256e2205f063efa6030ea6731bc2c16ef5cd"),
@@ -641,7 +648,7 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
 print(json.dumps({"codes": codes,
-                  "loaded": [m for m in ("scipy", "numpy.ma") if m in sys.modules]}))
+                  "loaded": [m for m in ("scipy", "numpy.ma", "hashlib") if m in sys.modules]}))
 """
 
 
@@ -657,8 +664,9 @@ def run_fresh(code: str, cwd) -> dict:
 
 
 def test_no_subcommand_loads_scipy_or_numpy_ma(tmp_path):
-    # scipy is a test-only dependency, and numpy.ma loads lazily on a first
-    # np.unique call: neither may ride along on any command
+    # scipy is a test-only dependency, numpy.ma loads lazily on a first
+    # np.unique call, and hashlib loads OpenSSL (+3.5 MB peak RSS): none
+    # may ride along on any command
     assert run_fresh(NO_HEAVY_IMPORTS, tmp_path) == {"codes": [0] * 7, "loaded": []}
 
 

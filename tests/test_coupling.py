@@ -473,6 +473,23 @@ class TestLocalDrift:
         with pytest.raises(AssertionError, match="avoids both colors at vstar"):
             flip_exact_drift(worked_pair(), WORKED_G, 6, DEFAULT)
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_shared_move_consumed_on_one_side_is_named(self, side):
+        # on an 8-vertex path, the null move at vertex 6 (holding xstar, far
+        # from vstar = 0) walks alike on x and y, so it rides as a shared
+        # entry; consumed on one side only, even at its full law mass, the
+        # pass must still build it and name the proposal
+        G = build_union_line_graph(
+            GraphPair(9, frozenset((i, i + 1) for i in range(1, 9)), frozenset()))
+        pair = AdjacentPair(x=Coloring([1, 3, 4, 5, 6, 4, 1, 5], 6),
+                            y=Coloring([2, 3, 4, 5, 6, 4, 1, 5], 6), vstar=0)
+        used_x, used_y = coupling._consumed(coupling._color_moves(pair, G, 6, DEFAULT)[0])
+        assert all(6 not in mv.members for mv in (*used_x, *used_y))
+        shared = coupling.Move(frozenset((6,)), frozenset((pair.xstar,)))
+        (used_x if side == "x" else used_y)[shared] = DEFAULT.units.accept[1]
+        with pytest.raises(AssertionError, match=r"proposal \(6, 1\) not consumed"):
+            coupling._check_local_marginals(pair, G, DEFAULT, used_x, used_y)
+
     @pytest.mark.parametrize("route", [flip_exact_drift, build_flip_coupling_table],
                              ids=["drift", "table"])
     def test_pair_mutated_after_construction_is_refused(self, route):

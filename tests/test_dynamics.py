@@ -3,14 +3,19 @@ import hashlib
 import math
 import random
 import re
+import shutil
+import subprocess
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import glauber_step
+from simcol import _native
+from simcol.coupling import sample_adjacent_pairs
 from simcol.dynamics import (Coloring, FlipParams, compute_cluster, flip_step,
                              greedy_coloring, is_proper, run_chain, swap_colors)
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
@@ -22,6 +27,20 @@ def line_graph(n, e1, e2=()):
 
 
 PATH4 = line_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+
+
+def untemper(y):
+    """The MT19937 state word that random.Random tempers into output y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9d2c5680)
+    y = x & 0xffffffff
+    x = y
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x & 0xffffffff
 
 
 class TestFlipParams:
@@ -75,6 +94,11 @@ class TestFlipParams:
         with pytest.raises(ValueError, match=re.escape(repr(line))):
             FlipParams.from_text(f"1\n{line}\n")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("line", ["1/" + "9" * 5000, "9" * 5000 + "/1"])
+    def test_from_text_names_a_line_past_the_digit_limit(self, line):
+        with pytest.raises(ValueError, match=re.escape(repr(line)) + ".*digits"):
+            FlipParams.from_text(f"1\n{line}\n")
 
     @pytest.mark.parametrize("fp, den", [
         (FlipParams.default(), 39000),
@@ -347,7 +371,25 @@ class TestSteps:
         assert is_proper(G, sigma)
 
 
+def no_native_loop(monkeypatch):
+    """Force run_chain's Python loop, as where no compiler is found."""
+    monkeypatch.setattr(_native, "chain_loop", lambda: None)
+
+
+def native_loop_or_skip():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler found: the native chain loop is not built")
+    assert _native.chain_loop() is not None, "cc was found, but the native loop did not build"
+
+
 class TestRunChain:
+    """run_chain on its native loop; TestRunChainFallback reruns every
+    test on the Python loop."""
+
+    @pytest.fixture(autouse=True)
+    def loop_mode(self):
+        native_loop_or_skip()
+
     def test_stats_shape(self):
         gp = random_graph_pair(n=8, delta=3, overlap=0.5, seed=6)
         G = build_union_line_graph(gp)
@@ -442,6 +484,34 @@ class TestRunChain:
         with pytest.raises(ValueError, match="vertex"):
             run_chain(empty, Coloring([], 3), 1, random.Random(0))
 
+    @pytest.mark.parametrize("above, moved", [(0, 2), (1, 0)], ids=["on", "above"])
+    def test_uniform_on_the_cut_accepts(self, above, moved):
+        # an MT state whose next four outputs propose v = 0 and color 2 on
+        # a 7-vertex path, a component of size 2, and then a uniform u on
+        # cut[2] (accepted) or one step of 2**-53 above it (rejected)
+        fp = FlipParams((1, Fraction(5, 6)))
+        n = int(fp.cut[2] * 2 ** 53) + above
+        assert n == fp.cut[2] * 2 ** 53 + above  # this cut is a reachable u
+        outputs = (0, 1 << 30, (n >> 26) << 5, (n & (2 ** 26 - 1)) << 6)
+        version, internal, gauss = random.Random(0).getstate()
+        state = (version, (*map(untemper, outputs), *internal[4:624], 0), gauss)
+        path7 = line_graph(8, [(i, i + 1) for i in range(1, 8)])
+        start = Coloring([1, 2, 3, 3, 3, 3, 3], 3)
+        a, b = start.copy(), start.copy()
+        ra, rb = random.Random(), random.Random()
+        ra.setstate(state)
+        rb.setstate(state)
+        stats = run_chain(path7, a, 1, ra, kind="flip", fp=fp)
+        assert flip_step(path7, b, fp, rb) == moved
+        assert stats.flips_by_size == ({2: 1} if moved else {})
+        assert stats.rejected == (not moved)
+        assert a.assign == b.assign and ra.getstate() == rb.getstate()
+
+    @pytest.mark.parametrize("assign", [[1, 2, 1], [1, 2, 1, 2, 1]])
+    def test_coloring_of_another_length_rejected(self, assign):
+        with pytest.raises(ValueError, match="the coloring has"):
+            run_chain(PATH4, Coloring(assign, 3), 10, random.Random(0))
+
     @pytest.mark.parametrize("kind, probs, digest, accepted, by_size", [
         ("flip", FlipParams.default().probs,
          "544404bae5524e3e8d9d29309d4aa99a509593f40a9075cd15db6c95b43e437f",
@@ -482,3 +552,140 @@ class TestRunChain:
         assert run_chain(PATH4, sigma, 10, rng, kind="glauber",
                          fp=FlipParams.glauber()).steps == 10
 
+    def test_rng_overriding_getrandbits_is_drawn_through(self):
+        # the native loop would read the MT state directly and bypass the
+        # override, so this RNG must take the Python loop
+        class OwnBits(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        fp = FlipParams.default()
+        a, b = greedy_coloring(G, 10), greedy_coloring(G, 10)
+        ra, rb = OwnBits(8), random.Random(8)
+        stats = run_chain(G, a, 300, ra, kind="flip", fp=fp)
+        by_size = {}
+        for _ in range(300):
+            if s := flip_step(G, b, fp, rb):
+                by_size[s] = by_size.get(s, 0) + 1
+        assert ra.calls >= 600  # at least one v and one c per proposal
+        assert a.assign == b.assign and stats.flips_by_size == by_size
+        assert ra.getstate() == rb.getstate()
+
+    @pytest.mark.parametrize("k", [2 ** 31, 2 ** 40])
+    def test_colors_past_31_bits_take_the_python_loop(self, k, monkeypatch):
+        def refused(*args):  # pragma: no cover - failure path
+            raise AssertionError("k >= 2**31 reached the native loop")
+
+        monkeypatch.setattr(_native, "run", refused)
+        start = Coloring([1, 2, 1, k], k)
+        a, b = start.copy(), start.copy()
+        ra, rb = random.Random(k), random.Random(k)
+        stats = run_chain(PATH4, a, 50, ra, kind="flip")
+        moved = sum(bool(flip_step(PATH4, b, FlipParams.default(), rb)) for _ in range(50))
+        assert a.assign == b.assign and stats.accepted == moved
+        assert ra.getstate() == rb.getstate()
+
+
+class TestRunChainFallback(TestRunChain):
+    """Every TestRunChain test on the Python loop, forced by the loader."""
+
+    @pytest.fixture(autouse=True)
+    def loop_mode(self, monkeypatch):
+        no_native_loop(monkeypatch)
+
+
+class TestNativeLoop:
+    @pytest.fixture(autouse=True)
+    def native(self):
+        native_loop_or_skip()
+
+    def spy(self, monkeypatch) -> list:
+        calls, run = [], _native.run
+
+        def counted(*args):
+            calls.append(args[3])  # k
+            return run(*args)
+
+        monkeypatch.setattr(_native, "run", counted)
+        return calls
+
+    @pytest.mark.parametrize("k", [3, 2 ** 31 - 1])
+    def test_plain_rngs_take_it(self, k, monkeypatch):
+        # k = 2**31 - 1 draws 31 bits, the widest the native loop takes
+        class Plain(random.Random):
+            pass
+
+        calls = self.spy(monkeypatch)
+        start = Coloring([1, 2, 1, 3], k)
+        for rng in (random.Random(5), Plain(5)):
+            a, b = start.copy(), start.copy()
+            stats = run_chain(PATH4, a, 100, rng, kind="flip")
+            ref = random.Random(5)
+            moved = sum(bool(flip_step(PATH4, b, FlipParams.default(), ref))
+                        for _ in range(100))
+            assert a.assign == b.assign and stats.accepted == moved
+            assert rng.getstate() == ref.getstate()
+        assert calls == [k, k]
+
+    @pytest.mark.parametrize("names", [("getrandbits",), ("getrandbits", "random"),
+                                       ("getstate",), ("setstate",)], ids="+".join)
+    def test_rngs_with_their_own_methods_do_not(self, names, monkeypatch):
+        # (an own random() alone, or an own _randbelow, is a TypeError)
+        calls = self.spy(monkeypatch)
+
+        def delegate(name):
+            method = getattr(random.Random, name)
+            return lambda self, *args: method(self, *args)
+
+        Own = type("Own", (random.Random,), {name: delegate(name) for name in names})
+        a, b = greedy_coloring(PATH4, 3), greedy_coloring(PATH4, 3)
+        run_chain(PATH4, a, 100, Own(2), kind="flip")
+        rng = random.Random(2)
+        rng.getrandbits = rng.getrandbits  # an instance's own method counts too
+        run_chain(PATH4, b, 100, rng, kind="flip")
+        assert calls == [] and a.assign == b.assign
+
+    def test_pair_sampler_pairs_equal_on_both_loops(self, monkeypatch):
+        G = build_union_line_graph(random_graph_pair(24, 3, .5, 11))
+        k = math.ceil(Fraction(5948, 1000) * G.delta)
+        sides = []
+        for forced in (False, True):
+            if forced:
+                no_native_loop(monkeypatch)
+            rng = random.Random(401)
+            pairs = sample_adjacent_pairs(G, k, FlipParams.default(), 6, rng)
+            sides.append(([(p.x.assign, p.y.assign, p.vstar) for p in pairs], rng.getstate()))
+        assert sides[0] == sides[1]
+
+    def test_neighbor_ids_are_checked_before_it_reads_them(self):
+        bad = dataclasses.replace(PATH4, nbrs=((1,), (0, 2), (1, 4), (2,)))
+        with pytest.raises(ValueError, match="neighbor id"):
+            run_chain(bad, Coloring([1, 2, 1, 2], 3), 10, random.Random(0))
+
+    def test_source_compiles_cleanly(self, tmp_path):
+        cc = shutil.which("cc")
+        done = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "chain.so"), _native.SOURCE],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_cache_loads_only_a_matching_build(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        build = _native.chain_loop.__wrapped__
+        assert build() is not None
+        cache = tmp_path / "simcol"
+        names = sorted(p.name for p in cache.iterdir())
+        assert len(names) == 2 and names[0].endswith(".c") and names[1].endswith(".so")
+        copy, lib = cache / names[0], cache / names[1]
+        source = Path(_native.SOURCE).read_bytes()
+        assert copy.read_bytes() == source
+        built = lib.stat().st_mtime_ns
+        assert build() is not None and lib.stat().st_mtime_ns == built  # a hit
+        copy.write_bytes(b"/* another source */\n")
+        assert build() is not None and lib.stat().st_mtime_ns != built  # rebuilt
+        assert copy.read_bytes() == source
+        assert sorted(p.name for p in cache.iterdir()) == names  # no temporary left
