@@ -17,13 +17,10 @@ import json
 import random
 import sys
 
-from .certify import certify_report
-from .coupling import estimate_contraction
 from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chain
-from .graphs import (GraphPair, ParseError, build_union_line_graph,
-                     canonical_edge, random_graph_pair, read_instance,
-                     write_instance)
-from .oracle import DEFAULT_COUNT_CAP, CapExceeded, count_proper, oracle_report
+from .graphs import (DEFAULT_COUNT_CAP, CapExceeded, GraphPair, ParseError,
+                     build_union_line_graph, canonical_edge, random_graph_pair,
+                     read_instance, write_instance)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,16 +49,22 @@ def _at_least(low: int):
     return parse
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path}: {exc}") from exc
+
+
 def _load_graph(path: str) -> GraphPair:
-    with open(path, encoding="utf-8") as fh:
-        return read_instance(fh.read())
+    return read_instance(_read_text(path))
 
 
 def _load_fp(path: str | None) -> FlipParams:
     if path is None:
         return FlipParams.default()
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return FlipParams.from_text(text)
     except ValueError as exc:
@@ -98,11 +101,10 @@ def _json_int(value) -> int:
 
 
 def _read_coloring(path: str, G, k: int) -> Coloring:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"{path}: {exc.msg}") from exc
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"{path}: {exc.msg}") from exc
     try:
         file_k, entries = _json_int(data["k"]), data["colors"]
     except (KeyError, TypeError) as exc:
@@ -191,6 +193,7 @@ def _drift_csv(records) -> str:
 
 
 def cmd_drift(args) -> int:
+    from .coupling import estimate_contraction
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     fp = _load_fp(args.fp)
@@ -224,6 +227,7 @@ def cmd_drift(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certify_report
     fp = _load_fp(args.fp)
     report = certify_report(fp)
     _emit(json.dumps(report, indent=2), args.out)
@@ -233,6 +237,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_report
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     fp = _load_fp(args.fp) if args.chain == "flip" else None
@@ -243,6 +248,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .oracle import count_proper
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     n = count_proper(G, args.k, cap=args.cap)
@@ -315,13 +321,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # arguments the command cannot run on: too few colors, an instance
         # with no edges, a schedule past the certifier's size cap, an
-        # oracle eps outside (0, 1)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+        # oracle eps outside (0, 1) or, in float mode, below 1e-12; a file
+        # that is missing, unreadable or a directory
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -325,8 +325,11 @@ def run_chain(G: UnionLineGraph, sigma: Coloring, steps: int, rng: random.Random
     that overrides none of getrandbits, random, getstate, setstate and
     _randbelow runs the compiled `_chain.c` on its MT19937 state, read
     through getstate() and handed back through setstate(), when m and k
-    are below 2**31 and a C compiler was found (`_native`).  Every other
-    run takes the Python loop below, which is also the reference.
+    are below 2**31 and a C compiler was found (`_native`), in calls of
+    about 4M proposals.  Every other run takes the Python loop below,
+    which is also the reference.  On either body, an exception between
+    proposals or native calls (a Ctrl-C) leaves sigma and rng at the
+    walk done so far.
     """
     fp = FlipParams.for_chain(kind, fp)
     if steps < 0:

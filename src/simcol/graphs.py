@@ -34,6 +34,8 @@ Edge = tuple[int, int]
 # a 2-CPU Xeon, and n = 20 000 would need an estimated 2.5 minutes and
 # 1.6 GB.  Past this cap it refuses before it builds the array.
 GEN_MAX_N = 3000
+# `oracle.count_proper`'s default cap, here so the CLI parser loads no oracle
+DEFAULT_COUNT_CAP = 10 ** 7
 
 
 class CapExceeded(Exception):

@@ -35,10 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import FlipParams
-from .graphs import CapExceeded, UnionLineGraph
+from .graphs import DEFAULT_COUNT_CAP, CapExceeded, UnionLineGraph
 from .sparse import Csr
 
-DEFAULT_COUNT_CAP = 10 ** 7
 # the kernel build walks every (state, proposal) pair, m * k * k^m of them;
 # its time and memory grow with that, whatever the shape of the instance
 KERNEL_PAIR_CAP = 10 ** 6
@@ -53,6 +52,10 @@ RATIONAL_STATE_CAP = 1300
 TMIX_STATE_CAP = 3 * 10 ** 3
 # the longest mixing sweep, in steps of the chain
 TMIX_MAX_STEPS = 10 ** 5
+# float sweeps treat distances within this of each other as equal, and
+# reach about 1e-14 on kernels of 6 to 1 512 proper states, never 1e-15;
+# an eps below it is refused in float mode
+FLOAT_EPS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -425,9 +428,12 @@ def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
     return np.flatnonzero(least)
 
 
-def _check_eps(eps: float) -> None:
+def _check_eps(eps: float, mode: str) -> None:
     if not 0 < eps < 1:
         raise ValueError(f"eps {eps} outside (0, 1)")
+    if mode == "float" and eps < FLOAT_EPS_FLOOR:
+        raise ValueError(f"eps {eps} is below {FLOAT_EPS_FLOOR}, which a float sweep "
+                         "cannot resolve; use --mode rational")
 
 
 def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
@@ -449,9 +455,10 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     `stationary_check`): a reducible one never mixes, and the sweep then
     runs all TMIX_MAX_STEPS before it raises CapExceeded.  An eps outside
     (0, 1) raises ValueError: the distance in general reaches 0 only in
-    the limit, and at 1 or more t = 0 already qualifies.
+    the limit, and at 1 or more t = 0 already qualifies.  So does an eps
+    below FLOAT_EPS_FLOOR in float mode, which rounding keeps out of reach.
     """
-    _check_eps(eps)
+    _check_eps(eps, P.mode)
     proper_states, Q = P._proper_block
     n = len(proper_states)
     assert (Q.sum(axis=1) == P.den).all(), \
@@ -482,7 +489,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             np.abs(buf, out=buf)
             d = float(0.5 * buf.sum(axis=0).max())
             curve.append([t, d])
-            assert prev is None or d <= prev + 1e-12
+            assert prev is None or d <= prev + FLOAT_EPS_FLOOR
             done = d <= eps
         if done:
             return t, curve
@@ -500,7 +507,7 @@ def oracle_report(G: UnionLineGraph, k: int, kind: str = "glauber",
     no mixing time: tmix is None, the curve empty.  eps is checked before
     any work, as `tv_mixing_time` checks it.
     """
-    _check_eps(eps)
+    _check_eps(eps, mode)
     P = build_transition_matrix(G, k, kind=kind, fp=fp, mode=mode)
     report = stationary_check(P)
     tmix, curve = tv_mixing_time(P, eps=eps) if report.irreducible else (None, [])

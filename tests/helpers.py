@@ -7,19 +7,39 @@ couplings ever see).  The single-step walks are the references that
 `run_chain` and the pair sampler built on it are compared against, the
 per-state kernel loop is the reference for the oracle's batched kernel,
 and the tuple-list generator is the reference for `random_graph_pair`.
+`run_fresh` runs code in a fresh interpreter, for what a process loads.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+import simcol
 from simcol.coupling import AdjacentPair
 from simcol.dynamics import alternating_component, flip_step, greedy_coloring
 from simcol.graphs import GraphPair
 from simcol.oracle import StateIndex
+
+# the directory that holds the simcol package under test
+SRC = str(Path(simcol.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str, cwd) -> dict:
+    """Run code in a fresh interpreter that imports this simcol; its JSON stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def reference_graph_pair(n, delta, overlap, seed):

@@ -1,26 +1,38 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import simcol
 import simcol.coupling
+from helpers import run_fresh
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the single-site coupling path and the coupled-step samplers: Glauber's
 # drift is flip_exact_drift at FlipParams.glauber()
 DELETED = ("glauber_exact_drift", "coupled_flip_step", "coupled_glauber_step",
            "glauber_partner_color")
 
+IMPORT_ONLY = """
+import json, sys
+import simcol
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("simcol.")),
+                  "names": [n for n in ("run_chain", "flip_step", "glauber_step")
+                            if hasattr(simcol, n)]}))
+"""
 
-def test_step_functions_are_not_exported():
-    # run_chain is the package's chain loop; flip_step stays in dynamics
-    # only as the single-step reference the tests compare it against
-    for name in ("flip_step", "glauber_step"):
-        assert name not in simcol.__all__
-        assert not hasattr(simcol, name)
+
+def test_import_simcol_loads_no_submodule(tmp_path):
+    # every name has one import path, its own module: the package
+    # re-exports nothing, so importing it loads nothing
+    assert run_fresh(IMPORT_ONLY, tmp_path) == {"loaded": [], "names": []}
 
 
-def test_every_exported_name_resolves():
-    assert len(simcol.__all__) == len(set(simcol.__all__))
-    for name in simcol.__all__:
-        assert hasattr(simcol, name), name
+def test_readme_library_example_runs(tmp_path):
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S)
+    code = block.group(1) + 'print(json.dumps([report["threshold"], stats.steps]))\n'
+    assert run_fresh("import json\n" + code, tmp_path) == ["1933/325", 10_000]
 
 
 @pytest.mark.parametrize("module", [simcol, simcol.coupling], ids=["simcol", "coupling"])

@@ -1,14 +1,14 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import simcol
+from helpers import SRC, run_fresh
 from simcol import coupling
 from simcol.cli import build_parser, main
 from simcol.graphs import GEN_MAX_N, read_instance
@@ -421,6 +421,13 @@ class TestOracleAndCount:
         assert one_error_line(err) and "eps" in err
         assert not out.exists()
 
+    def test_eps_past_float_resolution_is_usage_error(self, instance, capsys):
+        g = instance("two.txt", TWO_EDGES)
+        assert main(["oracle", "--graph", g, "--k", "3", "--chain", "flip",
+                     "--eps", "1e-300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err) and "--mode rational" in err
+
     def test_count_cap_below_one_is_usage_error(self, instance, capsys):
         g = instance("two.txt", TWO_EDGES)
         with pytest.raises(SystemExit) as ei:
@@ -652,17 +659,6 @@ print(json.dumps({"codes": codes,
 """
 
 
-def run_fresh(code: str, cwd) -> dict:
-    """Run code in a fresh interpreter that imports this simcol; its JSON stdout."""
-    src = str(Path(simcol.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def test_no_subcommand_loads_scipy_or_numpy_ma(tmp_path):
     # scipy is a test-only dependency, numpy.ma loads lazily on a first
     # np.unique call, and hashlib loads OpenSSL (+3.5 MB peak RSS): none
@@ -682,3 +678,73 @@ print(json.dumps({"code": code, "array": "array" in sys.modules}))
 
 def test_certify_does_not_load_array(tmp_path):
     assert run_fresh(NO_ARRAY_IMPORT, tmp_path) == {"code": 0, "array": False}
+
+
+# gen, then sample on what gen wrote: neither needs numpy, and neither
+# may load it, or a module that does
+NO_NUMPY = """
+import contextlib, io, json, sys
+from simcol import cli
+runs = [["gen", "--n", "30", "--delta", "3", "--seed", "5", "--out", "g.txt"],
+        ["sample", "--graph", "g.txt", "--k", "12", "--steps", "2000", "--seed", "1"]]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "simcol": sorted(m for m in sys.modules if m.startswith("simcol."))}))
+"""
+
+
+def test_gen_and_sample_load_no_numpy(tmp_path):
+    assert run_fresh(NO_NUMPY, tmp_path) == {
+        "codes": [0, 0], "numpy": False,
+        "simcol": ["simcol._native", "simcol.cli", "simcol.dynamics", "simcol.graphs"]}
+
+
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="no C compiler found: the native chain loop is not built")
+def test_sample_without_a_compiler_makes_the_native_walk(tmp_path):
+    # one fresh `simcol sample` builds the native loop into its own cache
+    # home; the other finds no cc on PATH and runs the Python loop
+    g = tmp_path / "g.txt"
+    assert main(["gen", "--n", "40", "--delta", "3", "--seed", "2", "--out", str(g)]) == 0
+    no_cc = tmp_path / "no-cc"
+    no_cc.mkdir()
+    argv = [sys.executable, "-m", "simcol.cli", "sample", "--graph", str(g), "--k", "12",
+            "--steps", "50000", "--seed", "9"]
+    stdout = {}
+    for side, path in (("native", os.environ["PATH"]), ("python", str(no_cc))):
+        env = {**os.environ, "PATH": path, "XDG_CACHE_HOME": str(tmp_path / side),
+               "PYTHONPATH": SRC}
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        stdout[side] = proc.stdout
+    assert stdout["native"] == stdout["python"]
+    assert json.loads(stdout["python"])["accepted"]
+    assert sorted(p.suffix for p in (tmp_path / "native" / "simcol").iterdir()) == [".c", ".so"]
+    assert not (tmp_path / "python").exists()
+
+
+@pytest.mark.parametrize("option", ["--graph", "--fp", "--start"])
+def test_a_file_not_in_utf8_is_parse_error(instance, tmp_path, capsys, option):
+    # the codec's error is a ValueError, which would exit 1 as a usage error
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    paths = {"--graph": instance("two.txt", TWO_EDGES), option: str(bad)}
+    argv = ["sample", "--k", "6", "--seed", "1", *(a for kv in paths.items() for a in kv)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().split("\n")) == 1
+    assert err.startswith(f"parse error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("option", ["--graph", "--fp", "--start", "--out"])
+def test_a_directory_given_as_a_file_is_usage_error(instance, tmp_path, capsys, option):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"--graph": instance("two.txt", TWO_EDGES), option: str(folder)}
+    argv = ["sample", "--k", "6", "--seed", "1", *(a for kv in paths.items() for a in kv)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err) and str(folder) in err

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import re
 import shutil
 import subprocess
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -661,6 +663,50 @@ class TestNativeLoop:
             sides.append(([(p.x.assign, p.y.assign, p.vstar) for p in pairs], rng.getstate()))
         assert sides[0] == sides[1]
 
+    def native_calls(self, monkeypatch, interrupt_at=None) -> list:
+        """The step count of every native call; the call numbered
+        interrupt_at (from 1) raises KeyboardInterrupt instead of running."""
+        calls, loop = [], _native.chain_loop()
+        monkeypatch.setattr(_native, "_CALL_STEPS", 50)
+
+        def counted(*args):
+            calls.append(args[5])  # steps
+            if len(calls) == interrupt_at:
+                raise KeyboardInterrupt
+            return loop(*args)
+
+        monkeypatch.setattr(_native, "chain_loop", lambda: counted)
+        return calls
+
+    def test_bounded_calls_make_one_walk(self, monkeypatch):
+        # three full calls and a remainder on the same buffers: the walk,
+        # the tallies summed over the calls and the RNG state of one loop
+        calls = self.native_calls(monkeypatch)
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        a, b = greedy_coloring(G, 8), greedy_coloring(G, 8)
+        ra, rb = random.Random(8), random.Random(8)
+        stats = run_chain(G, a, 170, ra, kind="flip")
+        assert calls == [50, 50, 50, 20]
+        no_native_loop(monkeypatch)
+        assert stats == run_chain(G, b, 170, rb, kind="flip")
+        assert a.assign == b.assign and ra.getstate() == rb.getstate()
+        assert stats.rejected and stats.over_locality
+
+    def test_an_interrupt_between_calls_keeps_the_walk_so_far(self, monkeypatch):
+        # a step count past int64 goes in calls of 50: nothing is tallied
+        # that did not run, and a Ctrl-C before the second call leaves
+        # sigma and rng where the first call left them
+        calls = self.native_calls(monkeypatch, interrupt_at=2)
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        a, b = greedy_coloring(G, 8), greedy_coloring(G, 8)
+        ra, rb = random.Random(3), random.Random(3)
+        with pytest.raises(KeyboardInterrupt):
+            run_chain(G, a, 2 ** 64 + 5, ra, kind="flip")
+        assert calls == [50, 50]
+        no_native_loop(monkeypatch)
+        run_chain(G, b, 50, rb, kind="flip")
+        assert a.assign == b.assign and ra.getstate() == rb.getstate()
+
     def test_neighbor_ids_are_checked_before_it_reads_them(self):
         bad = dataclasses.replace(PATH4, nbrs=((1,), (0, 2), (1, 4), (2,)))
         with pytest.raises(ValueError, match="neighbor id"):
@@ -689,3 +735,53 @@ class TestNativeLoop:
         assert build() is not None and lib.stat().st_mtime_ns != built  # rebuilt
         assert copy.read_bytes() == source
         assert sorted(p.name for p in cache.iterdir()) == names  # no temporary left
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler found: the native chain loop is not built")
+
+
+class TestNativeBuild:
+    """chain_loop's build paths, uncached, with both cache directories
+    (`$XDG_CACHE_HOME/simcol` and the temp-dir fallback) under tmp_path."""
+
+    @pytest.fixture
+    def caches(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
+        return tmp_path / "xdg" / "simcol", tmp_path / "tmp" / f"simcol-{os.getuid()}"
+
+    @pytest.mark.skipif(os.name != "posix", reason="the native loop is built on POSIX only")
+    def test_a_failed_compile_leaves_no_loop_and_no_file(self, caches, tmp_path, monkeypatch):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        log = tmp_path / "cc.log"
+        cc = bin_dir / "cc"
+        cc.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexit 1\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        assert _native.chain_loop.__wrapped__() is None
+        assert len(log.read_text().splitlines()) == 2  # one try per cache directory
+        for cache in caches:
+            assert list(cache.iterdir()) == []  # its temporary .c and .so removed
+
+    @needs_cc
+    def test_a_cache_home_that_is_a_file_falls_back_to_the_temp_dir(self, caches, tmp_path):
+        (tmp_path / "xdg").write_text("not a directory\n")
+        assert _native.chain_loop.__wrapped__() is not None
+        assert sorted(p.suffix for p in caches[1].iterdir()) == [".c", ".so"]
+
+    @needs_cc
+    def test_a_library_that_does_not_load_is_skipped(self, caches, tmp_path, monkeypatch):
+        assert _native.chain_loop.__wrapped__() is not None
+        source, library = sorted(caches[0].iterdir())
+        # the same names in another cache home: a matching source copy
+        # beside a library that is not one
+        other = tmp_path / "other" / "simcol"
+        other.mkdir(parents=True)
+        (other / source.name).write_bytes(source.read_bytes())
+        (other / library.name).write_bytes(b"\x7fELF, but no more of it\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+        assert _native.chain_loop.__wrapped__() is not None
+        assert sorted(p.suffix for p in caches[1].iterdir()) == [".c", ".so"]
+        assert (other / library.name).read_bytes() == b"\x7fELF, but no more of it\n"

@@ -404,6 +404,20 @@ class TestMixing:
                 for mode in ("float", "rational")}
         assert tmix == {"float": 84, "rational": 84}
 
+    def test_float_mode_refuses_an_eps_it_cannot_resolve(self, monkeypatch):
+        # float distances here stall near 1e-14, and the sweep counts two
+        # within 1e-12 as equal: at 1e-300 it ran all 10^5 steps to the cap
+        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)], [(1, 2)]))
+        P = build_transition_matrix(G, 3, kind="flip")
+        assert tv_mixing_time(P, oracle.FLOAT_EPS_FLOOR)[0] == 101
+        with pytest.raises(ValueError, match="--mode rational"):
+            tv_mixing_time(P, 1e-300)
+        exact = build_transition_matrix(G, 3, kind="flip", mode="rational")
+        assert tv_mixing_time(exact, 1e-300)[0] == 2554
+        monkeypatch.setattr(oracle, "build_transition_matrix", None)  # refused before any work
+        with pytest.raises(ValueError, match="--mode rational"):
+            oracle_report(G, 3, kind="flip", eps=1e-300)
+
     @pytest.mark.parametrize("n, e1, e2, k, mode", [
         (4, [(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (2, 3)], 7, "float"),
         (3, [(1, 2), (2, 3), (1, 3)], [(1, 2), (1, 3)], 6, "rational"),

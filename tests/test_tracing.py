@@ -9,7 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import simcol.cli  # noqa: F401  (imports every module the tracer patches)
+# every module the tracer patches; `import simcol` alone loads none of them
+from simcol import certify, cli, coupling, dynamics, graphs, matching, oracle  # noqa: F401
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
