@@ -19,8 +19,8 @@ import sys
 
 from .dynamics import Coloring, FlipParams, greedy_coloring, is_proper, run_chain
 from .graphs import (DEFAULT_COUNT_CAP, CapExceeded, GraphPair, ParseError,
-                     build_union_line_graph, canonical_edge, random_graph_pair,
-                     read_instance, write_instance)
+                     build_union_line_graph, canonical_edge, count_proper,
+                     random_graph_pair, read_instance, write_instance)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,6 +198,10 @@ def cmd_drift(args) -> int:
     G = build_union_line_graph(gp)
     fp = _load_fp(args.fp)
     summary = estimate_contraction(G, args.k, fp, args.pairs, args.seed)
+    if summary.bound_margin is None:
+        sys.stderr.write(f"warning: no bound was checked: {summary.dc_over_2} of "
+                         f"{len(summary.records)} sampled pairs have dc_max > 2, outside "
+                         "the drift bound's scope\n")
     if args.format == "csv":
         _emit(_drift_csv(summary.records), args.out)
     else:
@@ -248,7 +252,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .oracle import count_proper
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
     n = count_proper(G, args.k, cap=args.cap)

@@ -1,4 +1,4 @@
-"""Graph pairs and their union line graph.
+"""Graph pairs, their union line graph, and its exact proper-coloring count.
 
 An instance is a pair of simple undirected graphs on a common vertex set
 ``{1..n}``.  The sampling chains do not act on the graphs directly but on
@@ -23,6 +23,7 @@ Edges may be written in either endpoint order and are canonicalized to
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +35,7 @@ Edge = tuple[int, int]
 # a 2-CPU Xeon, and n = 20 000 would need an estimated 2.5 minutes and
 # 1.6 GB.  Past this cap it refuses before it builds the array.
 GEN_MAX_N = 3000
-# `oracle.count_proper`'s default cap, here so the CLI parser loads no oracle
+# count_proper's default cap: the k^m_c leaves of the components, summed
 DEFAULT_COUNT_CAP = 10 ** 7
 
 
@@ -131,17 +132,88 @@ class UnionLineGraph:
         return indptr, indices
 
     def validate(self) -> None:
-        """Check the structural bounds implied by the construction."""
-        d = self.delta
+        """Check the structural bounds implied by the construction.
+
+        A neighbor shares one of the edge's two endpoints in a source graph
+        holding both, and each endpoint has at most delta - 1 other edges
+        there.  So a weight-1 edge has at most 2(delta - 1) neighbors, of
+        weight at most 2 each, and a weight-2 edge at most 2(delta - 1) per
+        graph, a neighbor's weight being the number of graphs it is one in:
+        4(delta - 1) neighbors at weight 2, and a neighborhood weight of
+        4(delta - 1) at either.
+        """
+        d = self.delta - 1
         for i in range(self.m):
             degree = len(self.nbrs[i])
             if self.weight[i] == 1 and degree > 2 * d:
                 raise AssertionError(f"weight-1 vertex {i} has degree {degree} > {2 * d}")
-            if self.weight[i] == 2 and degree > 4 * d - 4:
-                raise AssertionError(f"weight-2 vertex {i} has degree {degree} > {4 * d - 4}")
+            if self.weight[i] == 2 and degree > 4 * d:
+                raise AssertionError(f"weight-2 vertex {i} has degree {degree} > {4 * d}")
             wsum = sum(self.weight[j] for j in self.nbrs[i])
             if wsum > 4 * d:
                 raise AssertionError(f"vertex {i} neighborhood weight {wsum} > {4 * d}")
+
+
+def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
+    """Proper colorings with k colors: the product over the connected
+    components of G of each component's count by backtracking, refused
+    before any backtracking if their k^m_c leaves sum past cap."""
+    comps = []
+    seen = [False] * G.m
+    for root in range(G.m):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in G.nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    leaves = sum(k ** len(comp) for comp in comps)
+    if leaves > cap:
+        raise CapExceeded(f"the components' k^m_c sum to {leaves}, "
+                          f"over the counting cap {cap}")
+    return math.prod(_backtrack_count(G, comp, k) for comp in comps)
+
+
+def _backtrack_count(G: UnionLineGraph, verts, k: int) -> int:
+    """Proper colorings of G restricted to verts, ascending vertex ids
+    closed under neighbors (a union of components, or all of G), by
+    backtracking in that order."""
+    m = len(verts)
+    if m < 2:
+        return k ** m  # no edge: every assignment is proper
+    pos = {v: i for i, v in enumerate(verts)}
+    earlier = [tuple(pos[w] for w in G.nbrs[v] if w < v) for v in verts]
+    colors = range(1, k + 1)
+    assign = [0] * m
+    last = m - 1
+
+    def free(i: int) -> list[int]:
+        used = {assign[j] for j in earlier[i]}
+        return [c for c in colors if c not in used]
+
+    # the colors still to try at positions 0..len(stack)-1, held on an
+    # explicit stack so that no recursion limit bounds m; the last
+    # position's free colors are counted rather than tried
+    count = 0
+    stack = [iter(colors)]
+    while stack:
+        i = len(stack) - 1
+        c = next(stack[i], 0)
+        if not c:
+            stack.pop()
+            continue
+        assign[i] = c
+        if i + 1 == last:
+            count += len(free(last))
+        else:
+            stack.append(iter(free(i + 1)))
+    return count
 
 
 def build_union_line_graph(gp: GraphPair) -> UnionLineGraph:

@@ -1,9 +1,8 @@
-"""Ground truth on small instances.
+"""Ground truth on small instances, on numpy.
 
-Proper colorings are counted by backtracking, one connected component
-at a time; chains become explicit transition matrices over the full
-product state space (all assignments, proper or not), through the flip
-rule of `dynamics`: Glauber's kernel is the flip chain's at p = (1,).
+Chains become explicit transition matrices over the full product state
+space (all assignments, proper or not), through the flip rule of
+`dynamics`: Glauber's kernel is the flip chain's at p = (1,).
 Each is built once as integers: an int64 sparse matrix (`sparse.Csr`, on
 numpy alone) of numerators over one row denominator, one numpy pass over
 every state's digits per vertex and block of proposed colors, which the
@@ -21,12 +20,11 @@ commute with renaming colors.
 
 All of it is gated by explicit caps and raises CapExceeded rather than
 grinding: these tools exist to certify the desk-scale claims, not to
-scale.
+scale.  The exact proper-coloring count is `graphs.count_proper`.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import FlipParams
-from .graphs import DEFAULT_COUNT_CAP, CapExceeded, UnionLineGraph
+from .graphs import CapExceeded, UnionLineGraph
+from .graphs import count_proper  # noqa: F401  perfbench/workloads.py reads it here by name
 from .sparse import Csr
 
 # the kernel build walks every (state, proposal) pair, m * k * k^m of them;
@@ -43,9 +42,16 @@ from .sparse import Csr
 KERNEL_PAIR_CAP = 10 ** 6
 # the exact mixing sweep propagates one column of Python ints per color
 # orbit of the proper states through `Csr.dot`; at k = 2 an orbit is at
-# most two states, and 1024 states, all proper in 512 orbits, take about
-# 9-10 s and 120 MB on a 2-CPU machine
+# most two states, and ten disjoint edges (1024 states, all proper in 512
+# orbits) sweep in 5-9 s at an 88 MB peak on a shared 2-CPU machine
 RATIONAL_STATE_CAP = 1300
+# the exact sweep's step t multiplies each of Q's nnz entries into each
+# start's column of ints over den**t, so it costs about nnz * starts *
+# bits(den**t), and a sweep of T steps the square of T; on long ints the
+# sum runs at 6e9-1e10 a second on a shared 2-CPU machine: 5.1e10 (the
+# flip chain on a 4-edge pair at k = 4, eps 1e-60, 1 653 steps) took
+# 5.6-6.3 s, and eps 1e-120 (22 s uncapped) is refused after about 12 s
+RATIONAL_SWEEP_CAP = 10 ** 11
 # a float sweep holds a few dense proper-by-orbit arrays, at worst (k = 2)
 # half the proper-by-proper size: 2048 states, all proper in 1024 orbits,
 # take the process to a 90 MB peak and about 2 s on a 2-CPU machine
@@ -99,68 +105,6 @@ class StateIndex:
                 if w > v:
                     ok &= self.digits[:, v] != self.digits[:, w]
         return tuple(ok.tolist())
-
-
-def count_proper(G: UnionLineGraph, k: int, cap: int = DEFAULT_COUNT_CAP) -> int:
-    """Proper colorings with k colors: the product over the connected
-    components of G of each component's count by backtracking, refused
-    before any backtracking if their k^m_c leaves sum past cap."""
-    comps = []
-    seen = [False] * G.m
-    for root in range(G.m):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, stack = [], [root]
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in G.nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    leaves = sum(k ** len(comp) for comp in comps)
-    if leaves > cap:
-        raise CapExceeded(f"the components' k^m_c sum to {leaves}, "
-                          f"over the counting cap {cap}")
-    return math.prod(_backtrack_count(G, comp, k) for comp in comps)
-
-
-def _backtrack_count(G: UnionLineGraph, verts, k: int) -> int:
-    """Proper colorings of G restricted to verts, ascending vertex ids
-    closed under neighbors (a union of components, or all of G), by
-    backtracking in that order."""
-    m = len(verts)
-    if m < 2:
-        return k ** m  # no edge: every assignment is proper
-    pos = {v: i for i, v in enumerate(verts)}
-    earlier = [tuple(pos[w] for w in G.nbrs[v] if w < v) for v in verts]
-    colors = range(1, k + 1)
-    assign = [0] * m
-    last = m - 1
-
-    def free(i: int) -> list[int]:
-        used = {assign[j] for j in earlier[i]}
-        return [c for c in colors if c not in used]
-
-    # the colors still to try at positions 0..len(stack)-1, held on an
-    # explicit stack so that no recursion limit bounds m; the last
-    # position's free colors are counted rather than tried
-    count = 0
-    stack = [iter(colors)]
-    while stack:
-        i = len(stack) - 1
-        c = next(stack[i], 0)
-        if not c:
-            stack.pop()
-            continue
-        assign[i] = c
-        if i + 1 == last:
-            count += len(free(last))
-        else:
-            stack.append(iter(free(i + 1)))
-    return count
 
 
 class RationalRows(Sequence):
@@ -453,7 +397,9 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
-    runs all TMIX_MAX_STEPS before it raises CapExceeded.  An eps outside
+    runs all TMIX_MAX_STEPS before it raises CapExceeded.  In rational
+    mode it raises CapExceeded too before the step that takes its summed
+    cost past RATIONAL_SWEEP_CAP.  An eps outside
     (0, 1) raises ValueError: the distance in general reaches 0 only in
     the limit, and at 1 or more t = 0 already qualifies.  So does an eps
     below FLOAT_EPS_FLOOR in float mode, which rounding keeps out of reach.
@@ -475,6 +421,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     e = Fraction(eps)  # exactly the float that float mode compares with
     buf = np.empty((n, r))  # |law - 1/n| in float mode, in place each step
     scale = 1  # den**t
+    cost = 0  # the exact steps' nnz * starts * bits(den**t), summed
     curve: list[list[float]] = []
     prev = None
     for t in range(TMIX_MAX_STEPS + 1):
@@ -484,6 +431,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             assert prev is None or d <= prev * P.den
             done = d * e.denominator <= e.numerator * 2 * n * scale
             scale *= P.den
+            cost += Q.nnz * r * scale.bit_length()
         else:
             np.subtract(law, 1.0 / n, out=buf)
             np.abs(buf, out=buf)
@@ -493,6 +441,9 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             done = d <= eps
         if done:
             return t, curve
+        if cost > RATIONAL_SWEEP_CAP:
+            raise CapExceeded(f"the exact sweep's next step would take its cost to {cost}, "
+                              f"over the rational sweep cap {RATIONAL_SWEEP_CAP}")
         prev = d
         law = QT.dot(law)
     raise CapExceeded(f"no mixing within {TMIX_MAX_STEPS} steps")

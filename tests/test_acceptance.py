@@ -28,8 +28,8 @@ from simcol.coupling import (
     sample_adjacent_pairs,
 )
 from simcol.dynamics import FlipParams
-from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
-from simcol.oracle import build_transition_matrix, count_proper, stationary_check
+from simcol.graphs import GraphPair, build_union_line_graph, count_proper, random_graph_pair
+from simcol.oracle import build_transition_matrix, stationary_check
 
 DEFAULT = FlipParams.default()
 GLAUBER = FlipParams.glauber()

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from helpers import SRC, run_fresh
-from simcol import coupling
+from simcol import coupling, oracle
 from simcol.cli import build_parser, main
 from simcol.graphs import GEN_MAX_N, read_instance
 
@@ -464,6 +464,15 @@ class TestOracleAndCount:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("cap exceeded: ")
 
+    def test_rational_sweep_past_its_cap_exits_4(self, instance, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", 10 ** 4)
+        g = instance("two.txt", TWO_EDGES)
+        assert main(["oracle", "--graph", g, "--k", "3", "--chain", "flip",
+                     "--mode", "rational", "--eps", "1e-10"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cap exceeded: ")
+        assert "over the rational sweep cap 10000" in err
+
     def test_count_cap_exit_code(self, instance, tmp_path):
         g = instance("two.txt", TWO_EDGES)
         assert main(["count", "--graph", g, "--k", "100", "--cap", "10"]) == 4
@@ -529,6 +538,22 @@ class TestDrift:
         assert rep["dc_over_2"] == 1 and rep["pairs"][0]["dc_max"] == 3
         assert rep["bound_margin"] is None
         assert rep["all_bounds_hold"] is True
+
+    @pytest.mark.parametrize("pairs, warned", [(1, True), (3, False)])
+    def test_warns_when_no_pair_is_judged(self, tmp_path, capsys, pairs, warned):
+        # the first sampled pair has dc_max 3, the second dc_max 1: one pair
+        # leaves nothing judged, three judge one
+        g = tmp_path / "inst.txt"
+        main(["gen", "--n", "6", "--delta", "2", "--overlap", "0.5",
+              "--seed", "13", "--out", str(g)])
+        capsys.readouterr()
+        assert main(["drift", "--graph", str(g), "--k", "6", "--pairs", str(pairs),
+                     "--seed", "13"]) == 0
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert (rep["bound_margin"] is None) == warned
+        assert err == ("warning: no bound was checked: 1 of 1 sampled pairs have "
+                       "dc_max > 2, outside the drift bound's scope\n" if warned else "")
 
     def test_csv_header(self, tmp_path, capsys):
         g = tmp_path / "inst.txt"
@@ -680,26 +705,30 @@ def test_certify_does_not_load_array(tmp_path):
     assert run_fresh(NO_ARRAY_IMPORT, tmp_path) == {"code": 0, "array": False}
 
 
-# gen, then sample on what gen wrote: neither needs numpy, and neither
-# may load it, or a module that does
+# gen, count and sample on what gen wrote: none needs numpy, and none
+# may load it, or a module that does; the simcol modules loaded so far
+# are listed after each run
 NO_NUMPY = """
 import contextlib, io, json, sys
 from simcol import cli
 runs = [["gen", "--n", "30", "--delta", "3", "--seed", "5", "--out", "g.txt"],
+        ["gen", "--n", "4", "--delta", "2", "--seed", "5", "--out", "tiny.txt"],
+        ["count", "--graph", "tiny.txt", "--k", "6"],
         ["sample", "--graph", "g.txt", "--k", "12", "--steps", "2000", "--seed", "1"]]
-codes = []
+codes, loaded = [], []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "simcol": sorted(m for m in sys.modules if m.startswith("simcol."))}))
+    loaded.append(sorted(m for m in sys.modules if m.startswith("simcol.")))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "simcol": loaded}))
 """
 
 
 def test_gen_and_sample_load_no_numpy(tmp_path):
+    base = ["simcol.cli", "simcol.dynamics", "simcol.graphs"]
     assert run_fresh(NO_NUMPY, tmp_path) == {
-        "codes": [0, 0], "numpy": False,
-        "simcol": ["simcol._native", "simcol.cli", "simcol.dynamics", "simcol.graphs"]}
+        "codes": [0, 0, 0, 0], "numpy": False,
+        "simcol": [base, base, base, ["simcol._native"] + base]}
 
 
 @pytest.mark.skipif(shutil.which("cc") is None,

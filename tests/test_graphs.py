@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import simcol
 from helpers import reference_graph_pair
-from simcol.graphs import (GraphPair, ParseError, build_union_line_graph,
-                           canonical_edge, random_graph_pair, read_instance,
-                           write_instance)
+from simcol.graphs import (GraphPair, ParseError, UnionLineGraph,
+                           build_union_line_graph, canonical_edge,
+                           random_graph_pair, read_instance, write_instance)
 
 
 PEAK_GROWTH = """
@@ -77,20 +77,39 @@ class TestUnionLineGraph:
         assert set(G.nbrs[i]) == {G.index[(1, 2)], G.index[(3, 4)]}
 
     def test_degree_bounds_by_weight(self):
-        for seed in range(20):
-            gp = random_graph_pair(n=10, delta=4, overlap=0.4, seed=seed)
-            G = build_union_line_graph(gp)
-            d = G.delta
-            for v in range(G.m):
-                if G.weight[v] == 1:
-                    assert len(G.nbrs[v]) <= 2 * d
-                else:
-                    assert len(G.nbrs[v]) <= 4 * d - 4
-                assert sum(G.weight[w] for w in G.nbrs[v]) <= 4 * d
+        # the largest degree at weight 1 and at weight 2, and the largest
+        # neighborhood weight, over the family: each bound in delta - 1 is
+        # attained at every delta, so a bound one lower fails here
+        for d in range(2, 6):
+            bounds = {1: 2 * (d - 1), 2: 4 * (d - 1), "weight": 4 * (d - 1)}
+            seen = dict.fromkeys(bounds, 0)
+            for seed in range(1, 21):
+                for overlap in (0, 0.5, 1):
+                    G = build_union_line_graph(random_graph_pair(20, d, overlap, seed))
+                    assert G.delta == d
+                    for v in range(G.m):
+                        w = G.weight[v]
+                        seen[w] = max(seen[w], len(G.nbrs[v]))
+                        seen["weight"] = max(seen["weight"],
+                                             sum(G.weight[u] for u in G.nbrs[v]))
+                    G.validate()
+            assert seen == bounds
 
     def test_validate_passes_on_generated(self):
         gp = random_graph_pair(n=8, delta=3, overlap=0.7, seed=5)
         build_union_line_graph(gp).validate()
+
+    @pytest.mark.parametrize("weight, nbrs, message", [
+        ((1, 1, 1, 1), ((1, 2, 3), (0,), (0,), (0,)), "weight-1 vertex 0 has degree 3 > 2"),
+        ((2, 1, 1, 1, 1, 1), ((1, 2, 3, 4, 5),) + ((0,),) * 5,
+         "weight-2 vertex 0 has degree 5 > 4"),
+        ((2, 2, 2, 1), ((1, 2, 3), (0,), (0,), (0,)), "vertex 0 neighborhood weight 5 > 4"),
+    ])
+    def test_validate_refuses_one_past_each_bound(self, weight, nbrs, message):
+        verts = tuple((1, i) for i in range(2, len(weight) + 2))
+        G = UnionLineGraph(verts=verts, weight=weight, nbrs=nbrs, delta=2)
+        with pytest.raises(AssertionError, match=message):
+            G.validate()
 
 
 class TestRandomGraphPair:

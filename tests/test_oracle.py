@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from simcol import oracle
 from simcol.dynamics import FlipParams
-from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
+from simcol.graphs import (GraphPair, _backtrack_count, build_union_line_graph,
+                           count_proper, random_graph_pair)
 from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, RationalRows, StateIndex,
-                           _backtrack_count, _orbit_starts,
-                           build_transition_matrix, count_proper,
+                           _orbit_starts, build_transition_matrix,
                            oracle_report, stationary_check, tv_mixing_time)
 from simcol.sparse import Csr
 
@@ -82,6 +82,9 @@ def fraction_curve(P, starts, eps=Fraction(1, 4)):
 
 
 class TestCounting:
+    def test_oracle_binds_the_graphs_counter(self):
+        assert oracle.count_proper is count_proper
+
     def test_shared_edge_closed_form(self):
         G = build_union_line_graph(pair(2, [(1, 2)], [(1, 2)]))
         for k in (1, 4, 9):
@@ -403,6 +406,24 @@ class TestMixing:
                                      1e-10)[0]
                 for mode in ("float", "rational")}
         assert tmix == {"float": 84, "rational": 84}
+
+    def test_rational_sweep_cap_stops_the_first_step_past_it(self, monkeypatch):
+        # each exact step is priced nnz * starts * bits(den**t) for the law
+        # at time t it makes: a cap at the summed price of the 84 steps to
+        # eps admits the sweep, one less refuses its 84th step, and the
+        # float sweep is not priced
+        G = build_union_line_graph(pair(3, [(1, 2), (2, 3)], [(1, 2)]))
+        P = build_transition_matrix(G, 3, kind="flip", mode="rational")
+        proper_states, Q = P._proper_block
+        r = len(_orbit_starts(P, proper_states))
+        cost = sum(Q.nnz * r * (P.den ** t).bit_length() for t in range(1, 85))
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", cost)
+        assert tv_mixing_time(P, 1e-10)[0] == 84
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", cost - 1)
+        with pytest.raises(CapExceeded, match=f"cost to {cost}, over"):
+            tv_mixing_time(P, 1e-10)
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", 0)
+        assert tv_mixing_time(build_transition_matrix(G, 3, kind="flip"), 1e-10)[0] == 84
 
     def test_float_mode_refuses_an_eps_it_cannot_resolve(self, monkeypatch):
         # float distances here stall near 1e-14, and the sweep counts two
