@@ -3,10 +3,11 @@
 Builds the full transition kernel for the single-site chain and the
 component-flip chain on one tiny instance and prints the worst-start
 distance to uniform, over proper starts, after each step.  Rational
-mode keeps everything exact and takes about 1 s at k = 6 (1296 states,
-750 proper) on a 2-CPU machine; its state cap is 1300, so use float
-mode for larger k, up to k = 8 here (2744 proper states, under the
-mixing curve's cap of 3000).
+mode keeps everything exact and takes about 0.25 s at k = 6 (1296
+states, 750 proper), 0.55 s at k = 8 and 4 s at k = 12 (20736 states,
+15972 proper, in the certified regime k >= 5.948 * delta) on a 2-CPU
+machine; float mode takes 0.7 s at k = 12, the largest k the kernel cap
+admits on this path.
 
 Usage: python3 scripts/mixing_curves.py --k 6 --mode rational
 """

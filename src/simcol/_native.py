@@ -6,7 +6,8 @@
 fallback, and loaded through ctypes.  The library's name carries the
 crc32 of the source, the compiler and the machine; a cached library is
 loaded only when the source copy beside it equals `_chain.c` byte for
-byte.  A build goes to temporary names that are then renamed into place,
+byte, and no directory that group or others can write is used.  A
+build goes to temporary names that are then renamed into place,
 so concurrent first uses never load a half-written file.
 
 `chain_loop` is None where no compiler is found or the build fails;
@@ -38,11 +39,13 @@ def _cache_dirs():
 
 def _library(source: bytes, compiler: str, directory: str, name: str) -> str | None:
     """Path of library `name` built from source in directory, building it
-    if need be; None if directory is not this user's or the build fails."""
+    if need be; None if directory is not this user's alone (another owner,
+    or writable by group or others) or the build fails."""
     stem = os.path.join(directory, name)
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
-        if os.stat(directory).st_uid != os.getuid():
+        st = os.stat(directory)
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
             return None
         with open(stem + ".c", "rb") as f:
             if f.read() == source and os.path.isfile(stem + ".so"):

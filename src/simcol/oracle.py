@@ -18,9 +18,9 @@ product as the float curves), swept from one start per
 color orbit once the kernel among the proper states is checked to
 commute with renaming colors.
 
-All of it is gated by explicit caps and raises CapExceeded rather than
-grinding: these tools exist to certify the desk-scale claims, not to
-scale.  The exact proper-coloring count is `graphs.count_proper`.
+All of it is gated by caps on what it costs, the same in both modes,
+and raises CapExceeded rather than grinding: these tools exist to
+certify the desk-scale claims, not to scale.  The exact proper-coloring count is `graphs.count_proper`.
 """
 
 from __future__ import annotations
@@ -40,22 +40,22 @@ from .sparse import Csr
 # the kernel build walks every (state, proposal) pair, m * k * k^m of them;
 # its time and memory grow with that, whatever the shape of the instance
 KERNEL_PAIR_CAP = 10 ** 6
-# the exact mixing sweep propagates one column of Python ints per color
-# orbit of the proper states through `Csr.dot`; at k = 2 an orbit is at
-# most two states, and ten disjoint edges (1024 states, all proper in 512
-# orbits) sweep in 5-9 s at an 88 MB peak on a shared 2-CPU machine
-RATIONAL_STATE_CAP = 1300
 # the exact sweep's step t multiplies each of Q's nnz entries into each
-# start's column of ints over den**t, so it costs about nnz * starts *
-# bits(den**t), and a sweep of T steps the square of T; on long ints the
-# sum runs at 6e9-1e10 a second on a shared 2-CPU machine: 5.1e10 (the
-# flip chain on a 4-edge pair at k = 4, eps 1e-60, 1 653 steps) took
-# 5.6-6.3 s, and eps 1e-120 (22 s uncapped) is refused after about 12 s
+# start's column of ints over den**t, a product priced at bits(den**t) +
+# RATIONAL_PRODUCT_BITS, so a sweep of T steps costs about the square of T;
+# the sum runs at about 1e10 a second on a shared 2-CPU machine, long ints
+# or short: 5.3e10 (the flip chain on a 4-edge pair at k = 4, eps 1e-60,
+# 1 653 steps) took 4.4-6.3 s, and eps 1e-120 (22 s uncapped) is refused
 RATIONAL_SWEEP_CAP = 10 ** 11
-# a float sweep holds a few dense proper-by-orbit arrays, at worst (k = 2)
-# half the proper-by-proper size: 2048 states, all proper in 1024 orbits,
-# take the process to a 90 MB peak and about 2 s on a 2-CPU machine
-TMIX_STATE_CAP = 3 * 10 ** 3
+# one product's fixed cost in those units: 45-98 ns at up to 112 bits, 434
+# ns at 4 111 and 783 ns at 8 192 fit about 0.09 ns a bit plus 60 ns
+RATIONAL_PRODUCT_BITS = 640
+# a sweep holds a few dense arrays of proper states by orbit starts; at
+# k >= 2 an orbit holds at least k states, so 3 000 proper states take at
+# most 1 500 starts: 2048 states, all proper in 1024 orbits, take a float
+# sweep to an 88 MB peak in 1.3 s on a 2-CPU machine, an exact one to 130
+# MB before its price refuses it
+TMIX_ENTRY_CAP = 3000 * 1500
 # the longest mixing sweep, in steps of the chain
 TMIX_MAX_STEPS = 10 ** 5
 # float sweeps treat distances within this of each other as equal, and
@@ -249,8 +249,6 @@ def build_transition_matrix(G: UnionLineGraph, k: int, kind: str = "glauber",
     if not G.m:
         raise ValueError("no vertex to propose")
     idx = StateIndex(G.m, k)
-    if mode == "rational" and idx.size > RATIONAL_STATE_CAP:
-        raise CapExceeded(f"{idx.size} states exceed the rational cap {RATIONAL_STATE_CAP}")
     pairs = G.m * k * idx.size
     if pairs > KERNEL_PAIR_CAP:
         raise CapExceeded(f"{pairs} (state, proposal) pairs exceed the kernel cap "
@@ -397,9 +395,10 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then
-    runs all TMIX_MAX_STEPS before it raises CapExceeded.  In rational
-    mode it raises CapExceeded too before the step that takes its summed
-    cost past RATIONAL_SWEEP_CAP.  An eps outside
+    runs all TMIX_MAX_STEPS before it raises CapExceeded.  It raises
+    CapExceeded before any law exists if the laws would hold more than
+    TMIX_ENTRY_CAP entries, and in rational mode before the step that
+    takes its summed price past RATIONAL_SWEEP_CAP.  An eps outside
     (0, 1) raises ValueError: the distance in general reaches 0 only in
     the limit, and at 1 or more t = 0 already qualifies.  So does an eps
     below FLOAT_EPS_FLOOR in float mode, which rounding keeps out of reach.
@@ -409,10 +408,11 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     n = len(proper_states)
     assert (Q.sum(axis=1) == P.den).all(), \
         "proper states must stay proper"
-    if n > TMIX_STATE_CAP:
-        raise CapExceeded(f"{n} proper states exceed the mixing-curve cap")
     reps = _orbit_starts(P, proper_states)
     r = len(reps)
+    if n * r > TMIX_ENTRY_CAP:
+        raise CapExceeded(f"{n} proper states by {r} orbit starts exceed the mixing-curve "
+                          f"cap of {TMIX_ENTRY_CAP} entries")
 
     exact = P.mode == "rational"
     QT = (Q if exact else Csr(Q.data / P.den, Q.indices, Q.indptr, Q.shape)).T
@@ -421,7 +421,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     e = Fraction(eps)  # exactly the float that float mode compares with
     buf = np.empty((n, r))  # |law - 1/n| in float mode, in place each step
     scale = 1  # den**t
-    cost = 0  # the exact steps' nnz * starts * bits(den**t), summed
+    cost = 0  # the exact steps' nnz * starts * (bits(den**t) + fixed), summed
     curve: list[list[float]] = []
     prev = None
     for t in range(TMIX_MAX_STEPS + 1):
@@ -431,7 +431,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
             assert prev is None or d <= prev * P.den
             done = d * e.denominator <= e.numerator * 2 * n * scale
             scale *= P.den
-            cost += Q.nnz * r * scale.bit_length()
+            cost += Q.nnz * r * (scale.bit_length() + RATIONAL_PRODUCT_BITS)
         else:
             np.subtract(law, 1.0 / n, out=buf)
             np.abs(buf, out=buf)

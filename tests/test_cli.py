@@ -400,6 +400,20 @@ class TestOracleAndCount:
         assert rep["rational"]["uniform_ok"] is True
         assert rep["rational"]["tmix"] == rep["float"]["tmix"] == 14
 
+    def test_weighted_path_at_k12_runs_in_both_modes(self, instance, tmp_path):
+        # the 4-edge path with two shared edges (delta = 2) at k = 12, in the
+        # certified regime: 15 972 proper states in 5 orbits; a loose eps
+        # keeps the exact sweep to 3 steps
+        g = instance("path.txt", "simcol 1\nn 5\ng1 4\n1 2\n2 3\n3 4\n4 5\ng2 2\n3 4\n4 5\n")
+        rep = {}
+        for mode in ("float", "rational"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["oracle", "--graph", g, "--k", "12", "--chain", "flip",
+                         "--mode", mode, "--eps", "0.9", "--out", str(out)]) == 0
+            rep[mode] = json.loads(out.read_text())
+        for r in rep.values():
+            assert (r["count"], r["uniform_ok"], r["tmix"]) == (15972, True, 3)
+
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_oracle_on_no_edges_is_usage_error(self, instance, capsys, mode):
         g = instance("empty.txt", NO_EDGES)

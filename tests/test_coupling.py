@@ -8,7 +8,7 @@ import pytest
 import simcol.coupling as coupling
 from helpers import (apply_move, brute_flip_law, brute_glauber_drift, jerrum_partner_color,
                      reference_adjacent_pairs)
-from simcol.certify import rate_maxima
+from simcol.certify import rate_maxima, threshold_ratio
 from simcol.coupling import (AdjacentPair, _assemble_flip_table,
                              build_flip_coupling_table, estimate_contraction,
                              flip_exact_drift, flip_move_law,
@@ -341,6 +341,29 @@ class TestFlipCouplingDrift:
         assert term.dc == 2 and wstar == 2
         rate = (term.alpha * G.m * 6 - (term.dc - 1) * wstar) / term.weight
         assert rate == rate_maxima(DEFAULT)["w2dc2"].enumerated == Fraction(479, 650)
+
+    @pytest.mark.parametrize("fp, drift, alpha, tight", [
+        (DEFAULT, Fraction(-17, 7800), Fraction(211, 10400), Fraction(1933, 325)),
+        (GLAUBER, Fraction(0), Fraction(1, 48), Fraction(6)),
+    ], ids=["default", "glauber"])
+    def test_drift_bound_is_tight_with_delta_minus_one(self, fp, drift, alpha, tight):
+        # a weight-2 vstar whose four weight-1 neighbors hold four distinct
+        # colors, each a dc1 color at the dc1 maximum: the k at which this
+        # pair's drift would reach 0 is threshold_ratio * (delta - 1)
+        # exactly, while the bound itself is still priced at delta
+        G = build_union_line_graph(random_graph_pair(6, 2, 0.5, 1))
+        assert (G.m, G.delta, G.weight[0]) == (8, 2, 2)
+        k = 6
+        x = [1, 2, 3, 4, 5, 1, 1, 6]
+        pr = AdjacentPair(x=Coloring(assign=x, k=k), y=Coloring(assign=[6] + x[1:], k=k),
+                          vstar=0)
+        rep = flip_exact_drift(pr, G, k, fp)
+        assert rep.exact_drift == drift
+        assert {c: (t.dc, t.alpha) for c, t in rep.per_color.items() if t.dc} == {
+            c: (1, alpha) for c in (2, 3, 4, 5)}
+        assert rep.exact_drift * G.m * k / rep.vstar_weight + k == tight
+        assert tight == threshold_ratio(fp) * (G.delta - 1)
+        assert rep.bound == Fraction(2, 8 * k) * (threshold_ratio(fp) * G.delta - k)
 
     def test_delta_range(self):
         G, pairs = random_pairs(n=9, delta=3, k=12, seed=77, count=3)

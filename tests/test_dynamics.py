@@ -785,3 +785,32 @@ class TestNativeBuild:
         assert _native.chain_loop.__wrapped__() is not None
         assert sorted(p.suffix for p in caches[1].iterdir()) == [".c", ".so"]
         assert (other / library.name).read_bytes() == b"\x7fELF, but no more of it\n"
+
+    @needs_cc
+    def test_a_cache_home_others_can_write_is_neither_written_nor_loaded(
+            self, caches, monkeypatch):
+        # a matching source copy beside a library in a directory at mode
+        # 0777: another local user could have put both there
+        shared = caches[0]
+        shared.mkdir(parents=True)
+        shared.chmod(0o777)
+        assert _native.chain_loop.__wrapped__() is not None
+        assert list(shared.iterdir()) == []
+        source, library = sorted(caches[1].iterdir())
+        planted = {p.name: p.read_bytes() for p in (source, library)}
+        for name, data in planted.items():
+            (shared / name).write_bytes(data)
+        loaded = []
+        cdll = _native.ctypes.CDLL
+        monkeypatch.setattr(_native.ctypes, "CDLL", lambda path: loaded.append(path) or cdll(path))
+        fn = _native.chain_loop.__wrapped__()
+        assert fn is not None and loaded == [str(library)]
+        assert {p.name: p.read_bytes() for p in shared.iterdir()} == planted
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        walks = []
+        for loop in (fn, None):
+            monkeypatch.setattr(_native, "chain_loop", lambda: loop)
+            sigma, rng = greedy_coloring(G, 8), random.Random(5)
+            run_chain(G, sigma, 2000, rng, kind="flip")
+            walks.append((sigma.assign, rng.getstate()))
+        assert walks[0] == walks[1]

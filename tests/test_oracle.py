@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from simcol import oracle
 from simcol.dynamics import FlipParams
 from simcol.graphs import (GraphPair, _backtrack_count, build_union_line_graph,
                            count_proper, random_graph_pair)
-from simcol.oracle import (TMIX_STATE_CAP, CapExceeded, RationalRows, StateIndex,
+from simcol.oracle import (TMIX_ENTRY_CAP, CapExceeded, RationalRows, StateIndex,
                            _orbit_starts, build_transition_matrix,
                            oracle_report, stationary_check, tv_mixing_time)
 from simcol.sparse import Csr
@@ -289,13 +290,22 @@ class TestTransitionMatrix:
                 assert got == {t: float(q) for t, q in row.items()}, (kind, fp, s)
 
     def test_state_caps(self):
-        # the first sizes past each cap
-        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
-        with pytest.raises(CapExceeded):
-            build_transition_matrix(G, 11, mode="rational")  # 11^3 > 1300
+        # the first size past the kernel cap, the same in either mode
         G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
-        with pytest.raises(CapExceeded):
-            build_transition_matrix(G, 13, mode="float")  # 4 * 13 * 13^4 > 10^6
+        for mode in ("float", "rational"):
+            with pytest.raises(CapExceeded):
+                build_transition_matrix(G, 13, mode=mode)  # 4 * 13 * 13^4 > 10^6
+
+    def test_rational_mode_admits_what_float_mode_does(self):
+        # 11^3 = 1 331 states: no cap reads the mode, so both modes build
+        # the same integer kernel
+        G = build_union_line_graph(pair(4, [(1, 2), (2, 3), (3, 4)]))
+        Pr = build_transition_matrix(G, 11, kind="flip", mode="rational")
+        Pf = build_transition_matrix(G, 11, kind="flip", mode="float")
+        assert Pr.size == 1331 and Pr.den == Pf.den
+        for a, b in zip((Pr.num.data, Pr.num.indices, Pr.num.indptr),
+                        (Pf.num.data, Pf.num.indices, Pf.num.indptr)):
+            assert np.array_equal(a, b)
 
     def test_denominator_past_int64_is_a_cap(self):
         # p_2 / 2 = 2^-62 puts the row denominator at m * k * 2^62
@@ -390,12 +400,37 @@ class TestMixing:
             k += 1
         with pytest.raises(CapExceeded):
             build_transition_matrix(G, k, mode="float")
-        # under the build cap, past the mixing cap: 9^4 states, 9 * 8^3 proper
-        G = build_union_line_graph(pair(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
-        P = build_transition_matrix(G, 9, mode="float")
-        assert sum(P.proper) == 9 * 8 ** 3 > TMIX_STATE_CAP
-        with pytest.raises(CapExceeded):
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_entry_cap_is_proper_states_times_starts(self, monkeypatch, mode):
+        # the sweep holds proper-by-starts arrays: a cap of n * r entries
+        # admits it, one less refuses it
+        G = build_union_line_graph(pair(6, [(1, 2), (3, 4), (5, 6)]))
+        P = build_transition_matrix(G, 3, mode=mode)
+        proper_states, _ = P._proper_block
+        n, r = len(proper_states), len(_orbit_starts(P, proper_states))
+        assert (n, r) == (27, 5)
+        monkeypatch.setattr(oracle, "TMIX_ENTRY_CAP", n * r)
+        assert tv_mixing_time(P)[0] > 1
+        monkeypatch.setattr(oracle, "TMIX_ENTRY_CAP", n * r - 1)
+        with pytest.raises(CapExceeded, match="27 proper states by 5 orbit starts"):
             tv_mixing_time(P)
+
+    def test_entry_cap_refuses_before_any_law_exists(self):
+        # twelve disjoint edges at k = 2: 4 096 states, all proper, in
+        # 2 048 orbits; a float law over them would take 64 MiB
+        G = build_union_line_graph(pair(24, [(2 * i + 1, 2 * i + 2) for i in range(12)]))
+        P = build_transition_matrix(G, 2, mode="float")
+        P._proper_block  # built before the trace: the kernel is not the law
+        assert 4096 * 2048 > TMIX_ENTRY_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="4096 proper states by 2048 orbit starts"):
+                tv_mixing_time(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_rational_sweep_compares_with_the_exact_eps(self, monkeypatch):
         # an eps rounded to a denominator of 10^9 reads 1e-10 as 0, which an
@@ -408,15 +443,16 @@ class TestMixing:
         assert tmix == {"float": 84, "rational": 84}
 
     def test_rational_sweep_cap_stops_the_first_step_past_it(self, monkeypatch):
-        # each exact step is priced nnz * starts * bits(den**t) for the law
-        # at time t it makes: a cap at the summed price of the 84 steps to
-        # eps admits the sweep, one less refuses its 84th step, and the
-        # float sweep is not priced
+        # each exact step is priced nnz * starts * (bits(den**t) + the fixed
+        # cost of a product) for the law at time t it makes: a cap at the
+        # summed price of the 84 steps to eps admits the sweep, one less
+        # refuses its 84th step, and the float sweep is not priced
         G = build_union_line_graph(pair(3, [(1, 2), (2, 3)], [(1, 2)]))
         P = build_transition_matrix(G, 3, kind="flip", mode="rational")
         proper_states, Q = P._proper_block
         r = len(_orbit_starts(P, proper_states))
-        cost = sum(Q.nnz * r * (P.den ** t).bit_length() for t in range(1, 85))
+        cost = sum(Q.nnz * r * ((P.den ** t).bit_length() + oracle.RATIONAL_PRODUCT_BITS)
+                   for t in range(1, 85))
         monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", cost)
         assert tv_mixing_time(P, 1e-10)[0] == 84
         monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", cost - 1)
@@ -424,6 +460,39 @@ class TestMixing:
             tv_mixing_time(P, 1e-10)
         monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", 0)
         assert tv_mixing_time(build_transition_matrix(G, 3, kind="flip"), 1e-10)[0] == 84
+
+    def test_rational_sweep_prices_the_fixed_cost_of_short_ints(self, monkeypatch):
+        # six disjoint edges at k = 2: den 12, 32 starts, 8 steps of ints of
+        # at most 29 bits; a cap at the bits-only sum refuses the sweep
+        G = build_union_line_graph(pair(12, [(2 * i + 1, 2 * i + 2) for i in range(6)]))
+        P = build_transition_matrix(G, 2, mode="rational")
+        proper_states, Q = P._proper_block
+        r = len(_orbit_starts(P, proper_states))
+        bits = [Q.nnz * r * (P.den ** t).bit_length() for t in range(1, 9)]
+        full = sum(bits) + 8 * Q.nnz * r * oracle.RATIONAL_PRODUCT_BITS
+        assert (P.den, r, sum(bits), full) == (12, 32, 1906688, 75307008)
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", full)
+        assert tv_mixing_time(P)[0] == 8
+        monkeypatch.setattr(oracle, "RATIONAL_SWEEP_CAP", (sum(bits) + full) // 2)
+        with pytest.raises(CapExceeded, match="over the rational sweep cap"):
+            tv_mixing_time(P)
+
+    def test_first_exact_mixing_times_in_the_certified_regime(self):
+        # the weighted 4-edge path (delta = 2) at k = 12 >= 5.948 * delta:
+        # 15 972 proper states, swept from 5 orbit starts
+        G = build_union_line_graph(pair(5, path(4), [(3, 4), (4, 5)]))
+        for kind in ("flip", "glauber"):
+            rep = oracle_report(G, 12, kind=kind)
+            assert (rep["count"], rep["uniform_ok"], rep["tmix"]) == (15972, True, 10), kind
+
+    @pytest.mark.parametrize("kind, tmix", [("flip", 10), ("glauber", 11)])
+    def test_rational_tmix_equals_float_tmix_at_k8(self, kind, tmix):
+        # 2 744 proper states in 5 orbits: the exact sweep takes about 0.2 s
+        G = build_union_line_graph(pair(5, path(4), [(3, 4), (4, 5)]))
+        got = {mode: tv_mixing_time(build_transition_matrix(G, 8, kind=kind, mode=mode))
+               for mode in ("float", "rational")}
+        assert got["rational"][0] == got["float"][0] == tmix
+        assert np.allclose(got["rational"][1], got["float"][1], rtol=0, atol=1e-12)
 
     def test_float_mode_refuses_an_eps_it_cannot_resolve(self, monkeypatch):
         # float distances here stall near 1e-14, and the sweep counts two
