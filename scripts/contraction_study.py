@@ -11,14 +11,19 @@ well below it (on the default instance, seed 1 with m = 21 and
 delta = 3, the worst drift is already negative at k = 11, k/delta
 about 3.67, against a certified k of 18).
 
+An error exits as in `simcol` (`simcol.cli.run_command`): one line on
+stderr, exit 1 for arguments the script cannot run on, 4 past a cap.
+
 Usage: python3 scripts/contraction_study.py --delta 3 --pairs 60
 """
 
 import argparse
 import math
+import sys
 from fractions import Fraction
 
 from simcol.certify import threshold_ratio
+from simcol.cli import EXIT_OK, run_command
 from simcol.coupling import estimate_contraction
 from simcol.dynamics import FlipParams
 from simcol.graphs import build_union_line_graph, random_graph_pair
@@ -61,7 +66,8 @@ def main():
         mark = "  <- contracting" if worst < 0 else ""
         print(f"{k:>4} {k / G.delta:>8.3f} {float(worst):>14.6f} "
               f"{float(mean):>14.6f} {skipped:>5}{mark}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

@@ -9,11 +9,16 @@ states, 750 proper), 0.55 s at k = 8 and 4 s at k = 12 (20736 states,
 machine; float mode takes 0.7 s at k = 12, the largest k the kernel cap
 admits on this path.
 
+An error exits as in `simcol` (`simcol.cli.run_command`): one line on
+stderr, exit 1 for arguments the script cannot run on, 4 past a cap.
+
 Usage: python3 scripts/mixing_curves.py --k 6 --mode rational
 """
 
 import argparse
+import sys
 
+from simcol.cli import EXIT_OK, run_command
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph
 from simcol.oracle import build_transition_matrix, tv_mixing_time
@@ -48,7 +53,8 @@ def main():
         b = curves["flip"].get(t)
         fmt = lambda x: f"{x:>12.6f}" if x is not None else " " * 12
         print(f"{t:>5} {fmt(a)} {fmt(b)}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_command(main))

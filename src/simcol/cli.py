@@ -158,15 +158,8 @@ def cmd_sample(args) -> int:
     if k < 4 * G.delta - 2:
         sys.stderr.write(f"warning: k={k} is below 4*delta-2={4 * G.delta - 2}; "
                          "the sampled chain may not be rapidly mixing\n")
-    fp = _load_fp(args.fp) if args.chain == "flip" else None
-    if args.start is not None:
-        sigma = _read_coloring(args.start, G, k)
-    else:
-        try:
-            sigma = greedy_coloring(G, k)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}; a greedy start needs more colors\n")
-            return EXIT_USAGE
+    fp = None if args.fp is None else _load_fp(args.fp)
+    sigma = greedy_coloring(G, k) if args.start is None else _read_coloring(args.start, G, k)
     rng = random.Random(args.seed)
     stats = run_chain(G, sigma, args.steps, rng, kind=args.chain, fp=fp)
     payload = _coloring_payload(gp, G, sigma, args.seed, args.steps)
@@ -244,7 +237,7 @@ def cmd_oracle(args) -> int:
     from .oracle import oracle_report
     gp = _load_graph(args.graph)
     G = build_union_line_graph(gp)
-    fp = _load_fp(args.fp) if args.chain == "flip" else None
+    fp = None if args.fp is None else _load_fp(args.fp)
     report = oracle_report(G, args.k, kind=args.chain, fp=fp,
                            eps=args.eps, mode=args.mode)
     _emit(json.dumps(report, indent=2), args.out)
@@ -313,27 +306,26 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "chain", None) == "glauber" and args.fp is not None:
-        # Glauber is the flip chain at p = (1,); a --fp file would go unread
-        parser.error("argument --fp: not allowed with --chain glauber")
+def run_command(command) -> int:
+    """command()'s exit code, or that of the error it raises, told in one line."""
     try:
-        return args.func(args)
+        return command()
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except (ValueError, OSError) as exc:
-        # arguments the command cannot run on: too few colors, an instance
-        # with no edges, a schedule past the certifier's size cap, an
-        # oracle eps outside (0, 1) or, in float mode, below 1e-12; a file
-        # that is missing, unreadable or a directory
+        # arguments the command cannot run on (the README's exit-code list
+        # names them); a file that is missing, unreadable or a directory
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -413,16 +413,20 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
     """Proper adjacent pairs from a warmed-up chain plus one perturbation.
 
     The walk is `run_chain`'s flip chain at fp: burn-in is 20*m*k
-    proposals from the greedy start, with m*k more before each pair; the
-    perturbed vertex and its new color are drawn uniformly among the
-    proper choices.  rng must draw its integers through `getrandbits`, as
-    `random.Random` does (`run_chain`'s contract); any other raises
+    proposals from the greedy start, with m*k more before each pair.  The
+    perturbed vertex is the first of a shuffle of all m; its new color is
+    uniform among the colors neither it nor its at most 4(delta - 1)
+    neighbors hold (`UnionLineGraph.validate`), one at least at
+    k >= 4*delta - 2.  rng must draw its integers through `getrandbits`,
+    as `random.Random` does (`run_chain`'s contract); any other raises
     TypeError before the first proposal.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if k < 4 * G.delta - 2:
         raise ValueError("pair sampling expects k >= 4*delta - 2")
+    if not G.m:
+        raise ValueError("no proper single-vertex perturbation exists")
     sigma = greedy_coloring(G, k)
     run_chain(G, sigma, 20 * G.m * k, rng, kind="flip", fp=fp)
     pairs: list[AdjacentPair] = []
@@ -430,19 +434,13 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
         run_chain(G, sigma, G.m * k, rng, kind="flip", fp=fp)
         order = list(range(G.m))
         rng.shuffle(order)
-        for v in order:
-            taken = {sigma.assign[w] for w in G.nbrs[v]}
-            free = [c for c in range(1, k + 1)
-                    if c != sigma.assign[v] and c not in taken]
-            if not free:
-                continue
-            c = free[rng.randrange(len(free))]
-            y = sigma.copy()
-            y.assign[v] = c
-            pairs.append(AdjacentPair(x=sigma.copy(), y=y, vstar=v))
-            break
-        else:
-            raise ValueError("no proper single-vertex perturbation exists")
+        v = order[0]
+        taken = {sigma.assign[w] for w in (v, *G.nbrs[v])}
+        free = [c for c in range(1, k + 1) if c not in taken]
+        assert free, "k >= 4*delta - 2 leaves every vertex a color no neighbor holds"
+        y = sigma.copy()
+        y.assign[v] = free[rng.randrange(len(free))]
+        pairs.append(AdjacentPair(x=sigma.copy(), y=y, vstar=v))
     return pairs
 
 

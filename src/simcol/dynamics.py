@@ -270,7 +270,8 @@ def greedy_coloring(G: UnionLineGraph, k: int) -> Coloring:
                 assign[v] = c
                 break
         else:
-            raise ValueError(f"greedy coloring stuck at vertex {v} with k={k}")
+            raise ValueError(f"greedy coloring stuck at vertex {v} with k={k}; "
+                             "a greedy start needs more colors")
     return Coloring(assign=assign, k=k)
 
 

@@ -340,30 +340,29 @@ def _commutes(Q: Csr, perm: np.ndarray) -> bool:
 def _orbit_starts(P: TransitionMatrix, proper_states: np.ndarray) -> np.ndarray:
     """Positions in proper_states of one start per color orbit, ascending.
 
-    Renaming the colors maps proper states to proper states; when it also
-    maps the kernel to itself, the starts of one orbit have the same
-    distance curve, and the worst over the orbits' least states is the
-    worst over all.  The sweep relies on that only after checking it: the
-    proper mask and the numerators among proper states, the only ones the
-    sweep reads, must be invariant, exactly, under the transposition (1 2)
-    and the cycle (1 2 ... k), which generate every renaming.  If either
-    is not, each proper state is its own start.  An orbit's least
-    state reads, from the last vertex (the most significant digit) down,
-    as a restricted-growth string: the first digit 0, and every digit at
-    most 1 + the largest digit above it.
+    Renaming the colors maps proper states to proper states, and the chain
+    to itself, as the proposed color is uniform and the flip rule reads
+    colors only through equality; so the starts of one orbit share their
+    distance curve, and the orbits' least states hold the worst.  That is
+    asserted: the proper mask and the numerators among proper states, the
+    only ones the sweep reads, are invariant, exactly, under the
+    transposition (1 2) and the cycle (1 2 ... k), which generate every
+    renaming.  An orbit's least state reads, from the last vertex (the
+    most significant digit) down, as a restricted-growth string: the
+    first digit 0, and every digit at most 1 + the largest digit above it.
     """
     idx = P.index
     colors = np.arange(idx.k)
-    # the cycle and the transposition; at k = 1 both are the identity
+    # at k = 1 both are the identity
     generators = (np.roll(colors, -1), np.r_[colors[1::-1], colors[2:]])
     powers = idx.k ** np.arange(idx.m)
     proper = np.asarray(P.proper)
     _, Q = P._proper_block
     pos = np.cumsum(proper) - 1  # a proper state's position among them
-    for g in generators:
+    for g, name in zip(generators, ("the cycle (1 2 ... k)", "the transposition (1 2)")):
         perm = g[idx.digits] @ powers
-        if (proper[perm] != proper).any() or not _commutes(Q, pos[perm[proper_states]]):
-            return np.arange(len(proper_states))
+        assert (proper[perm] == proper).all() and _commutes(Q, pos[perm[proper_states]]), \
+            f"renaming the colors by {name} does not map the kernel to itself"
     down = idx.digits[proper_states][:, ::-1]  # from the top vertex down
     above = np.maximum.accumulate(down, axis=1)[:, :-1]
     least = (down[:, 0] == 0) & (down[:, 1:] <= above + 1).all(axis=1)
@@ -391,7 +390,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float = 0.25):
     correctly rounded.
     The distance must be non-increasing in t, and the sweep asserts that as
     it goes.  It propagates only the starts `_orbit_starts` picks, one per
-    color orbit on a kernel checked to be color-symmetric.
+    color orbit on a kernel asserted to be color-symmetric.
 
     The chain restricted to proper states must be irreducible (see
     `stationary_check`): a reducible one never mixes, and the sweep then

@@ -17,6 +17,7 @@ import numpy as np
 from helpers import brute_flip_law, numpy_brute_count
 from simcol.certify import (
     TARGET_RATIO,
+    certify_report,
     rate_maxima,
     threshold_identities,
     threshold_ratio,
@@ -60,6 +61,11 @@ def test_criterion_01_threshold_identities():
     ids = threshold_identities(DEFAULT)
     assert ids["weight1_direct"] == THRESHOLD
     assert ids["weight2_direct"] == THRESHOLD
+    # each branch's enumerated assembly meets its own closed form, so the
+    # weight-1 branch is checked even where the weight-2 branch sets the max
+    branches = certify_report(DEFAULT)["branch_thresholds"]
+    assert {name: Fraction(value) for name, value in branches.items()} == {
+        "weight1": ids["weight1_direct"], "weight2": ids["weight2_direct"]}
     # the same two closed forms evaluated from the raw acceptance numbers
     p1, p2, p3 = DEFAULT.p(1), DEFAULT.p(2), DEFAULT.p(3)
     assert 4 + 2 * (p1 + p2 - 2 * p3) == THRESHOLD

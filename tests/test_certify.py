@@ -523,6 +523,17 @@ class TestColorRate:
         color_rate(cfg, DEFAULT)
         color_rate(cfg, GLAUBER)
 
+    @pytest.mark.parametrize("weights, x_sizes, y_sizes, message", [
+        ((), (), (), "between 1 and 4 neighbors share a color"),
+        ((1,) * 5, (1,) * 5, (1,) * 5, "between 1 and 4 neighbors share a color"),
+        ((1, 1), (1,), (1, 1), "need one branch size per neighbor on both sides"),
+        ((1, 1), (1, 1), (1, 0), "branch sizes are at least 1"),
+    ], ids=["no-neighbor", "five-neighbors", "short-sizes", "size-0"])
+    def test_config_refusals(self, weights, x_sizes, y_sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClusterConfig(vstar_weight=2, neighbor_weights=weights,
+                          x_branch_sizes=x_sizes, y_branch_sizes=y_sizes)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(vstar_weight=1, neighbor_weights=(1, 1, 1),

@@ -10,8 +10,8 @@ import pytest
 
 from helpers import SRC, run_fresh
 from simcol import coupling, oracle
-from simcol.cli import build_parser, main
-from simcol.graphs import GEN_MAX_N, read_instance
+from simcol.cli import _read_coloring, build_parser, main
+from simcol.graphs import GEN_MAX_N, ParseError, build_union_line_graph, read_instance
 
 SHARED_EDGE = "simcol 1\nn 2\ng1 1\n1 2\ng2 1\n1 2\n"
 TWO_EDGES = "simcol 1\nn 3\ng1 2\n1 2\n2 3\ng2 0\n"
@@ -171,6 +171,25 @@ class TestSample:
         assert "colors[2]" in err and "edge (2, 3) listed twice" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line, message", [
+        ('{"k": 6,\n "colors": [}', 2, "Expecting value"),
+        ('{"k": 5, "colors": []}', None, "coloring has k=5, expected 6"),
+        ('{"k": 6, "colors": {}}', None, "'colors' is not a list"),
+        ('{"k": 6, "colors": [{"u": 1, "v": 2, "color": 1}]}', None,
+         "no color for edge (2, 3)"),
+    ], ids=["json", "k", "list", "uncolored"])
+    def test_start_file_refusals(self, instance, tmp_path, capsys, text, line, message):
+        g = instance("inst.txt", TWO_EDGES)
+        start = instance("start.json", text)
+        with pytest.raises(ParseError) as ei:
+            _read_coloring(start, build_union_line_graph(read_instance(TWO_EDGES)), 6)
+        assert (ei.value.line, ei.value.message) == (line, f"{start}: {message}")
+        out = tmp_path / "c.json"
+        assert main(["sample", "--graph", g, "--k", "6", "--steps", "0",
+                     "--seed", "1", "--start", start, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {ei.value}\n")
+        assert not out.exists()
+
     def test_low_k_warns_but_proceeds(self, instance, tmp_path, capsys):
         g = instance("inst.txt", TWO_EDGES)
         code = main(["sample", "--graph", g, "--k", "3", "--steps", "10",
@@ -240,13 +259,23 @@ class TestSample:
         g = instance("inst.txt", TWO_EDGES)
         fp = instance("fp.txt", "1\n1/2\n")
         out = tmp_path / "c.json"
-        with pytest.raises(SystemExit) as ei:
-            main(["sample", "--graph", g, "--k", "6", "--chain", "glauber",
-                  "--fp", fp, "--steps", "10", "--seed", "1", "--out", str(out)])
-        assert ei.value.code == 1
-        err = capsys.readouterr().err
-        assert "--fp" in err and "--chain glauber" in err
+        assert main(["sample", "--graph", g, "--k", "6", "--chain", "glauber",
+                     "--fp", fp, "--steps", "10", "--seed", "1", "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and one_error_line(err)
+        assert err == "error: chain 'glauber' runs at p = (1,), not at 1, 1/2\n"
         assert not out.exists()
+
+    def test_glauber_takes_the_fp_file_holding_1(self, instance, tmp_path):
+        g = instance("inst.txt", TWO_EDGES)
+        fp = instance("one.txt", "1\n")
+        outs = []
+        for extra in ([], ["--fp", fp]):
+            out = tmp_path / f"c{len(outs)}.json"
+            assert main(["sample", "--graph", g, "--k", "6", "--chain", "glauber",
+                         "--steps", "300", "--seed", "11", "--out", str(out)] + extra) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
     def test_no_edges_is_usage_error(self, instance, capsys):
@@ -365,11 +394,10 @@ class TestOracleAndCount:
         g = instance("two.txt", TWO_EDGES)
         fp = instance("fp.txt", "1\n1/2\n")
         out = tmp_path / "rep.json"
-        with pytest.raises(SystemExit) as ei:
-            main(["oracle", "--graph", g, "--k", "3", "--fp", fp, "--out", str(out)])
-        assert ei.value.code == 1
-        err = capsys.readouterr().err
-        assert "--fp" in err and "--chain glauber" in err
+        assert main(["oracle", "--graph", g, "--k", "3", "--fp", fp, "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and one_error_line(err)
+        assert err == "error: chain 'glauber' runs at p = (1,), not at 1, 1/2\n"
         assert not out.exists()
 
     def test_reducible_chain_exits_bound_without_mixing_sweep(self, tmp_path):

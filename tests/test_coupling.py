@@ -146,6 +146,16 @@ class TestBasics:
             AdjacentPair(x=Coloring(assign=[1, 3, 1, 3], k=6),
                          y=Coloring(assign=[2, 4, 1, 3], k=6), vstar=0)
 
+    @pytest.mark.parametrize("y", [Coloring(assign=[2, 3, 1], k=6),
+                                   Coloring(assign=[2, 3, 1, 3], k=7)], ids=["m", "k"])
+    def test_adjacent_pair_refuses_another_state_space(self, y):
+        with pytest.raises(ValueError, match="^chains must share the state space$"):
+            AdjacentPair(x=Coloring(assign=[1, 3, 1, 3], k=6), y=y, vstar=0)
+
+    def test_drift_refuses_a_pair_at_another_k(self):
+        with pytest.raises(ValueError, match="^pair and k disagree$"):
+            flip_exact_drift(worked_pair(k=6), WORKED_G, 7, DEFAULT)
+
     def test_adjacent_pair_exposes_disagreement_colors(self):
         pr = worked_pair()
         assert (pr.xstar, pr.ystar) == (1, 2)

@@ -130,6 +130,11 @@ class TestFlipParams:
         assert "units" not in {f.name for f in dataclasses.fields(FlipParams)}
 
 
+def test_coloring_refuses_a_color_outside_1_to_k():
+    with pytest.raises(ValueError, match=r"^vertex 1 holds color 4 outside 1\.\.3$"):
+        Coloring(assign=[1, 4], k=3)
+
+
 class TestGreedy:
     def test_proper_and_first_available(self):
         sigma = greedy_coloring(PATH4, k=3)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import simcol
 from helpers import reference_graph_pair
+from simcol.cli import main
 from simcol.graphs import (GraphPair, ParseError, UnionLineGraph,
                            build_union_line_graph, canonical_edge,
                            random_graph_pair, read_instance, write_instance)
@@ -49,6 +50,10 @@ class TestGraphPair:
     def test_rejects_loop(self):
         with pytest.raises(ValueError):
             pair(3, [(2, 2)], [])
+
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="^vertex count must be positive$"):
+            pair(0, [], [])
 
 
 class TestUnionLineGraph:
@@ -126,6 +131,19 @@ class TestRandomGraphPair:
     def test_degree_cap_respected(self):
         gp = random_graph_pair(n=12, delta=3, overlap=0.3, seed=2)
         assert gp.delta <= 3
+
+    @pytest.mark.parametrize("n, delta, overlap, message", [
+        (1, 1, 0.5, "need at least 2 vertices"),
+        (4, 0, 0.5, "delta must be positive"),
+        (4, 2, 1.5, "overlap must lie in [0, 1]"),
+    ], ids=["n", "delta", "overlap"])
+    def test_refuses_arguments_it_cannot_run_on(self, capsys, n, delta, overlap, message):
+        with pytest.raises(ValueError) as ei:
+            random_graph_pair(n, delta, overlap, 1)
+        assert str(ei.value) == message
+        assert main(["gen", "--n", str(n), "--delta", str(delta),
+                     "--overlap", str(overlap), "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_overlap_count_exact(self):
         gp = random_graph_pair(n=12, delta=3, overlap=0.5, seed=2)
@@ -210,6 +228,25 @@ class TestInstanceFormat:
         with pytest.raises(ParseError) as ei:
             read_instance(text)
         assert ei.value.line == line
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("simcol 1\nn 3\ng1 2\n1 2\n", 5,
+         "unexpected end of file, expected edge line under g1"),
+        ("simcol 1\nn 3\ng1 1\n1 2 3\ng2 0\n", 4, "expected 'u v', got 3 tokens"),
+        ("simcol 1\nn 3\ng1 1\n1 4\ng2 0\n", 4, "vertex out of range 1..3"),
+        ("simcol 1\nn 3\ng1 1\n2 2\ng2 0\n", 4, "self-loops are not allowed"),
+        ("simcol 1\nn 3\ng1 0\ng2 2\n1 2\n2 1\n", 6, "duplicate edge 1 2 under g2"),
+        ("simcol 1\nn 3\ng1 0\ng2 0\n\n# note\n1 2\n", 7,
+         "trailing content after g2 block"),
+    ], ids=["eof", "tokens", "range", "loop", "duplicate", "trailing"])
+    def test_each_refusal_names_its_line(self, tmp_path, capsys, text, line, message):
+        with pytest.raises(ParseError) as ei:
+            read_instance(text)
+        assert (ei.value.line, ei.value.message) == (line, message)
+        graph = tmp_path / "bad.txt"
+        graph.write_text(text)
+        assert main(["count", "--graph", str(graph), "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", f"parse error: line {line}: {message}\n")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,12 @@ class TestMatchColorMoves:
             == sum(mass[i] for i in ("X", "t0", "t1"))
         assert sum((pr.mass for pr in pairs if pr.y is not None), Fraction(0)) \
             == sum(mass[i] for i in ("Y", "u0", "u1"))
+
+    def test_unequal_id_lists_are_refused(self):
+        with pytest.raises(ValueError, match="^need one branch id per neighbor on both sides$"):
+            match_color_moves("X", "Y", ["t0", "t1"], ["u0"],
+                              {"X": 2, "Y": 3, "t0": 1, "t1": 1, "u0": 1}, [1, 1],
+                              DEFAULT_UNITS)
 
     def test_big_pairs_with_anchor_branch(self):
         pairs, _, mass = run_matcher([3, 1], [2, 1], DEFAULT_UNITS)

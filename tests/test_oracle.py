@@ -172,6 +172,11 @@ class TestStateIndex:
 
 
 class TestTransitionMatrix:
+    def test_unknown_mode_is_refused(self):
+        G = build_union_line_graph(pair(2, [(1, 2)]))
+        with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
+            build_transition_matrix(G, 2, mode="exact")
+
     def test_single_edge_k2_kernel(self):
         G = build_union_line_graph(pair(2, [(1, 2)]))
         P = build_transition_matrix(G, 2, kind="glauber", mode="rational")
@@ -432,6 +437,17 @@ class TestMixing:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_reducible_chain_runs_to_the_step_cap(self, monkeypatch, mode):
+        # the frozen triangle pair of test_frozen_chain_reports_reducible_with_witness:
+        # every start keeps its distance 5/6 to uniform
+        monkeypatch.setattr(oracle, "TMIX_MAX_STEPS", 5)
+        tri = [(1, 2), (2, 3), (1, 3)]
+        G = build_union_line_graph(pair(3, tri, tri))
+        P = build_transition_matrix(G, 3, kind="glauber", mode=mode)
+        with pytest.raises(CapExceeded, match="^no mixing within 5 steps$"):
+            tv_mixing_time(P)
+
     def test_rational_sweep_compares_with_the_exact_eps(self, monkeypatch):
         # an eps rounded to a denominator of 10^9 reads 1e-10 as 0, which an
         # exact distance never reaches: the sweep would run to the step cap
@@ -617,7 +633,7 @@ class TestColorOrbits:
         assert tmix > 1
         assert (tmix, curve) == fraction_curve(P, range(len(proper)))
 
-    def test_asymmetric_kernel_falls_back_to_every_start(self):
+    def test_asymmetric_kernel_is_refused(self):
         # make the last proper state lazier: its mass to one proper target
         # moves to its self-loop, so its row still sums to den but renaming
         # the colors no longer maps the kernel to itself
@@ -637,7 +653,11 @@ class TestColorOrbits:
         num = moved(P.num, s, t, s, q)
         assert (num.sum(axis=1) == P.den).all()
         tampered = dataclasses.replace(P, num=num, rows=RationalRows(num, P.den))
-        assert list(_orbit_starts(tampered, proper)) == list(every)
-        assert tv_mixing_time(tampered) == fraction_curve(tampered, every)
-        # the orbits' least states alone would have missed the answer
+        # the orbits' least states alone would miss the answer, so the
+        # sweep refuses the kernel rather than pick them
         assert fraction_curve(tampered, starts) != fraction_curve(tampered, every)
+        refusal = "renaming the colors by the cycle .* does not map the kernel to itself"
+        with pytest.raises(AssertionError, match=refusal):
+            _orbit_starts(tampered, proper)
+        with pytest.raises(AssertionError, match=refusal):
+            tv_mixing_time(tampered)

@@ -34,3 +34,16 @@ def test_mixing_curves(args):
     proc = run_script("mixing_curves.py", *args)
     assert proc.returncode == 0, proc.stderr
     assert "single-site: tmix(eps=0.25) = 36 steps" in proc.stdout
+
+
+@pytest.mark.parametrize("script, args, code, prefix", [
+    # 13^4 states by 4 * 13 proposals is past the kernel cap
+    ("mixing_curves.py", ("--k", "13"), 4, "cap exceeded: "),
+    ("mixing_curves.py", ("--k", "6", "--eps", "1e-13"), 1, "error: "),
+    ("contraction_study.py", ("--delta", "0"), 1, "error: "),
+])
+def test_scripts_exit_as_the_cli_does(script, args, code, prefix):
+    proc = run_script(script, *args)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr

@@ -142,6 +142,12 @@ def test_product_over_skewed_rows():
     assert A.dot(x).tobytes() == want.tobytes()
 
 
+def test_column_sums_are_refused():
+    A = Csr.from_coo([0, 1], [1, 0], [2.0, 3.0], (2, 2))
+    with pytest.raises(ValueError, match=r"^only row sums \(axis=1\)$"):
+        A.sum(axis=0)
+
+
 def test_copy_is_deep():
     A = Csr.from_coo([0, 1], [1, 0], [2.0, 3.0], (2, 2))
     B = A.copy()
