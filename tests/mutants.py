@@ -22,6 +22,12 @@ class Mutant(NamedTuple):
 
 DYN = "tests/test_dynamics.py"
 CLI = "tests/test_cli.py"
+# step 1 of the matcher: the big component is offered to each branch
+STEP1 = ("    anchor = pick_anchor([size[i] for i in y_ids], weights)\n"
+         "    for j, yi in enumerate(y_ids):\n"
+         "        take = _choose(anchor == j, least(rem[big_x], rem[yi]), 0)\n"
+         "        if some(take > 0):\n"
+         "            emit(big_x, yi, take)\n")
 
 MUTANTS = (
     # the proposal loop: acceptance, the uniform's words, the draw's width
@@ -75,6 +81,10 @@ MUTANTS = (
            "take = _choose(anchor == j, least(rem[big_x], rem[yi]), 0)",
            "take = _choose(anchor != j, least(rem[big_x], rem[yi]), 0)",
            ("tests/test_matching.py",)),
+    Mutant("clamped-read-before-offers", "matching.py",
+           "    clamped = 0\n" + STEP1 + "    clamped = clamped + (rem[big_x] > 0)\n",
+           "    clamped = 0 + (rem[big_x] > 0)\n" + STEP1,
+           ("tests/test_matching.py", "tests/test_certify.py::TestClampPath")),
     Mutant("northwest-corner-pairs-nothing", "matching.py",
            "emit(i, j, take)",
            "pass",
@@ -101,6 +111,10 @@ MUTANTS = (
            '"weight1": 2 + 3 * max(',
            ("tests/test_acceptance.py::test_criterion_01_threshold_identities",
             "tests/test_certify.py::TestThreshold::test_both_branch_thresholds_coincide")),
+    Mutant("lemma-w1dc2-understated", "certify.py",
+           "{1: Fraction(3, 4) + 2 * p3,",
+           "{1: Fraction(3, 4) + p3,",
+           ("tests/test_acceptance.py::test_criterion_03_rate_maxima_enumeration",)),
     Mutant("lemma-dc1-understated", "certify.py",
            "{1: p1 + p2 - 2 * p3}",
            "{1: p1 + p2 - 3 * p3}",

@@ -712,6 +712,29 @@ class TestNativeLoop:
         run_chain(G, b, 50, rb, kind="flip")
         assert a.assign == b.assign and ra.getstate() == rb.getstate()
 
+    def test_a_failed_allocation_keeps_the_walk_so_far(self, monkeypatch):
+        # the loop returns -1 when it cannot allocate, before it moves
+        # anything: run raises MemoryError, and assign and rng stand where
+        # the call before the failed one left them
+        monkeypatch.setattr(_native, "_CALL_STEPS", 50)
+        loop, calls = _native.chain_loop(), []
+
+        def fails_second(*args):
+            calls.append(args[5])  # steps
+            return -1 if len(calls) == 2 else loop(*args)
+
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        fp = FlipParams.default()
+        a, b = greedy_coloring(G, 8), greedy_coloring(G, 8)
+        ra, rb = random.Random(3), random.Random(3)
+        with pytest.raises(MemoryError):
+            _native.run(fails_second, G, a.assign, 8, 170, fp.locality, fp.cut, ra)
+        assert calls == [50, 50]
+        no_native_loop(monkeypatch)
+        run_chain(G, b, 50, rb, kind="flip")
+        assert a.assign == b.assign and ra.getstate() == rb.getstate()
+        assert a.assign != greedy_coloring(G, 8).assign
+
     def test_neighbor_ids_are_checked_before_it_reads_them(self):
         bad = dataclasses.replace(PATH4, nbrs=((1,), (0, 2), (1, 4), (2,)))
         with pytest.raises(ValueError, match="neighbor id"):
