@@ -3,12 +3,13 @@
 Each experiment is a function registered in EXPERIMENTS with its smoke
 parameters; its keyword defaults are its flags.  It works through the
 library's own entry points, which refuse their arguments before any
-work, and returns notes, columns as (name, format spec) and rows.  The
-runner prints them, then one JSON line, the last on stdout: experiment,
-params, commit (null outside a git checkout), wall_s, notes, columns and
-rows, exact values as "num/den".  Errors exit as in `simcol`, through
-`simcol.cli.run_command`: one stderr line, 1 for arguments an experiment
-cannot run on, 4 past a cap.
+work, and returns notes, columns as (name, format spec), rows, and
+whether every check it made held.  The runner prints them, then one JSON
+line, the last on stdout: experiment, params, commit (null outside a git
+checkout), wall_s, notes, columns and rows, exact values as "num/den".
+It exits 3 when a check failed, as `simcol oracle` does.  Errors exit as
+in `simcol`, through `simcol.cli.run_command`: one stderr line, 1 for
+arguments an experiment cannot run on, 4 past a cap.
 """
 
 import inspect
@@ -21,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from simcol.certify import threshold_ratio
-from simcol.cli import EXIT_OK, _Parser, run_command
+from simcol.cli import EXIT_BOUND, EXIT_OK, _Parser, run_command
 from simcol.coupling import estimate_contraction
 from simcol.dynamics import FlipParams
 from simcol.graphs import GraphPair, build_union_line_graph, random_graph_pair
@@ -34,20 +35,25 @@ def mixing_curves(k=6, mode="float", eps=0.25):
     `oracle_report`'s worst distance to uniform over proper starts after
     each step, single-site and flip chain, on the weighted 4-edge path
     (delta = 2).  k = 12 is the largest k the kernel cap admits, and in
-    the certified regime k >= 5.948 * delta.
+    the certified regime k >= 5.948 * delta.  Each chain's note carries its
+    proper-state count and uniform_ok, the exact check that the uniform
+    law on proper states is its one stationary law; the run fails when
+    either check does.
     """
     G = build_union_line_graph(GraphPair(5, {(1, 2), (2, 3), (3, 4), (4, 5)},
                                          {(3, 4), (4, 5)}))
     notes = [f"path instance: m={G.m} delta={G.delta} k={k} ({k ** G.m} states, {mode} mode)"]
-    curves = {}
+    curves, holds = {}, True
     for label, kind, fp in (("single-site", "glauber", None),
                             ("flip", "flip", FlipParams.default())):
         report = oracle_report(G, k, kind=kind, fp=fp, eps=eps, mode=mode)
         curves[label] = dict(report["tv_curve"])
-        notes.append(f"{label}: tmix(eps={eps}) = {report['tmix']} steps")
+        notes.append(f"{label}: tmix(eps={eps}) = {report['tmix']} steps, "
+                     f"count = {report['count']}, uniform_ok = {report['uniform_ok']}")
+        holds = holds and report["uniform_ok"]
     steps = sorted(set().union(*curves.values()))
     rows = [[t, *(curve.get(t) for curve in curves.values())] for t in steps]
-    return notes, (("t", "5"), ("single-site", "12.6f"), ("flip", "12.6f")), rows
+    return notes, (("t", "5"), ("single-site", "12.6f"), ("flip", "12.6f")), rows, holds
 
 
 def contraction_study(delta=3, n=10, pairs=60, seed=1):
@@ -73,7 +79,7 @@ def contraction_study(delta=3, n=10, pairs=60, seed=1):
     notes = [f"instance seed {seed}: m={G.m} delta={delta} (certified ratio crosses "
              f"at k={math.ceil(threshold_ratio(fp) * delta)})"]
     return notes, (("k", "4"), ("k/delta", "8.3f"), ("worst drift", "14.6f"),
-                   ("mean drift", "14.6f"), ("dc>2", "5")), rows
+                   ("mean drift", "14.6f"), ("dc>2", "5")), rows, True
 
 
 # name -> (experiment, its smoke parameters, which tests/test_scripts.py runs)
@@ -98,7 +104,7 @@ def _commit():
 
 def _report(name: str, params: dict) -> int:
     start = time.perf_counter()
-    notes, columns, rows = EXPERIMENTS[name][0](**params)
+    notes, columns, rows, holds = EXPERIMENTS[name][0](**params)
     wall_s = time.perf_counter() - start
     names = [col for col, _ in columns]
     table = [" ".join(_cell(v, spec) for v, (_, spec) in zip(row, columns))
@@ -108,7 +114,7 @@ def _report(name: str, params: dict) -> int:
     print(*notes, *table, json.dumps({"experiment": name, "params": params, "commit": _commit(),
                                       "wall_s": wall_s, "notes": notes, "columns": names,
                                       "rows": exact}), sep="\n")
-    return EXIT_OK
+    return EXIT_OK if holds else EXIT_BOUND
 
 
 def main(argv=None) -> int:

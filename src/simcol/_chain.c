@@ -1,4 +1,6 @@
-/* The proposal loop of simcol.dynamics.run_chain, compiled.
+/* The native body of simcol: the proposal loop of
+ * simcol.dynamics.run_chain and the candidate shuffle and greedy fills of
+ * simcol.graphs.random_graph_pair, compiled into one library.
  *
  * One function runs both chains (Glauber is the flip chain at p = (1,)).
  * It advances CPython's MT19937 state in place and makes exactly the
@@ -7,7 +9,9 @@
  * randrange for bits <= 32), and a uniform from two words,
  * ((a >> 5) * 2^26 + (b >> 6)) / 2^53, drawn only when 0 <= cut[s] < 1
  * (random.random()).  The walk, the tallies and the final state are
- * therefore those of the Python loop, which stays the reference.
+ * therefore those of the Python loop, which stays the reference.  The
+ * shuffle draws its swap slots the same way, as random.shuffle does, so
+ * the generator's pairs and final RNG state are those of its Python body.
  */
 
 #include <stdint.h>
@@ -154,4 +158,57 @@ int simcol_run_chain(int32_t m, const int32_t *indptr, const int32_t *indices,
     free(members);
     free(seen);
     return 0;
+}
+
+/* The candidate edges (u, v), 1 <= u < v <= n, as the codes
+ * u * (n + 1) + v in lexicographic order, written to codes (n(n - 1)/2
+ * entries, fewer than 2^31) and shuffled in place by random.shuffle's
+ * Fisher-Yates: slot i, from the last down to 1, swaps with
+ * randrange(i + 1).  mt and *index are as in simcol_run_chain.
+ */
+void simcol_shuffled_candidates(int32_t n, int64_t *codes, uint32_t *mt, int32_t *index)
+{
+    int64_t size = 0, i;
+    int32_t u, v;
+    int bits;
+    for (u = 1; u < n; u++)
+        for (v = u + 1; v <= n; v++)
+            codes[size++] = (int64_t)u * (n + 1) + v;
+    bits = bit_length((int32_t)size);
+    for (i = size - 1; i > 0; i--) {
+        int64_t j, t;
+        if ((i + 1) >> (bits - 1) == 0)
+            bits--; /* bits stays the bit length of i + 1 */
+        j = mt_below(mt, index, (int32_t)(i + 1), bits);
+        t = codes[i];
+        codes[i] = codes[j];
+        codes[j] = t;
+    }
+}
+
+/* Scan codes[0..size) in order and take each code u * (n + 1) + v whose
+ * endpoints both have deg below delta, until limit are taken.  A taken
+ * code goes to out (room for limit entries), adds one to deg[u] and
+ * deg[v], and is marked taken in codes by its sign; codes an earlier
+ * fill took are skipped.  Returns the number taken.
+ */
+int64_t simcol_greedy_fill(int32_t n, int64_t *codes, int64_t size, int32_t delta,
+                           int32_t *deg, int64_t limit, int64_t *out)
+{
+    int64_t i, taken = 0;
+    for (i = 0; i < size && taken < limit; i++) {
+        int64_t code = codes[i];
+        int32_t u, v;
+        if (code < 0)
+            continue; /* taken by an earlier fill */
+        u = (int32_t)(code / (n + 1));
+        v = (int32_t)(code % (n + 1));
+        if (deg[u] < delta && deg[v] < delta) {
+            deg[u]++;
+            deg[v]++;
+            out[taken++] = code;
+            codes[i] = -code;
+        }
+    }
+    return taken;
 }

@@ -1,4 +1,5 @@
-"""The compiled body of `dynamics.run_chain`, built on first use.
+"""The native body of `dynamics.run_chain` and `graphs.random_graph_pair`,
+built on first use.
 
 `_chain.c` is compiled by the system C compiler (``cc -O2 -shared
 -fPIC``) into a per-user cache, ``$XDG_CACHE_HOME/simcol`` or
@@ -10,12 +11,16 @@ byte, and no directory that group or others can write is used.  A
 build goes to temporary names that are then renamed into place,
 so concurrent first uses never load a half-written file.
 
-`chain_loop` is None where no compiler is found or the build fails;
-`run_chain` then runs its Python loop, which makes the same walk.
+One library holds the chain loop, `chain_loop`, and the generator's
+shuffle and greedy fill, `generator`.  Both are None where no compiler
+is found or the build fails; `run_chain` then runs its Python loop, and
+`random_graph_pair` its Python body, which make the same walk and the
+same pairs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -78,9 +83,8 @@ def _library(source: bytes, compiler: str, directory: str, name: str) -> str | N
                 os.remove(path)
 
 
-@functools.cache
-def chain_loop():
-    """`simcol_run_chain` of `_chain.c` as a ctypes function, or None."""
+def _load():
+    """`_chain.c` as a ctypes library, built if need be, or None."""
     compiler = shutil.which("cc")
     if os.name != "posix" or compiler is None or array("i").itemsize != 4 \
             or array("I").itemsize != 4:
@@ -96,14 +100,78 @@ def chain_loop():
         if path is None:
             continue
         try:
-            fn = ctypes.CDLL(path).simcol_run_chain
+            lib = ctypes.CDLL(path)
+            for symbol in ("simcol_run_chain", "simcol_shuffled_candidates",
+                           "simcol_greedy_fill"):
+                getattr(lib, symbol)
         except (OSError, AttributeError):
             continue
-        i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-        fn.argtypes = [i32, ptr, ptr, ptr, i32, i64, i32, ptr, ptr, ptr, ptr, ptr]
-        fn.restype = ctypes.c_int
-        return fn
+        return lib
     return None
+
+
+@functools.cache
+def chain_loop():
+    """`simcol_run_chain` of `_chain.c` as a ctypes function, or None."""
+    lib = _load()
+    if lib is None:
+        return None
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    fn = lib.simcol_run_chain
+    fn.argtypes = [i32, ptr, ptr, ptr, i32, i64, i32, ptr, ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+@functools.cache
+def generator():
+    """(shuffled_candidates, greedy_fill) on `_chain.c`'s functions, the
+    primitives `random_graph_pair` builds a pair from, or None."""
+    lib = _load()
+    if lib is None:
+        return None
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    shuffle, fill = lib.simcol_shuffled_candidates, lib.simcol_greedy_fill
+    shuffle.argtypes = [i32, ptr, ptr, ptr]
+    shuffle.restype = None
+    fill.argtypes = [i32, ptr, i64, i32, ptr, i64, ptr]
+    fill.restype = i64
+    return functools.partial(shuffled_candidates, shuffle), functools.partial(greedy_fill, fill)
+
+
+@contextlib.contextmanager
+def _mt_state(rng):
+    """rng's MT19937 state as arrays (624 words, index) for native code to
+    advance in place, handed back to rng however the block ends.  rng must
+    be a plain `random.Random`, whose getstate() and setstate() these are."""
+    version, internal, gauss = rng.getstate()
+    mt, index = array("I", internal[:-1]), array("i", internal[-1:])
+    try:
+        yield mt, index
+    finally:
+        rng.setstate((version, (*mt, index[0]), gauss))
+
+
+def _address(a: array) -> int:
+    return a.buffer_info()[0]
+
+
+def shuffled_candidates(shuffle, n: int, rng) -> array:
+    """The candidate codes u*(n+1) + v of `graphs.random_graph_pair`, in
+    the order rng's shuffle leaves them; n must be below 2**16, so that
+    there are fewer than 2**31 of them."""
+    codes = array("q", [0]) * (n * (n - 1) // 2)
+    with _mt_state(rng) as (mt, index):
+        shuffle(n, _address(codes), _address(mt), _address(index))
+    return codes
+
+
+def greedy_fill(fill, n: int, codes: array, delta: int, deg: array, limit: int) -> list[int]:
+    """The codes the greedy scan of codes takes, in scan order; see
+    `graphs.random_graph_pair`.  deg is an int32 array of n + 1 entries."""
+    out = array("q", [0]) * limit
+    taken = fill(n, _address(codes), len(codes), delta, _address(deg), limit, _address(out))
+    return out[:taken].tolist()
 
 
 def run(loop, G, assign: list[int], k: int, steps: int, locality: int,
@@ -118,19 +186,17 @@ def run(loop, G, assign: list[int], k: int, steps: int, locality: int,
     """
     indptr, indices = G.csr
     colors = array("i", assign)
-    version, internal, gauss = rng.getstate()
-    mt, index = array("I", internal[:-1]), array("i", internal[-1:])
     cuts = array("d", cut)
     counts, rejected = array("q", bytes(8 * (locality + 1))), array("q", [0])
-    at = [a.buffer_info()[0] for a in (indptr, indices, colors, cuts, mt, index,
-                                        counts, rejected)]
     try:
-        while steps:
-            n = min(steps, _CALL_STEPS)
-            if loop(G.m, at[0], at[1], at[2], k, n, locality, *at[3:]):
-                raise MemoryError("the native chain loop could not allocate its work arrays")
-            steps -= n
+        with _mt_state(rng) as (mt, index):
+            at = [_address(a) for a in (indptr, indices, colors, cuts, mt, index,
+                                        counts, rejected)]
+            while steps:
+                n = min(steps, _CALL_STEPS)
+                if loop(G.m, at[0], at[1], at[2], k, n, locality, *at[3:]):
+                    raise MemoryError("the native chain loop could not allocate its work arrays")
+                steps -= n
     finally:
-        rng.setstate((version, (*mt, index[0]), gauss))
         assign[:] = colors.tolist()
     return counts.tolist(), rejected[0]

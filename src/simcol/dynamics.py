@@ -130,11 +130,15 @@ class FlipParams:
         """p_size - p_{size+1}."""
         return self.p(size) - self.p(size + 1)
 
+    # the two built-in schedules are built once: an instance is frozen, and
+    # its cut table alone costs more than a short run_chain call
     @classmethod
+    @functools.cache
     def default(cls) -> "FlipParams":
         return cls(tuple(Fraction(n, FLIP_DENOMINATOR) for n in DEFAULT_FLIP_NUMERATORS))
 
     @classmethod
+    @functools.cache
     def glauber(cls) -> "FlipParams":
         return cls((Fraction(1),))
 

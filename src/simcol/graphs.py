@@ -31,9 +31,11 @@ from functools import cached_property
 Edge = tuple[int, int]
 
 # random_graph_pair shuffles all n(n-1)/2 candidate edges, 8 bytes each,
-# quadratic in time and memory: n = 3 000 takes about 3.5 s and 37 MB on
-# a 2-CPU Xeon, and n = 20 000 would need an estimated 2.5 minutes and
-# 1.6 GB.  Past this cap it refuses before it builds the array.
+# quadratic in time and memory: n = 3 000 takes about 0.2 s on the native
+# body (about 3 s on the Python body) and 37 MB on a 2-CPU Xeon, and
+# n = 20 000 would need 1.6 GB.  Past this cap it refuses before it
+# builds the array; below it there are fewer than 2^31 candidates, as the
+# native shuffle requires.
 GEN_MAX_N = 3000
 # count_proper's default cap: the k^m_c leaves of the components, summed
 DEFAULT_COUNT_CAP = 10 ** 7
@@ -245,6 +247,12 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
     round(overlap * |E1|) subset of it is copied into the second graph,
     which is then topped up with fresh (non-E1) edges toward |E1| edges,
     so the realized overlap count is exact.
+
+    The shuffle and the two greedy fills have two bodies with one
+    contract: the native body of `_native`, compiled from `_chain.c` on
+    first use, and the Python functions below, which are the reference and
+    run where no C compiler is found.  Both draw the same MT19937 words,
+    so which body ran never shows in a pair.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -258,10 +266,33 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
         raise CapExceeded(f"n = {n} exceeds the generator cap {GEN_MAX_N}: "
                           f"the candidate list grows as n^2")
 
-    from array import array  # here, not at the top: only gen builds one
+    # here, not at the top: only gen builds arrays, and certify and oracle
+    # never load the native library
+    from array import array
+    from . import _native
 
-    # Candidate (u, v), u < v, is stored as the code u*(n+1) + v, in
-    # lexicographic (u, v) order.
+    shuffled, fill = _native.generator() or (_shuffled_candidates, _greedy_fill)
+    stride = n + 1
+    rng = random.Random(seed)
+    candidates = shuffled(n, rng)
+    # no more than n * delta / 2 edges fit under the degree cap
+    e1 = fill(n, candidates, delta, array("i", [0]) * stride, n * delta // 2)
+    shared = rng.sample(sorted(e1), round(overlap * len(e1)))
+    deg2 = array("i", [0]) * stride
+    for code in shared:
+        u, v = divmod(code, stride)
+        deg2[u] += 1
+        deg2[v] += 1
+    e2 = shared + fill(n, candidates, delta, deg2, len(e1) - len(shared))
+    return GraphPair(n=n, edges1=frozenset(divmod(code, stride) for code in e1),
+                     edges2=frozenset(divmod(code, stride) for code in e2))
+
+
+def _shuffled_candidates(n: int, rng: random.Random):
+    """The candidate edges (u, v), u < v, as codes u*(n+1) + v in an int64
+    array, in lexicographic (u, v) order shuffled by rng."""
+    from array import array
+
     stride = n + 1
     candidates = array("q")
     for u in range(1, n):
@@ -272,7 +303,6 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
     # Random._randbelow(i + 1), which redraws getrandbits((i + 1).bit_length())
     # while it exceeds i.  The draws, and so every seeded pair, are the
     # ones rng.shuffle makes on the (u, v) tuple list.
-    rng = random.Random(seed)
     getrandbits = rng.getrandbits
     for i in range(len(candidates) - 1, 0, -1):
         bits = (i + 1).bit_length()
@@ -280,35 +310,31 @@ def random_graph_pair(n: int, delta: int, overlap: float, seed: int) -> GraphPai
         while j > i:
             j = getrandbits(bits)
         candidates[i], candidates[j] = candidates[j], candidates[i]
+    return candidates
 
-    deg1 = [0] * stride
-    e1: list[Edge] = []
-    for code in candidates:
-        u, v = divmod(code, stride)
-        if deg1[u] < delta and deg1[v] < delta:
-            e1.append((u, v))
-            deg1[u] += 1
-            deg1[v] += 1
 
-    shared = rng.sample(sorted(e1), round(overlap * len(e1)))
-    deg2 = [0] * stride
-    e2: list[Edge] = list(shared)
-    for (u, v) in e2:
-        deg2[u] += 1
-        deg2[v] += 1
-    in_e1 = {u * stride + v for (u, v) in e1}
-    for code in candidates:
-        if len(e2) >= len(e1):
+def _greedy_fill(n: int, codes, delta: int, deg, limit: int) -> list[int]:
+    """Scan codes in order and take each code whose endpoints both have
+    deg below delta, until limit are taken; the codes taken, in scan order.
+
+    A taken code adds one to its endpoints' deg entries and is marked taken
+    in codes by its sign; codes an earlier fill took are skipped, so a
+    second fill takes only codes the first did not.
+    """
+    stride = n + 1
+    taken: list[int] = []
+    for i, code in enumerate(codes):
+        if len(taken) >= limit:
             break
-        if code in in_e1:
+        if code < 0:
             continue
         u, v = divmod(code, stride)
-        if deg2[u] < delta and deg2[v] < delta:
-            e2.append((u, v))
-            deg2[u] += 1
-            deg2[v] += 1
-
-    return GraphPair(n=n, edges1=frozenset(e1), edges2=frozenset(e2))
+        if deg[u] < delta and deg[v] < delta:
+            taken.append(code)
+            deg[u] += 1
+            deg[v] += 1
+            codes[i] = -code
+    return taken
 
 
 def read_instance(text: str) -> GraphPair:

@@ -125,9 +125,18 @@ MUTANTS = (
            "while j >= i:",
            ("tests/test_graphs.py",)),
     Mutant("e1-filter-skipped", "graphs.py",
-           "if code in in_e1:\n            continue",
-           "if False:\n            continue",
+           "if code < 0:\n            continue",
+           "if code < 0:\n            code = -code",
            ("tests/test_graphs.py",)),
+    # the generator's native body: both stay in bounds
+    Mutant("fill-takes-taken-codes-c", "_chain.c",
+           "continue; /* taken by an earlier fill */",
+           "code = -code;",
+           ("tests/test_graphs.py::TestRandomGraphPair",)),
+    Mutant("shuffle-stops-at-slot-2-c", "_chain.c",
+           "for (i = size - 1; i > 0; i--)",
+           "for (i = size - 1; i > 1; i--)",
+           ("tests/test_graphs.py::TestRandomGraphPair",)),
     Mutant("duplicate-edge-accepted", "graphs.py",
            "if e in edges:",
            "if False:",

@@ -767,10 +767,10 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "simcol": loa
 
 
 def test_gen_and_sample_load_no_numpy(tmp_path):
-    base = ["simcol.cli", "simcol.dynamics", "simcol.graphs"]
+    # gen loads _native for the generator's native body
+    base = ["simcol._native", "simcol.cli", "simcol.dynamics", "simcol.graphs"]
     assert run_fresh(NO_NUMPY, tmp_path) == {
-        "codes": [0, 0, 0, 0], "numpy": False,
-        "simcol": [base, base, base, ["simcol._native"] + base]}
+        "codes": [0, 0, 0, 0], "numpy": False, "simcol": [base, base, base, base]}
 
 
 @pytest.mark.skipif(shutil.which("cc") is None,
@@ -793,6 +793,30 @@ def test_sample_without_a_compiler_makes_the_native_walk(tmp_path):
         stdout[side] = proc.stdout
     assert stdout["native"] == stdout["python"]
     assert json.loads(stdout["python"])["accepted"]
+    assert sorted(p.suffix for p in (tmp_path / "native" / "simcol").iterdir()) == [".c", ".so"]
+    assert not (tmp_path / "python").exists()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="no C compiler found: the generator's native body is not built")
+def test_gen_without_a_compiler_writes_the_native_bytes(tmp_path):
+    # one fresh `simcol gen` builds the native body into its own cache
+    # home; the other finds no cc on PATH, builds nothing and runs the
+    # Python body
+    no_cc = tmp_path / "no-cc"
+    no_cc.mkdir()
+    written = {}
+    for side, path in (("native", os.environ["PATH"]), ("python", str(no_cc))):
+        out = tmp_path / f"{side}.txt"
+        argv = [sys.executable, "-m", "simcol.cli", "gen", "--n", "300", "--delta", "4",
+                "--overlap", "0.5", "--seed", "12", "--out", str(out)]
+        env = {**os.environ, "PATH": path, "XDG_CACHE_HOME": str(tmp_path / side),
+               "PYTHONPATH": SRC}
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written[side] = out.read_bytes()
+    assert written["native"] == written["python"]
+    assert read_instance(written["python"].decode()).delta == 4
     assert sorted(p.suffix for p in (tmp_path / "native" / "simcol").iterdir()) == [".c", ".so"]
     assert not (tmp_path / "python").exists()
 

@@ -56,6 +56,14 @@ class TestFlipParams:
         fp = FlipParams.glauber()
         assert fp.locality == 1 and fp.p(1) == 1 and fp.p(2) == 0
 
+    def test_builtin_schedules_are_built_once(self):
+        # run_chain reads one on every call with kind "glauber" or fp None,
+        # so its cut table must not be rebuilt per call
+        assert FlipParams.default() is FlipParams.default()
+        assert FlipParams.glauber() is FlipParams.glauber()
+        assert FlipParams.for_chain("glauber") is FlipParams.for_chain("glauber")
+        assert FlipParams.for_chain("flip") is FlipParams.for_chain("flip")
+
     def test_trailing_zeros_trimmed(self):
         fp = FlipParams((Fraction(1), Fraction(1, 3), Fraction(0), Fraction(0)))
         assert fp.locality == 2
@@ -122,7 +130,9 @@ class TestFlipParams:
             assert units.mass(s) == fp.p(s) * den
 
     def test_units_leave_identity_alone(self):
-        a, b = FlipParams.default(), FlipParams.default()
+        # two fresh instances: default() hands out one shared instance,
+        # whose units an earlier caller may already have read
+        a, b = (FlipParams(FlipParams.default().probs) for _ in range(2))
         before = repr(a)
         assert "units" not in vars(b)  # computed on first use, not at construction
         a.units

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simcol
+from simcol import _native
 from helpers import reference_graph_pair
 from simcol.cli import main
 from simcol.graphs import (GraphPair, ParseError, UnionLineGraph,
@@ -28,6 +30,16 @@ before = peak()
 random_graph_pair(1000, 4, 0.5, 1)
 print(peak() - before)
 """
+
+
+@st.composite
+def generator_args(draw):
+    """(n, delta, overlap, seed) that random_graph_pair runs on."""
+    n = draw(st.integers(2, 60), label="n")
+    delta = draw(st.integers(1, min(n - 1, 8)), label="delta")
+    overlap = draw(st.floats(0.0, 1.0), label="overlap")
+    seed = draw(st.integers(0, 2 ** 32), label="seed")
+    return n, delta, overlap, seed
 
 
 def pair(n, e1, e2):
@@ -118,6 +130,15 @@ class TestUnionLineGraph:
 
 
 class TestRandomGraphPair:
+    """random_graph_pair on the native body where a C compiler is found;
+    TestRandomGraphPairPythonBody reruns its reference tests on the Python
+    body."""
+
+    def test_native_body_builds_where_cc_is_found(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler found: the native body is not built")
+        assert _native.generator() is not None
+
     def test_deterministic(self):
         a = random_graph_pair(n=9, delta=3, overlap=0.5, seed=11)
         b = random_graph_pair(n=9, delta=3, overlap=0.5, seed=11)
@@ -164,14 +185,9 @@ class TestRandomGraphPair:
             "12b28c02444a832e6abe5120684779ae57761393df801c4a0e233e97d959537f")
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_matches_tuple_list_reference(self, data):
-        n = data.draw(st.integers(2, 60), label="n")
-        delta = data.draw(st.integers(1, min(n - 1, 8)), label="delta")
-        overlap = data.draw(st.floats(0.0, 1.0), label="overlap")
-        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
-        assert (random_graph_pair(n, delta, overlap, seed)
-                == reference_graph_pair(n, delta, overlap, seed))
+    @given(generator_args())
+    def test_matches_tuple_list_reference(self, args):
+        assert random_graph_pair(*args) == reference_graph_pair(*args)
 
     @pytest.mark.parametrize("n, delta, overlap, seed", [
         (300, 4, 0.5, 401), (300, 8, 0.0, 7), (300, 1, 1.0, 3), (1000, 4, 0.5, 1),
@@ -192,6 +208,23 @@ class TestRandomGraphPair:
         proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         assert int(proc.stdout) < 8 * 2 ** 20
+
+
+class TestRandomGraphPairPythonBody:
+    """The reference tests on the Python body, as where no compiler is found."""
+
+    @pytest.fixture(autouse=True)
+    def python_body(self, monkeypatch):
+        monkeypatch.setattr(_native, "generator", lambda: None)
+
+    test_seeded_edges_pinned = TestRandomGraphPair.test_seeded_edges_pinned
+    test_matches_reference_at_scale = TestRandomGraphPair.test_matches_reference_at_scale
+
+    # its own @given test: hypothesis refuses one test method run from two classes
+    @settings(max_examples=150, deadline=None)
+    @given(generator_args())
+    def test_matches_tuple_list_reference(self, args):
+        assert random_graph_pair(*args) == reference_graph_pair(*args)
 
 
 class TestInstanceFormat:

@@ -91,6 +91,24 @@ def test_a_refused_eps_builds_no_kernel(monkeypatch, capsys):
     assert out == "" and err.startswith("error: eps 1e-13 is below") and err.count("\n") == 1
 
 
+def test_mixing_curves_exits_3_when_a_stationarity_check_fails(monkeypatch, capsys):
+    # the flip chain's report says its uniform law is not stationary: the
+    # table still prints, the notes say which check failed, and the run
+    # exits 3 as `simcol oracle` does
+    report = experiments.oracle_report
+
+    def failing(G, k, kind, **kwargs):
+        return {**report(G, k, kind=kind, **kwargs), "uniform_ok": kind == "glauber"}
+
+    monkeypatch.setattr(experiments, "oracle_report", failing)
+    assert experiments.main(["mixing_curves", "--k", "3"]) == 3
+    out = capsys.readouterr().out
+    assert len(table(out)) == 37
+    notes = json.loads(out.splitlines()[-1])["notes"]
+    assert notes[1].endswith(", count = 24, uniform_ok = True")
+    assert notes[2].endswith(", count = 24, uniform_ok = False")
+
+
 def test_every_experiment_runs_at_its_smoke_parameters(capsys):
     start = time.perf_counter()
     for name, (fn, smoke) in experiments.EXPERIMENTS.items():
