@@ -1,21 +1,22 @@
-"""The native body of `dynamics.run_chain` and `graphs.random_graph_pair`,
-built on first use.
+"""The native body of `dynamics.run_chain`, `coupling.sample_adjacent_pairs`
+and `graphs.random_graph_pair`, built on first use.
 
 `_chain.c` is compiled by the system C compiler (``cc -O2 -shared
 -fPIC``) into a per-user cache, ``$XDG_CACHE_HOME/simcol`` or
 ``~/.cache/simcol``, with ``simcol-<uid>`` in the temp dir as the
-fallback, and loaded through ctypes.  The library's name carries the
-crc32 of the source, the compiler and the machine; a cached library is
-loaded only when the source copy beside it equals `_chain.c` byte for
-byte, and no directory that group or others can write is used.  A
-build goes to temporary names that are then renamed into place,
-so concurrent first uses never load a half-written file.
+fallback, and loaded through ctypes, once per process.  The library's
+name carries the crc32 of the source, the compiler and the machine; a
+cached library is loaded only when the source copy beside it equals
+`_chain.c` byte for byte, and no directory that group or others can
+write is used.  A build goes to temporary names that are then renamed
+into place, so concurrent first uses never load a half-written file.
 
-One library holds the chain loop, `chain_loop`, and the generator's
-shuffle and greedy fill, `generator`.  Both are None where no compiler
-is found or the build fails; `run_chain` then runs its Python loop, and
-`random_graph_pair` its Python body, which make the same walk and the
-same pairs.
+One library holds the chain loop, `chain_loop`, the pair sampler,
+`pair_sampler`, and the generator's shuffle and greedy fill,
+`generator`.  Each is None where no compiler is found or the build
+fails; `run_chain` then runs its Python loop, `sample_adjacent_pairs`
+its Python loop and `random_graph_pair` its Python body, which make the
+same walk, the same pairs and the same graphs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import zlib
 from array import array
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_chain.c")
-# proposals per native call, 0.2-0.3 s at 14-22M proposals per second: a
+# proposals per native call, 0.13-0.32 s at 13-31M proposals per second: a
 # Ctrl-C is seen between calls, and no step count outgrows the C int64
 _CALL_STEPS = 1 << 22
 
@@ -84,7 +85,8 @@ def _library(source: bytes, compiler: str, directory: str, name: str) -> str | N
 
 
 def _load():
-    """`_chain.c` as a ctypes library, built if need be, or None."""
+    """`_chain.c` as a ctypes library with its functions typed, built if
+    need be, or None."""
     compiler = shutil.which("cc")
     if os.name != "posix" or compiler is None or array("i").itemsize != 4 \
             or array("I").itemsize != 4:
@@ -101,42 +103,52 @@ def _load():
             continue
         try:
             lib = ctypes.CDLL(path)
-            for symbol in ("simcol_run_chain", "simcol_shuffled_candidates",
-                           "simcol_greedy_fill"):
-                getattr(lib, symbol)
+            _declare(lib)
         except (OSError, AttributeError):
             continue
         return lib
     return None
 
 
-@functools.cache
+def _declare(lib) -> None:
+    """Set the argument and result types of lib's functions."""
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    for symbol, argtypes, restype in (
+            ("simcol_run_chain", [i32, ptr, ptr, ptr, i32, i64, i32, ptr, ptr, ptr, ptr, ptr],
+             ctypes.c_int),
+            ("simcol_sample_pairs",
+             [i32, ptr, ptr, ptr, i32, i32, ptr, i64, i64, i32, ptr, ptr, ptr, ptr, ptr],
+             ctypes.c_int),
+            ("simcol_shuffled_candidates", [i32, ptr, ptr, ptr], None),
+            ("simcol_greedy_fill", [i32, ptr, i64, i32, ptr, i64, ptr], i64)):
+        fn = getattr(lib, symbol)
+        fn.argtypes, fn.restype = argtypes, restype
+
+
+# loaded once per process; the build tests call _load for a fresh build
+_loaded = functools.cache(_load)
+
+
 def chain_loop():
     """`simcol_run_chain` of `_chain.c` as a ctypes function, or None."""
-    lib = _load()
-    if lib is None:
-        return None
-    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    fn = lib.simcol_run_chain
-    fn.argtypes = [i32, ptr, ptr, ptr, i32, i64, i32, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn
+    lib = _loaded()
+    return None if lib is None else lib.simcol_run_chain
 
 
-@functools.cache
+def pair_sampler():
+    """`sample_pairs` on `_chain.c`'s `simcol_sample_pairs`, or None."""
+    lib = _loaded()
+    return None if lib is None else functools.partial(sample_pairs, lib.simcol_sample_pairs)
+
+
 def generator():
     """(shuffled_candidates, greedy_fill) on `_chain.c`'s functions, the
     primitives `random_graph_pair` builds a pair from, or None."""
-    lib = _load()
+    lib = _loaded()
     if lib is None:
         return None
-    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    shuffle, fill = lib.simcol_shuffled_candidates, lib.simcol_greedy_fill
-    shuffle.argtypes = [i32, ptr, ptr, ptr]
-    shuffle.restype = None
-    fill.argtypes = [i32, ptr, i64, i32, ptr, i64, ptr]
-    fill.restype = i64
-    return functools.partial(shuffled_candidates, shuffle), functools.partial(greedy_fill, fill)
+    return (functools.partial(shuffled_candidates, lib.simcol_shuffled_candidates),
+            functools.partial(greedy_fill, lib.simcol_greedy_fill))
 
 
 @contextlib.contextmanager
@@ -200,3 +212,43 @@ def run(loop, G, assign: list[int], k: int, steps: int, locality: int,
     finally:
         assign[:] = colors.tolist()
     return counts.tolist(), rejected[0]
+
+
+def sample_pairs(sampler, G, start: list[int], k: int, locality: int,
+                 cut: tuple[float, ...], burn_in: int, count: int,
+                 rng) -> tuple[array, array, array]:
+    """count adjacent pairs through sampler, from a walk at start of
+    burn_in proposals and G.m * k more before each pair; (colorings,
+    vstars, colors).
+
+    Pair p is the coloring colorings[p*m:(p + 1)*m] and its copy with
+    vertex vstars[p] recolored colors[p]; see
+    `coupling.sample_adjacent_pairs`.  rng is as in `run`.  The proposals
+    go in calls of at most _CALL_STEPS, each taking as many pairs as fit,
+    and rng is written back however the calls end.
+    """
+    m = G.m
+    gap = m * k
+    indptr, indices = G.csr
+    assign, cuts = array("i", start), array("d", cut)
+    colorings = array("i", bytes(4 * m * count))
+    vstars, colors = array("i", bytes(4 * count)), array("i", bytes(4 * count))
+    lead, done = burn_in + gap, 0
+    with _mt_state(rng) as (mt, index):
+        at = [_address(a) for a in (indptr, indices, assign, cuts, mt, index)]
+        while done < count:
+            if lead > _CALL_STEPS:  # the walk before the next pair, in whole calls
+                steps, take = _CALL_STEPS, 0
+            else:  # the rest of it, that pair and as many more as fit
+                steps, take = lead, min(count - done, 1 + (_CALL_STEPS - lead) // gap)
+            status = sampler(m, at[0], at[1], at[2], k, locality, at[3], steps, gap, take,
+                             at[4], at[5], _address(colorings) + 4 * m * done,
+                             _address(vstars) + 4 * done, _address(colors) + 4 * done)
+            if status == -1:
+                raise MemoryError("the native pair sampler could not allocate its work arrays")
+            if status:
+                raise AssertionError("k >= 4*delta - 2 leaves every vertex a color "
+                                     "no neighbor holds")
+            lead = gap if take else lead - steps
+            done += take
+    return colorings, vstars, colors

@@ -44,7 +44,7 @@ from operator import ne
 from typing import NamedTuple
 
 from .certify import threshold_ratio
-from .dynamics import (Coloring, FlipParams, alternating_component,
+from .dynamics import (Coloring, FlipParams, _plain_mt19937, alternating_component,
                        compute_cluster, greedy_coloring, is_proper, run_chain)
 from .dynamics import flip_step  # noqa: F401  perfbench/tracing.py patches it here by name
 from .graphs import UnionLineGraph
@@ -420,6 +420,15 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
     k >= 4*delta - 2.  rng must draw its integers through `getrandbits`,
     as `random.Random` does (`run_chain`'s contract); any other raises
     TypeError before the first proposal.
+
+    The sampler has two bodies with this one contract.  `_chain.c`'s
+    walks, shuffles and perturbs on rng's MT19937 state, in calls of
+    about 4M proposals; it runs where `run_chain` would run its native
+    loop and rng's class keeps random.Random's shuffle and randrange.
+    The Python loop below, the reference and the fallback, walks through
+    `run_chain` and draws through `rng.shuffle` and `rng.randrange`.
+    Both draw the same words, so which body ran never shows in a pair or
+    in rng's state.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -428,7 +437,21 @@ def sample_adjacent_pairs(G: UnionLineGraph, k: int, fp: FlipParams,
     if not G.m:
         raise ValueError("no proper single-vertex perturbation exists")
     sigma = greedy_coloring(G, k)
-    run_chain(G, sigma, 20 * G.m * k, rng, kind="flip", fp=fp)
+    burn_in = 20 * G.m * k
+    if max(G.m, k) < 2 ** 31 and _plain_mt19937(rng, ("shuffle", "randrange")):
+        from . import _native  # loaded on the first walk: certify never pays for it
+        sampler = _native.pair_sampler()
+        if sampler is not None:
+            colorings, vstars, colors = sampler(G, sigma.assign, k, fp.locality, fp.cut,
+                                                burn_in, count, rng)
+            m, pairs = G.m, []
+            for p, (v, c) in enumerate(zip(vstars, colors)):
+                x = Coloring(colorings[p * m:(p + 1) * m].tolist(), k)
+                y = x.copy()
+                y.assign[v] = c
+                pairs.append(AdjacentPair(x=x, y=y, vstar=v))
+            return pairs
+    run_chain(G, sigma, burn_in, rng, kind="flip", fp=fp)
     pairs: list[AdjacentPair] = []
     while len(pairs) < count:
         run_chain(G, sigma, G.m * k, rng, kind="flip", fp=fp)

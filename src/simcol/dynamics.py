@@ -16,13 +16,13 @@ common denominator, owned by `FlipParams.units`; the coupling, the
 certifier and the exact kernel all count in that unit.
 
 Colors are 1-based.  `run_chain` is the one chain loop; every walk in
-the package, the pair sampler's burn-in included, goes through it.  Its
-RNG contract, which the trajectory-equivalence tests rely on, is
-exactly: one `randrange(m)` for the vertex, one `randrange(k)` for the
-color, then one `random()` for acceptance drawn only when the acceptance
-probability lies strictly between 0 and 1.  A flip chain with
-probabilities (1, 0, ...) therefore consumes the same draw sequence as
-Glauber and realizes the same walk.  `run_chain` draws v as
+the package goes through it, the pair sampler's included, whose native
+body runs the same C walk.  Its RNG contract, which the
+trajectory-equivalence tests rely on, is exactly: one `randrange(m)` for
+the vertex, one `randrange(k)` for the color, then one `random()` for
+acceptance drawn only when the acceptance probability lies strictly
+between 0 and 1.  A flip chain with probabilities (1, 0, ...) therefore
+consumes the same draw sequence as Glauber and realizes the same walk.  `run_chain` draws v as
 `getrandbits(m.bit_length())` redrawn while >= m, which is how
 `random.Random.randrange(m)` draws it, and c likewise.  `flip_step`, one
 proposal making exactly these calls, is the reference the tests compare
@@ -297,13 +297,14 @@ class ChainStats:
     rejected: int
 
 
-def _plain_mt19937(rng) -> bool:
+def _plain_mt19937(rng, also: tuple[str, ...] = ()) -> bool:
     """True iff rng draws and keeps its state only through random.Random's
-    own methods, so that a loop on its MT19937 state stands in for them."""
+    own methods, those named in also included, so that a loop on its
+    MT19937 state stands in for them."""
     own = getattr(rng, "__dict__", {})
     return isinstance(rng, random.Random) and all(
         getattr(type(rng), name) is getattr(random.Random, name) and name not in own
-        for name in ("getrandbits", "random", "getstate", "setstate", "_randbelow"))
+        for name in ("getrandbits", "random", "getstate", "setstate", "_randbelow", *also))
 
 
 def _chain_stats(steps: int, counts: list[int], rejected: int) -> ChainStats:

@@ -821,6 +821,31 @@ def test_gen_without_a_compiler_writes_the_native_bytes(tmp_path):
     assert not (tmp_path / "python").exists()
 
 
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="no C compiler found: the native pair sampler is not built")
+def test_drift_without_a_compiler_samples_the_native_pairs(tmp_path):
+    # one fresh `simcol drift` samples its pairs on the native body, built
+    # into its own cache home; the other finds no cc on PATH, builds
+    # nothing and samples on the Python loop
+    g = tmp_path / "g.txt"
+    assert main(["gen", "--n", "40", "--delta", "3", "--seed", "2", "--out", str(g)]) == 0
+    no_cc = tmp_path / "no-cc"
+    no_cc.mkdir()
+    argv = [sys.executable, "-m", "simcol.cli", "drift", "--graph", str(g), "--k", "18",
+            "--pairs", "12", "--seed", "5"]
+    stdout = {}
+    for side, path in (("native", os.environ["PATH"]), ("python", str(no_cc))):
+        env = {**os.environ, "PATH": path, "XDG_CACHE_HOME": str(tmp_path / side),
+               "PYTHONPATH": SRC}
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        stdout[side] = proc.stdout
+    assert stdout["native"] == stdout["python"]
+    assert len(json.loads(stdout["python"])["pairs"]) == 12
+    assert sorted(p.suffix for p in (tmp_path / "native" / "simcol").iterdir()) == [".c", ".so"]
+    assert not (tmp_path / "python").exists()
+
+
 @pytest.mark.parametrize("option", ["--graph", "--fp", "--start"])
 def test_a_file_not_in_utf8_is_parse_error(instance, tmp_path, capsys, option):
     # the codec's error is a ValueError, which would exit 1 as a usage error

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -389,8 +390,10 @@ class TestSteps:
 
 
 def no_native_loop(monkeypatch):
-    """Force run_chain's Python loop, as where no compiler is found."""
+    """Force the Python loops of run_chain and sample_adjacent_pairs, as
+    where no compiler is found."""
     monkeypatch.setattr(_native, "chain_loop", lambda: None)
+    monkeypatch.setattr(_native, "pair_sampler", lambda: None)
 
 
 def native_loop_or_skip():
@@ -667,16 +670,69 @@ class TestNativeLoop:
         assert calls == [] and a.assign == b.assign
 
     def test_pair_sampler_pairs_equal_on_both_loops(self, monkeypatch):
-        G = build_union_line_graph(random_graph_pair(24, 3, .5, 11))
-        k = math.ceil(Fraction(5948, 1000) * G.delta)
-        sides = []
-        for forced in (False, True):
-            if forced:
-                no_native_loop(monkeypatch)
-            rng = random.Random(401)
-            pairs = sample_adjacent_pairs(G, k, FlipParams.default(), 6, rng)
-            sides.append(([(p.x.assign, p.y.assign, p.vstar) for p in pairs], rng.getstate()))
-        assert sides[0] == sides[1]
+        # the native pair body against the Python loop: at the certified
+        # ratio, at k = 4*delta - 2 where the fewest colors are free, at
+        # count = 1, and in calls small enough that the burn-in and the
+        # pairs span several of them
+        sampler = _native._loaded().simcol_sample_pairs
+        cases = [((24, 3, .5, 11), "certified", 6, 401, None),
+                 ((40, 3, .5, 9), "certified", 5, 7, None),
+                 ((30, 4, .3, 5), "fewest", 7, 12, None),
+                 ((12, 2, 1., 3), "fewest", 1, 3, None),
+                 ((9, 3, .5, 8), "certified", 1, 0, None),
+                 ((24, 3, .5, 11), "certified", 6, 401, 500),
+                 ((12, 2, 1., 3), "fewest", 4, 3, 7)]
+        for args, ratio, count, seed, call_steps in cases:
+            G = build_union_line_graph(random_graph_pair(*args))
+            k = math.ceil(Fraction(5948, 1000) * G.delta) if ratio == "certified" \
+                else 4 * G.delta - 2
+            sides, calls = [], []
+            with monkeypatch.context() as patch:
+                if call_steps is not None:
+                    patch.setattr(_native, "_CALL_STEPS", call_steps)
+
+                def counted(*call):
+                    calls.append(call[7] + (call[9] - 1) * call[8])  # proposals
+                    return sampler(*call)
+
+                patch.setattr(_native, "pair_sampler",
+                              lambda: functools.partial(_native.sample_pairs, counted))
+                for forced in (False, True):
+                    if forced:
+                        no_native_loop(patch)
+                    rng = random.Random(seed)
+                    pairs = sample_adjacent_pairs(G, k, FlipParams.default(), count, rng)
+                    sides.append(([(p.x.assign, p.y.assign, p.vstar) for p in pairs],
+                                  rng.getstate()))
+            assert sides[0] == sides[1], (args, k, count, call_steps)
+            if call_steps is None:
+                assert len(calls) == 1
+            else:
+                assert len(calls) > 2 and max(calls) <= call_steps
+
+    @pytest.mark.parametrize("name", ["shuffle", "randrange"])
+    def test_pair_sampler_draws_through_an_rngs_own_method(self, name, monkeypatch):
+        # the native pair body would bypass a subclass's own shuffle or
+        # randrange, so such an rng takes the Python loop
+        def refused(*args):  # pragma: no cover - failure path
+            raise AssertionError(f"an rng with its own {name} reached the native pair body")
+
+        method = getattr(random.Random, name)
+
+        def own(self, *args):
+            self.calls += 1
+            return method(self, *args)
+
+        G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
+        fp = FlipParams.default()
+        ref = random.Random(6)
+        want = sample_adjacent_pairs(G, 10, fp, 3, ref)
+        monkeypatch.setattr(_native, "sample_pairs", refused)
+        rng = type("Own", (random.Random,), {name: own, "calls": 0})(6)
+        got = sample_adjacent_pairs(G, 10, fp, 3, rng)
+        assert [(p.x.assign, p.y.assign, p.vstar) for p in got] == \
+            [(p.x.assign, p.y.assign, p.vstar) for p in want]
+        assert rng.calls == 3 and rng.getstate() == ref.getstate()
 
     def native_calls(self, monkeypatch, interrupt_at=None) -> list:
         """The step count of every native call; the call numbered
@@ -745,6 +801,14 @@ class TestNativeLoop:
         assert a.assign == b.assign and ra.getstate() == rb.getstate()
         assert a.assign != greedy_coloring(G, 8).assign
 
+    def test_the_library_is_loaded_once_per_process(self, monkeypatch):
+        # the chain loop, the pair sampler and the generator share one load
+        _native._loaded.cache_clear()
+        loaded, cdll = [], _native.ctypes.CDLL
+        monkeypatch.setattr(_native.ctypes, "CDLL", lambda path: loaded.append(path) or cdll(path))
+        assert None not in (_native.chain_loop(), _native.pair_sampler(), _native.generator())
+        assert _native.chain_loop() is _native.chain_loop() and len(loaded) == 1
+
     def test_neighbor_ids_are_checked_before_it_reads_them(self):
         bad = dataclasses.replace(PATH4, nbrs=((1,), (0, 2), (1, 4), (2,)))
         with pytest.raises(ValueError, match="neighbor id"):
@@ -759,7 +823,7 @@ class TestNativeLoop:
 
     def test_cache_loads_only_a_matching_build(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        build = _native.chain_loop.__wrapped__
+        build = _native._load
         assert build() is not None
         cache = tmp_path / "simcol"
         names = sorted(p.name for p in cache.iterdir())
@@ -780,8 +844,9 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 
 class TestNativeBuild:
-    """chain_loop's build paths, uncached, with both cache directories
-    (`$XDG_CACHE_HOME/simcol` and the temp-dir fallback) under tmp_path."""
+    """The library's build paths, through the uncached loader `_load`, with
+    both cache directories (`$XDG_CACHE_HOME/simcol` and the temp-dir
+    fallback) under tmp_path."""
 
     @pytest.fixture
     def caches(self, tmp_path, monkeypatch):
@@ -798,7 +863,7 @@ class TestNativeBuild:
         cc.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\nexit 1\n')
         cc.chmod(0o755)
         monkeypatch.setenv("PATH", str(bin_dir))
-        assert _native.chain_loop.__wrapped__() is None
+        assert _native._load() is None
         assert len(log.read_text().splitlines()) == 2  # one try per cache directory
         for cache in caches:
             assert list(cache.iterdir()) == []  # its temporary .c and .so removed
@@ -806,12 +871,12 @@ class TestNativeBuild:
     @needs_cc
     def test_a_cache_home_that_is_a_file_falls_back_to_the_temp_dir(self, caches, tmp_path):
         (tmp_path / "xdg").write_text("not a directory\n")
-        assert _native.chain_loop.__wrapped__() is not None
+        assert _native._load() is not None
         assert sorted(p.suffix for p in caches[1].iterdir()) == [".c", ".so"]
 
     @needs_cc
     def test_a_library_that_does_not_load_is_skipped(self, caches, tmp_path, monkeypatch):
-        assert _native.chain_loop.__wrapped__() is not None
+        assert _native._load() is not None
         source, library = sorted(caches[0].iterdir())
         # the same names in another cache home: a matching source copy
         # beside a library that is not one
@@ -820,7 +885,7 @@ class TestNativeBuild:
         (other / source.name).write_bytes(source.read_bytes())
         (other / library.name).write_bytes(b"\x7fELF, but no more of it\n")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
-        assert _native.chain_loop.__wrapped__() is not None
+        assert _native._load() is not None
         assert sorted(p.suffix for p in caches[1].iterdir()) == [".c", ".so"]
         assert (other / library.name).read_bytes() == b"\x7fELF, but no more of it\n"
 
@@ -832,7 +897,7 @@ class TestNativeBuild:
         shared = caches[0]
         shared.mkdir(parents=True)
         shared.chmod(0o777)
-        assert _native.chain_loop.__wrapped__() is not None
+        assert _native._load() is not None
         assert list(shared.iterdir()) == []
         source, library = sorted(caches[1].iterdir())
         planted = {p.name: p.read_bytes() for p in (source, library)}
@@ -841,8 +906,9 @@ class TestNativeBuild:
         loaded = []
         cdll = _native.ctypes.CDLL
         monkeypatch.setattr(_native.ctypes, "CDLL", lambda path: loaded.append(path) or cdll(path))
-        fn = _native.chain_loop.__wrapped__()
-        assert fn is not None and loaded == [str(library)]
+        lib = _native._load()
+        assert lib is not None and loaded == [str(library)]
+        fn = lib.simcol_run_chain
         assert {p.name: p.read_bytes() for p in shared.iterdir()} == planted
         G = build_union_line_graph(random_graph_pair(12, 3, .5, 4))
         walks = []
